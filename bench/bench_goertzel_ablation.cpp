@@ -27,6 +27,7 @@
 #include "hub/mcu.h"
 #include "metrics/events.h"
 #include "sim/power_model.h"
+#include "sim/replay.h"
 #include "sim/timeline.h"
 #include "support/thread_pool.h"
 #include "trace/audio_gen.h"
@@ -89,13 +90,10 @@ evaluate(const std::vector<trace::Trace> &traces,
                 hub::Engine engine(channels);
                 engine.addCondition(1, program);
                 std::vector<double> triggers;
-                for (std::size_t i = 0; i < t.sampleCount(); ++i) {
-                    engine.pushSamples({t.channels[0][i]},
-                                       t.timeOf(i));
-                    for (const auto &event :
-                         engine.drainWakeEvents())
+                sim::detail::replayTrace(
+                    engine, t, [&](const hub::WakeEvent &event) {
                         triggers.push_back(event.timestamp);
-                }
+                    });
 
                 TraceOutcome out;
                 out.triggers = triggers.size();

@@ -19,6 +19,7 @@
 #include "bench_common.h"
 #include "hub/engine.h"
 #include "metrics/events.h"
+#include "sim/replay.h"
 #include "support/thread_pool.h"
 #include "trace/augment.h"
 #include "trace/robot_gen.h"
@@ -34,13 +35,10 @@ wakeRecall(const apps::Application &app, const trace::Trace &trace,
     hub::Engine engine(app.channels());
     engine.addCondition(1, app.wakeCondition().compile());
     std::vector<double> triggers;
-    for (std::size_t i = 0; i < trace.sampleCount(); ++i) {
-        engine.pushSamples({trace.channels[0][i], trace.channels[1][i],
-                            trace.channels[2][i]},
-                           trace.timeOf(i));
-        for (const auto &event : engine.drainWakeEvents())
-            triggers.push_back(event.timestamp);
-    }
+    sim::detail::replayTrace(engine, trace,
+                             [&](const hub::WakeEvent &event) {
+                                 triggers.push_back(event.timestamp);
+                             });
     return metrics::matchEventsCoalesced(
                trace.eventsOfType(app.eventType()), triggers, pad)
         .recall();

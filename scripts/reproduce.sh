@@ -4,52 +4,13 @@
 # Usage: scripts/reproduce.sh [fast] [tsan] [asan]
 #   fast  — run the experiment binaries on ~6x shorter traces.
 #   tsan  — additionally build with -DSIDEWINDER_SANITIZE=thread and
-#           run the parallel sweep engine's tests (sim_sweep_test,
-#           support_thread_pool_test) plus the ExecutionPlan tests
-#           (il_plan_test, hub_plan_property_test), the
-#           block-execution tests (hub_block_test — pushBlock runs
-#           under the same engine mutex the per-sample path takes),
-#           and the fleet tests (sim_fleet_test — shard workers
-#           racing on the shared plan cache is exactly where a data
-#           race would hide), and the live-reconfiguration tests
-#           (hub_reconfig_test — staging in the shadow slot while
-#           the wave loop executes the live plans crosses the same
-#           engine mutex), and the placer tests (hub_placer_test —
-#           place() is documented const-safe for concurrent callers,
-#           and the test drives it from 8 threads at once) under
-#           ThreadSanitizer before the normal run. SW_TSAN=1 enables
-#           the same.
+#           run the tests labelled tsan in tests/CMakeLists.txt (the
+#           concurrency-bearing ones; the file says why each carries
+#           its labels) under ThreadSanitizer before the normal run.
+#           SW_TSAN=1 enables the same.
 #   asan  — additionally build with
-#           -DSIDEWINDER_SANITIZE=address,undefined and run the
-#           fault-tolerance tests (transport_reliable_test,
-#           hub_supervision_test, sim_faults_test) and the
-#           ExecutionPlan tests (il_plan_test,
-#           hub_plan_property_test) under ASan/UBSan: the fault
-#           injectors exercise the decoder's resync and the
-#           supervisor's re-push paths with deliberately mangled
-#           bytes, and the plan tests drive the engine's cached
-#           input-pointer wave loop, exactly where memory bugs would
-#           hide. The block-execution tests (hub_block_test) and the
-#           Q15 fixed-point primitive tests (dsp_q15_test) also run
-#           here: the block path writes through raw lane pointers
-#           with per-node strides, and the Q15 kernels are exactly
-#           where integer overflow UB would hide. The fleet tests
-#           (sim_fleet_test) run here too: tenants share one plan
-#           instance, so a lifetime bug in the cache would surface as
-#           a use-after-free under churn. The live-reconfiguration
-#           tests (hub_reconfig_test) run here too: delta splicing
-#           resolves 8-byte hash references into live node pointers
-#           and rollback tears the staged half down, exactly where a
-#           dangling reference would hide. The placer tests
-#           (hub_placer_test) run here too: the fuzzed-workload
-#           rounds stress the rip-up/repair bookkeeping, exactly
-#           where an out-of-bounds ledger index would hide. The
-#           value-range soundness gate (il_range_test) runs under
-#           both sanitizers: the Q15
-#           saturation-event counters are compiled in there (the
-#           sanitize trees define SIDEWINDER_Q15_COUNTERS), so the
-#           proof-vs-execution cross-check actually bites.
-#           SW_ASAN=1 enables the same.
+#           -DSIDEWINDER_SANITIZE=address,undefined and run the tests
+#           labelled asan under ASan/UBSan. SW_ASAN=1 enables the same.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -61,57 +22,20 @@ done
 
 if [ "${SW_TSAN:-0}" = "1" ]; then
     # TSan is incompatible with ASan, so it gets its own tree. Only
-    # the concurrency-bearing tests run here; the full (uninstrumented)
-    # suite still runs below.
+    # the labelled tests run here; the full (uninstrumented) suite
+    # still runs below.
     cmake -B build-tsan -G Ninja -DSIDEWINDER_SANITIZE=thread
-    cmake --build build-tsan --target sim_sweep_test \
-        support_thread_pool_test il_plan_test hub_plan_property_test \
-        hub_block_test sim_fleet_test il_range_test hub_reconfig_test \
-        hub_placer_test
-    echo "== ThreadSanitizer: parallel sweep engine =="
-    build-tsan/tests/support_thread_pool_test
-    build-tsan/tests/sim_sweep_test
-    echo "== ThreadSanitizer: execution plan =="
-    build-tsan/tests/il_plan_test
-    build-tsan/tests/hub_plan_property_test
-    echo "== ThreadSanitizer: block execution =="
-    build-tsan/tests/hub_block_test
-    echo "== ThreadSanitizer: fleet runtime + shared plan cache =="
-    build-tsan/tests/sim_fleet_test
-    echo "== ThreadSanitizer: value-range soundness gate =="
-    build-tsan/tests/il_range_test
-    echo "== ThreadSanitizer: live reconfiguration =="
-    build-tsan/tests/hub_reconfig_test
-    echo "== ThreadSanitizer: negotiated-congestion placer =="
-    build-tsan/tests/hub_placer_test
+    cmake --build build-tsan --target tsan_tests
+    echo "== ThreadSanitizer: tests labelled tsan =="
+    ctest --test-dir build-tsan -L tsan --output-on-failure
 fi
 
 if [ "${SW_ASAN:-0}" = "1" ]; then
     cmake -B build-asan -G Ninja \
         -DSIDEWINDER_SANITIZE=address,undefined
-    cmake --build build-asan --target transport_reliable_test \
-        hub_supervision_test sim_faults_test il_plan_test \
-        hub_plan_property_test hub_block_test dsp_q15_test \
-        sim_fleet_test il_range_test hub_reconfig_test \
-        hub_placer_test
-    echo "== ASan/UBSan: fault-tolerance stack =="
-    build-asan/tests/transport_reliable_test
-    build-asan/tests/hub_supervision_test
-    build-asan/tests/sim_faults_test
-    echo "== ASan/UBSan: execution plan =="
-    build-asan/tests/il_plan_test
-    build-asan/tests/hub_plan_property_test
-    echo "== ASan/UBSan: block execution + Q15 =="
-    build-asan/tests/hub_block_test
-    build-asan/tests/dsp_q15_test
-    echo "== ASan/UBSan: fleet runtime + shared plan cache =="
-    build-asan/tests/sim_fleet_test
-    echo "== ASan/UBSan: value-range soundness gate =="
-    build-asan/tests/il_range_test
-    echo "== ASan/UBSan: live reconfiguration =="
-    build-asan/tests/hub_reconfig_test
-    echo "== ASan/UBSan: negotiated-congestion placer =="
-    build-asan/tests/hub_placer_test
+    cmake --build build-asan --target asan_tests
+    echo "== ASan/UBSan: tests labelled asan =="
+    ctest --test-dir build-asan -L asan --output-on-failure
 fi
 
 cmake -B build -G Ninja

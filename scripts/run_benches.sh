@@ -37,6 +37,11 @@
 #    over a mixed 10k-device population, the count of rescued
 #    conditions, rip-up/convergence counters, and a 1-vs-4-thread
 #    determinism flag (docs/placement.md).
+#  - BENCH_reproduce.json — wall time of the table/figure drivers the
+#    paper's evaluation runs (bench_table2_audio_power,
+#    bench_fig5_robot_power, bench_whole_device,
+#    bench_goertzel_ablation), one run each. Recorded, not gated: the
+#    numbers depend on the host.
 #
 # Every JSON record carries its worker-thread context — the effective
 # pool width, the SW_THREADS override (null/unset when absent), and
@@ -52,8 +57,8 @@
 #   OUT_FLEET=...   fleet scaling JSON path (default: BENCH_fleet.json)
 #   OUT_RECONFIG=... reconfiguration JSON path (default: BENCH_reconfig.json)
 #   OUT_PLACEMENT=... placement JSON path (default: BENCH_placement.json)
-#   SW_FAST=1       scale the sweep traces ~6x down (ratio unchanged)
-#                   and drop the fleet's 100k population
+#   SW_FAST=1       scale the sweep and driver traces ~6x down (ratio
+#                   unchanged) and drop the fleet's 100k population
 #   SW_THREADS=N    override the worker-thread count (recorded in
 #                   every JSON context block)
 set -euo pipefail
@@ -68,11 +73,13 @@ OUT_FLEET="${OUT_FLEET:-BENCH_fleet.json}"
 OUT_RECONFIG="${OUT_RECONFIG:-BENCH_reconfig.json}"
 OUT_PLACEMENT="${OUT_PLACEMENT:-BENCH_placement.json}"
 FILTER="${1:-.}"
+DRIVERS=(bench_table2_audio_power bench_fig5_robot_power
+    bench_whole_device bench_goertzel_ablation)
 
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j --target bench_dsp_micro \
     bench_sweep_scaling bench_fault_sweep bench_fleet_scaling \
-    bench_reconfig bench_placement \
+    bench_reconfig bench_placement "${DRIVERS[@]}" \
     >/dev/null
 
 # Refuse to record numbers from an unoptimized tree: a Debug build is
@@ -114,3 +121,29 @@ echo "wrote $OUT"
 "$BUILD_DIR"/bench/bench_reconfig "$OUT_RECONFIG"
 
 "$BUILD_DIR"/bench/bench_placement "$OUT_PLACEMENT"
+
+# Driver wall times, stamped with the thread context and SW_FAST flag
+# bench_sweep_scaling recorded above in this same environment.
+timings=()
+for driver in "${DRIVERS[@]}"; do
+    start=$(date +%s%N)
+    "$BUILD_DIR/bench/$driver" >/dev/null
+    timings+=("$driver" "$(($(date +%s%N) - start))")
+done
+python3 - "$OUT_SWEEP" BENCH_reproduce.json "${timings[@]}" <<'EOF_PY'
+import json
+import sys
+
+sweep, out, timings = sys.argv[1], sys.argv[2], sys.argv[3:]
+with open(sweep) as f:
+    context = json.load(f)
+record = {key: context[key]
+          for key in ("fast_mode", "threads", "sw_threads", "cores")}
+record["drivers"] = [
+    {"name": name, "wall_s": round(int(ns) / 1e9, 3)}
+    for name, ns in zip(timings[::2], timings[1::2])]
+with open(out, "w") as f:
+    json.dump(record, f, indent=2)
+    f.write("\n")
+EOF_PY
+echo "wrote BENCH_reproduce.json"

@@ -25,6 +25,18 @@ constexpr std::uint8_t kWaveBlocked =
 constexpr std::uint8_t kWaveEmitted =
     static_cast<std::uint8_t>(WaveState::Emitted);
 
+/** Channel-major samples viewed as lanes: channel ch at ch * count. */
+struct ChannelMajorLanes
+{
+    const double *samples;
+    std::size_t count;
+
+    const double *operator[](std::size_t ch) const
+    {
+        return samples + ch * count;
+    }
+};
+
 } // namespace
 
 Engine::Engine(std::vector<il::ChannelInfo> channels, bool share_nodes,
@@ -480,8 +492,9 @@ Engine::pushSamples(const std::vector<double> &values, double timestamp)
     }
 }
 
+template <typename Lanes>
 void
-Engine::prepareNodeBlock(Node *node, const double *samples,
+Engine::prepareNodeBlock(Node *node, const Lanes &lanes,
                          std::size_t count)
 {
     node->blockStates.resize(count);
@@ -498,11 +511,10 @@ Engine::prepareNodeBlock(Node *node, const double *samples,
         BlockInput view;
         const Node *producer = node->producers[k];
         if (producer == nullptr) {
-            // Channel input: read the caller's channel-major lane
-            // directly — no copy, and channels emit on every wave.
-            const auto ch =
-                static_cast<std::size_t>(-node->inputs[k] - 1);
-            view.scalars = samples + ch * count;
+            // Channel input: read the caller's lane in place — no
+            // copy, and channels emit on every wave.
+            view.scalars =
+                lanes[static_cast<std::size_t>(-node->inputs[k] - 1)];
         } else {
             view.states = producer->blockStates.data();
             if (producer->stream.kind == il::ValueKind::Scalar)
@@ -535,8 +547,9 @@ Engine::invokeNodeWave(Node *node, const BlockOutput &out, std::size_t w)
     node->kernel->invokeBlock(sliceInputs, nullptr, 1, slice);
 }
 
+template <typename Lanes>
 void
-Engine::pushBlock(const double *samples, std::size_t count,
+Engine::pushLanes(const Lanes &lanes, std::size_t count,
                   const double *timestamps)
 {
     if (count == 0)
@@ -546,13 +559,13 @@ Engine::pushBlock(const double *samples, std::size_t count,
         // exactly equivalent.
         std::vector<double> values(channelInfos.size());
         for (std::size_t ch = 0; ch < channelInfos.size(); ++ch)
-            values[ch] = samples[ch];
+            values[ch] = lanes[ch][0];
         pushSamples(values, timestamps[0]);
         return;
     }
 
     for (std::size_t ch = 0; ch < channelInfos.size(); ++ch) {
-        const double *lane = samples + ch * count;
+        const double *lane = lanes[ch];
         for (std::size_t w = 0; w < count; ++w)
             rawBuffers[ch].push(lane[w]);
     }
@@ -564,7 +577,7 @@ Engine::pushBlock(const double *samples, std::size_t count,
     // over waves 0..K-1 before node n+1 sees any wave produces the
     // same stream of states and results as the wave-major loop.
     for (Node *node : schedule) {
-        prepareNodeBlock(node, samples, count);
+        prepareNodeBlock(node, lanes, count);
 
         BlockOutput out;
         out.states = node->blockStates.data();
@@ -767,6 +780,20 @@ Engine::pushBlock(const double *samples, std::size_t count,
         }
         ++scan_pos;
     }
+}
+
+void
+Engine::pushBlock(const double *const *lanes, std::size_t count,
+                  const double *timestamps)
+{
+    pushLanes(lanes, count, timestamps);
+}
+
+void
+Engine::pushBlock(const double *samples, std::size_t count,
+                  const double *timestamps)
+{
+    pushLanes(ChannelMajorLanes{samples, count}, count, timestamps);
 }
 
 void

@@ -190,11 +190,11 @@ class Engine
     /**
      * Block execution: feed @p count consecutive waves at once.
      *
-     * @p samples is channel-major — samples[ch * count + w] is
-     * channel ch's sample on wave w — so each kernel's block loop
-     * reads a contiguous lane, and channel inputs are consumed
-     * directly from the caller's buffer with no per-sample copying.
-     * @p timestamps holds one timestamp per wave.
+     * @p lanes holds one pointer per channel, in the channel order
+     * given at construction: lanes[ch][w] is channel ch's sample on
+     * wave w. Each kernel's block loop reads its channel lane in
+     * place, so a trace's per-channel vectors are consumed with no
+     * packing copy. @p timestamps holds one timestamp per wave.
      *
      * Semantically identical to calling pushSamples() once per wave
      * (same wake events in the same order, same raw history, same
@@ -205,6 +205,13 @@ class Engine
      * lives inside kernel objects, and a node's per-wave firing
      * decisions depend only on producers that precede it in the
      * schedule.
+     */
+    void pushBlock(const double *const *lanes, std::size_t count,
+                   const double *timestamps);
+
+    /**
+     * Channel-major overload: samples[ch * count + w] is channel ch's
+     * sample on wave w.
      */
     void pushBlock(const double *samples, std::size_t count,
                    const double *timestamps);
@@ -405,8 +412,18 @@ class Engine
     void releaseConditionNodes(const Condition &cond);
     /** Rebuild the dense wave schedule after any add/remove. */
     void rebuildSchedule();
+    /**
+     * The block loop behind both pushBlock() layouts. lanes[ch] yields
+     * a pointer to channel ch's first wave: a lane-pointer array, or a
+     * view computing it from channel-major samples — so the engine
+     * keeps no per-instance lane scratch.
+     */
+    template <typename Lanes>
+    void pushLanes(const Lanes &lanes, std::size_t count,
+                   const double *timestamps);
     /** Size a node's block lanes and input views for @p count waves. */
-    void prepareNodeBlock(Node *node, const double *samples,
+    template <typename Lanes>
+    void prepareNodeBlock(Node *node, const Lanes &lanes,
                           std::size_t count);
     /**
      * Run @p node's kernel on the single wave @p w of a block: every

@@ -7,14 +7,13 @@
  * on the data available in the structure and, if required, stores the
  * result in the structure and sets the hasResult flag." Here the data
  * structure is the kernel object; the interpreter owns the hasResult
- * bookkeeping around invoke().
+ * bookkeeping around invokeInto().
  */
 
 #ifndef SIDEWINDER_HUB_KERNEL_H
 #define SIDEWINDER_HUB_KERNEL_H
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "hub/value.h"
@@ -110,11 +109,10 @@ struct BlockOutput
 /**
  * An executable algorithm instance.
  *
- * Subclasses implement at least one of invoke() / invokeInto(); each
- * has a default implementation in terms of the other. Frame-producing
- * kernels override invokeInto() and write into the output value's
- * existing storage, so the interpreter's steady state reuses buffers
- * instead of constructing and destroying frame vectors every sample.
+ * Subclasses implement invokeInto(). Frame-producing kernels write
+ * into the output value's existing storage, so the interpreter's
+ * steady state reuses buffers instead of constructing and destroying
+ * frame vectors every sample.
  *
  * Block execution: invokeBlock() runs K waves in one virtual call
  * over contiguous SoA buffers. The default implementation loops the
@@ -128,39 +126,18 @@ class Kernel
     virtual ~Kernel() = default;
 
     /**
-     * Execute one firing.
+     * Execute one firing, writing the result into @p out. @p out is
+     * the node's persistent result slot; kernels reuse its storage
+     * (Value::frameStorage()) across waves.
      *
      * @param inputs One entry per declared input; entries are null
-     *     only under FiringPolicy::Activated when that input produced
-     *     no result this wave.
-     * @return the produced value, or nullopt when this firing yields
-     *     no result (the hasResult flag stays clear).
+     *     only under FiringPolicy::AnyInput / ObserveBlocks when that
+     *     input produced no result this wave.
+     * @return true when a result was produced (hasResult set); false
+     *     leaves @p out untouched.
      */
-    virtual std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs)
-    {
-        Value out;
-        if (!invokeInto(inputs, out))
-            return std::nullopt;
-        return out;
-    }
-
-    /**
-     * Execute one firing, writing the result into @p out — the hot
-     * interpreter path. @p out is the node's persistent result slot;
-     * kernels reuse its storage (Value::frameStorage()) across waves.
-     *
-     * @return true when a result was produced (hasResult set).
-     */
-    virtual bool
-    invokeInto(const std::vector<const Value *> &inputs, Value &out)
-    {
-        auto result = invoke(inputs);
-        if (!result)
-            return false;
-        out = std::move(*result);
-        return true;
-    }
+    virtual bool invokeInto(const std::vector<const Value *> &inputs,
+                            Value &out) = 0;
 
     /**
      * Execute @p count consecutive waves in one call — the block

@@ -150,33 +150,59 @@ Kernel::invokeBlock(const std::vector<BlockInput> &inputs,
 
 namespace {
 
-/** movingAvg(n): scalar noise reduction. */
-class MovingAvgKernel : public Kernel
+/**
+ * Base of the single-input scalar-to-scalar streaming kernels:
+ * @p Derived supplies `bool step(double x, double &y)`, which consumes
+ * one sample and either writes the output (true) or produces nothing,
+ * landing the wave in @p MissState — Idle for accumulators, Blocked for
+ * admission control. The per-sample and block paths run the same step,
+ * so they cannot drift apart.
+ */
+template <typename Derived, std::uint8_t MissState>
+class ScalarStepKernel : public Kernel
 {
   public:
-    explicit MovingAvgKernel(std::size_t n) : filter(n) {}
-
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    invokeInto(const std::vector<const Value *> &inputs,
+               Value &out) override
     {
-        auto out = filter.push(inputs[0]->scalar());
-        if (!out)
-            return std::nullopt;
-        return Value(*out);
+        double y = 0.0;
+        if (!self().step(inputs[0]->scalar(), y))
+            return false;
+        out = Value(y);
+        return true;
     }
 
     void invokeBlock(const std::vector<BlockInput> &inputs,
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
     {
-        runScalarBlock(inputs[0], fire, count, out, kWaveIdle,
+        runScalarBlock(inputs[0], fire, count, out, MissState,
                        [this](double x, double &y) {
-                           auto r = filter.push(x);
-                           if (!r)
-                               return false;
-                           y = *r;
-                           return true;
+                           return self().step(x, y);
                        });
+    }
+
+    bool conditional() const override { return MissState == kWaveBlocked; }
+
+  private:
+    Derived &self() { return static_cast<Derived &>(*this); }
+};
+
+/** movingAvg(n): scalar noise reduction. */
+class MovingAvgKernel : public ScalarStepKernel<MovingAvgKernel, kWaveIdle>
+{
+  public:
+    explicit MovingAvgKernel(std::size_t n) : filter(n) {}
+
+    bool
+    step(double x, double &y)
+    {
+        const auto r = filter.push(x);
+        if (!r)
+            return false;
+        y = *r;
+        return true;
     }
 
     void reset() override { filter.reset(); }
@@ -186,26 +212,17 @@ class MovingAvgKernel : public Kernel
 };
 
 /** expMovingAvg(alpha). */
-class ExpMovingAvgKernel : public Kernel
+class ExpMovingAvgKernel
+    : public ScalarStepKernel<ExpMovingAvgKernel, kWaveIdle>
 {
   public:
     explicit ExpMovingAvgKernel(double alpha) : filter(alpha) {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    step(double x, double &y)
     {
-        return Value(filter.push(inputs[0]->scalar()));
-    }
-
-    void invokeBlock(const std::vector<BlockInput> &inputs,
-                     const BlockFire *fire, std::size_t count,
-                     const BlockOutput &out) override
-    {
-        runScalarBlock(inputs[0], fire, count, out, kWaveIdle,
-                       [this](double x, double &y) {
-                           y = filter.push(x);
-                           return true;
-                       });
+        y = filter.push(x);
+        return true;
     }
 
     void reset() override { filter.reset(); }
@@ -406,10 +423,12 @@ class ReducerKernel : public Kernel
 
     explicit ReducerKernel(Fn fn) : fn(fn) {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    invokeInto(const std::vector<const Value *> &inputs,
+               Value &out) override
     {
-        return Value(fn(inputs[0]->frame()));
+        out = Value(fn(inputs[0]->frame()));
+        return true;
     }
 
     void invokeBlock(const std::vector<BlockInput> &inputs,
@@ -446,20 +465,24 @@ class SpectralFeatureKernel : public Kernel
         : feature(feature), fftSize(fft_size), baseRateHz(base_rate_hz)
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    invokeInto(const std::vector<const Value *> &inputs,
+               Value &out) override
     {
         const auto dom = dsp::dominantFrequency(inputs[0]->frame());
         switch (feature) {
           case Feature::FrequencyHz:
-            return Value(
+            out = Value(
                 dsp::binFrequencyHz(dom.bin, fftSize, baseRateHz));
+            return true;
           case Feature::Magnitude:
-            return Value(dom.magnitude);
+            out = Value(dom.magnitude);
+            return true;
           case Feature::PeakToMeanRatio:
-            return Value(dom.peakToMeanRatio());
+            out = Value(dom.peakToMeanRatio());
+            return true;
         }
-        return std::nullopt;
+        return false;
     }
 
   private:
@@ -478,15 +501,16 @@ class GoertzelKernel : public Kernel
           relative(relative)
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    invokeInto(const std::vector<const Value *> &inputs,
+               Value &out) override
     {
         const auto &frame = inputs[0]->frame();
-        return Value(relative
-                         ? dsp::goertzelRelative(frame, targetHz,
-                                                 baseRateHz)
-                         : dsp::goertzelMagnitude(frame, targetHz,
-                                                  baseRateHz));
+        out = Value(relative ? dsp::goertzelRelative(frame, targetHz,
+                                                     baseRateHz)
+                             : dsp::goertzelMagnitude(frame, targetHz,
+                                                      baseRateHz));
+        return true;
     }
 
   private:
@@ -496,43 +520,29 @@ class GoertzelKernel : public Kernel
 };
 
 /** Admission control: forwards only admitted values. */
-class ThresholdKernel : public Kernel
+class ThresholdKernel
+    : public ScalarStepKernel<ThresholdKernel, kWaveBlocked>
 {
   public:
     explicit ThresholdKernel(dsp::Threshold threshold)
         : threshold(threshold)
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    step(double x, double &y)
     {
-        auto out = threshold.push(inputs[0]->scalar());
-        if (!out)
-            return std::nullopt;
-        return Value(*out);
+        if (!threshold.admits(x))
+            return false;
+        y = x;
+        return true;
     }
-
-    void invokeBlock(const std::vector<BlockInput> &inputs,
-                     const BlockFire *fire, std::size_t count,
-                     const BlockOutput &out) override
-    {
-        runScalarBlock(inputs[0], fire, count, out, kWaveBlocked,
-                       [this](double x, double &y) {
-                           if (!threshold.admits(x))
-                               return false;
-                           y = x;
-                           return true;
-                       });
-    }
-
-    bool conditional() const override { return true; }
 
   private:
     dsp::Threshold threshold;
 };
 
 /** localMaxima / localMinima streaming peak detection. */
-class PeakKernel : public Kernel
+class PeakKernel : public ScalarStepKernel<PeakKernel, kWaveIdle>
 {
   public:
     PeakKernel(dsp::PeakPolarity polarity, double low, double high,
@@ -540,27 +550,14 @@ class PeakKernel : public Kernel
         : detector(polarity, low, high, refractory)
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    step(double x, double &y)
     {
-        auto out = detector.push(inputs[0]->scalar());
-        if (!out)
-            return std::nullopt;
-        return Value(*out);
-    }
-
-    void invokeBlock(const std::vector<BlockInput> &inputs,
-                     const BlockFire *fire, std::size_t count,
-                     const BlockOutput &out) override
-    {
-        runScalarBlock(inputs[0], fire, count, out, kWaveIdle,
-                       [this](double x, double &y) {
-                           auto r = detector.push(x);
-                           if (!r)
-                               return false;
-                           y = *r;
-                           return true;
-                       });
+        const auto r = detector.push(x);
+        if (!r)
+            return false;
+        y = *r;
+        return true;
     }
 
     void reset() override { detector.reset(); }
@@ -569,25 +566,18 @@ class PeakKernel : public Kernel
     dsp::PeakDetector detector;
 };
 
-/** and: fires only when all (conditional) branches fired this wave. */
-class AndKernel : public Kernel
+/**
+ * and: fires only when all (conditional) branches fired this wave
+ * (the AllInputs policy), forwarding the first branch's value.
+ */
+class AndKernel : public ScalarStepKernel<AndKernel, kWaveIdle>
 {
   public:
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    step(double x, double &y)
     {
-        return Value(inputs[0]->scalar());
-    }
-
-    void invokeBlock(const std::vector<BlockInput> &inputs,
-                     const BlockFire *fire, std::size_t count,
-                     const BlockOutput &out) override
-    {
-        runScalarBlock(inputs[0], fire, count, out, kWaveIdle,
-                       [](double x, double &y) {
-                           y = x;
-                           return true;
-                       });
+        y = x;
+        return true;
     }
 };
 
@@ -595,13 +585,17 @@ class AndKernel : public Kernel
 class OrKernel : public Kernel
 {
   public:
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    invokeInto(const std::vector<const Value *> &inputs,
+               Value &out) override
     {
-        for (const Value *v : inputs)
-            if (v != nullptr)
-                return Value(v->scalar());
-        return std::nullopt;
+        for (const Value *v : inputs) {
+            if (v != nullptr) {
+                out = Value(v->scalar());
+                return true;
+            }
+        }
+        return false;
     }
 
     void invokeBlock(const std::vector<BlockInput> &inputs,
@@ -652,17 +646,19 @@ class ConsecutiveKernel : public Kernel
         : required(required)
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    invokeInto(const std::vector<const Value *> &inputs,
+               Value &out) override
     {
         if (inputs[0] == nullptr) {
             count = 0;
-            return std::nullopt;
+            return false;
         }
         ++count;
-        if (count >= required && count % required == 0)
-            return Value(inputs[0]->scalar());
-        return std::nullopt;
+        if (count < required || count % required != 0)
+            return false;
+        out = Value(inputs[0]->scalar());
+        return true;
     }
 
     void invokeBlock(const std::vector<BlockInput> &inputs,
@@ -724,32 +720,20 @@ class ConsecutiveKernel : public Kernel
 // float set.
 
 /** movingAvg(n) on Q15 samples with a 32-bit running sum. */
-class Q15MovingAvgKernel : public Kernel
+class Q15MovingAvgKernel
+    : public ScalarStepKernel<Q15MovingAvgKernel, kWaveIdle>
 {
   public:
     explicit Q15MovingAvgKernel(std::size_t n) : filter(n) {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    step(double x, double &y)
     {
-        auto out = filter.push(dsp::toQ15(inputs[0]->scalar()));
-        if (!out)
-            return std::nullopt;
-        return Value(dsp::fromQ15(*out));
-    }
-
-    void invokeBlock(const std::vector<BlockInput> &inputs,
-                     const BlockFire *fire, std::size_t count,
-                     const BlockOutput &out) override
-    {
-        runScalarBlock(inputs[0], fire, count, out, kWaveIdle,
-                       [this](double x, double &y) {
-                           auto r = filter.push(dsp::toQ15(x));
-                           if (!r)
-                               return false;
-                           y = dsp::fromQ15(*r);
-                           return true;
-                       });
+        const auto r = filter.push(dsp::toQ15(x));
+        if (!r)
+            return false;
+        y = dsp::fromQ15(*r);
+        return true;
     }
 
     void reset() override { filter.reset(); }
@@ -759,27 +743,17 @@ class Q15MovingAvgKernel : public Kernel
 };
 
 /** expMovingAvg(alpha) in Q15. */
-class Q15ExpMovingAvgKernel : public Kernel
+class Q15ExpMovingAvgKernel
+    : public ScalarStepKernel<Q15ExpMovingAvgKernel, kWaveIdle>
 {
   public:
     explicit Q15ExpMovingAvgKernel(double alpha) : filter(alpha) {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    step(double x, double &y)
     {
-        return Value(
-            dsp::fromQ15(filter.push(dsp::toQ15(inputs[0]->scalar()))));
-    }
-
-    void invokeBlock(const std::vector<BlockInput> &inputs,
-                     const BlockFire *fire, std::size_t count,
-                     const BlockOutput &out) override
-    {
-        runScalarBlock(inputs[0], fire, count, out, kWaveIdle,
-                       [this](double x, double &y) {
-                           y = dsp::fromQ15(filter.push(dsp::toQ15(x)));
-                           return true;
-                       });
+        y = dsp::fromQ15(filter.push(dsp::toQ15(x)));
+        return true;
     }
 
     void reset() override { filter.reset(); }
@@ -1066,10 +1040,12 @@ class Q15ReducerKernel : public Kernel
 
     explicit Q15ReducerKernel(Op op) : op(op) {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    invokeInto(const std::vector<const Value *> &inputs,
+               Value &out) override
     {
-        return Value(reduce(inputs[0]->frame()));
+        out = Value(reduce(inputs[0]->frame()));
+        return true;
     }
 
     void invokeBlock(const std::vector<BlockInput> &inputs,
@@ -1184,19 +1160,21 @@ class Q15GoertzelKernel : public Kernel
           relative(relative)
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
+    bool
+    invokeInto(const std::vector<const Value *> &inputs,
+               Value &out) override
     {
         const auto &frame = inputs[0]->frame();
         scratch.resize(frame.size());
         dsp::quantizeQ15(frame.data(), scratch.data(), frame.size());
-        return Value(relative
-                         ? dsp::q15GoertzelRelative(
-                               scratch.data(), scratch.size(),
-                               targetHz, baseRateHz)
-                         : dsp::q15GoertzelMagnitude(
-                               scratch.data(), scratch.size(),
-                               targetHz, baseRateHz));
+        out = Value(relative
+                        ? dsp::q15GoertzelRelative(
+                              scratch.data(), scratch.size(), targetHz,
+                              baseRateHz)
+                        : dsp::q15GoertzelMagnitude(
+                              scratch.data(), scratch.size(), targetHz,
+                              baseRateHz));
+        return true;
     }
 
   private:
@@ -1213,7 +1191,8 @@ class Q15GoertzelKernel : public Kernel
  * live in feature units the 16-bit firmware compares in a wider
  * format, so those fall back to the exact double comparison.
  */
-class Q15ThresholdKernel : public Kernel
+class Q15ThresholdKernel
+    : public ScalarStepKernel<Q15ThresholdKernel, kWaveBlocked>
 {
   public:
     explicit Q15ThresholdKernel(dsp::Threshold threshold)
@@ -1224,36 +1203,8 @@ class Q15ThresholdKernel : public Kernel
                  fitsQ15(threshold.highLimit()))
     {}
 
-    std::optional<Value>
-    invoke(const std::vector<const Value *> &inputs) override
-    {
-        double y;
-        if (!admit(inputs[0]->scalar(), y))
-            return std::nullopt;
-        return Value(y);
-    }
-
-    void invokeBlock(const std::vector<BlockInput> &inputs,
-                     const BlockFire *fire, std::size_t count,
-                     const BlockOutput &out) override
-    {
-        runScalarBlock(inputs[0], fire, count, out, kWaveBlocked,
-                       [this](double x, double &y) {
-                           return admit(x, y);
-                       });
-    }
-
-    bool conditional() const override { return true; }
-
-  private:
-    static bool
-    fitsQ15(double v)
-    {
-        return v >= -1.0 && v < 1.0;
-    }
-
     bool
-    admit(double x, double &y)
+    step(double x, double &y)
     {
         if (useQ15) {
             const dsp::Q15 q = dsp::toQ15(x);
@@ -1266,6 +1217,13 @@ class Q15ThresholdKernel : public Kernel
             return false;
         y = x;
         return true;
+    }
+
+  private:
+    static bool
+    fitsQ15(double v)
+    {
+        return v >= -1.0 && v < 1.0;
     }
 
     dsp::Threshold ref;

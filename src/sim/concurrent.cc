@@ -7,15 +7,73 @@
 #include "hub/engine.h"
 #include "hub/mcu.h"
 #include "il/lower.h"
+#include "sim/replay.h"
 #include "support/error.h"
 
 namespace sidewinder::sim {
 
+namespace {
+
+using AppList = std::vector<std::unique_ptr<apps::Application>>;
+
+/** Hub trigger times per condition id (app index + 1). */
+using Triggers = std::map<int, std::vector<double>>;
+
+/**
+ * Install every app's wake condition on @p engine (condition id = app
+ * index + 1, lowered once — the install path the hub runtime uses at
+ * admission) and size the hub against the full budget set: compute,
+ * RAM, and the summed wake bound. A node mix that fits the MSP430's
+ * cycle budget can still blow its 16 KB of SRAM.
+ */
+hub::McuModel
+installConditions(hub::Engine &engine, const AppList &apps,
+                  const std::vector<il::ChannelInfo> &channels,
+                  bool share_nodes)
+{
+    double wake_bound_hz = 0.0;
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const il::ExecutionPlan plan =
+            il::lower(apps[a]->wakeCondition().compile(), channels,
+                      il::LowerOptions{share_nodes});
+        wake_bound_hz += plan.wakeRateBoundHz;
+        engine.addCondition(static_cast<int>(a + 1), plan);
+    }
+    il::ProgramCost hub_load;
+    hub_load.cyclesPerSecond = engine.estimatedCyclesPerSecond();
+    hub_load.ramBytes = engine.estimatedRamBytes();
+    hub_load.wakeRateBoundHz = wake_bound_hz;
+    return hub::selectMcuForCost(hub_load);
+}
+
+/** Per-application classification over the shared awake windows. */
+std::vector<ConcurrentAppResult>
+scoreApps(const trace::Trace &trace, const AppList &apps,
+          const Triggers &triggers, const std::vector<Interval> &merged,
+          double lookback)
+{
+    std::vector<ConcurrentAppResult> results;
+    for (std::size_t a = 0; a < apps.size(); ++a) {
+        const auto &app = *apps[a];
+        ConcurrentAppResult app_result;
+        app_result.appName = app.name();
+        const auto fired = triggers.find(static_cast<int>(a + 1));
+        app_result.hubTriggerCount =
+            fired != triggers.end() ? fired->second.size() : 0;
+        detail::scoreDetections(
+            app, trace.eventsOfType(app.eventType()),
+            detail::classifyIntervals(trace, app, merged, lookback),
+            app_result);
+        results.push_back(std::move(app_result));
+    }
+    return results;
+}
+
+} // namespace
+
 ConcurrentResult
-simulateConcurrent(
-    const trace::Trace &trace,
-    const std::vector<std::unique_ptr<apps::Application>> &apps,
-    const SimConfig &config)
+simulateConcurrent(const trace::Trace &trace, const AppList &apps,
+                   const SimConfig &config)
 {
     if (apps.empty())
         throw ConfigError("concurrent simulation needs applications");
@@ -33,46 +91,19 @@ simulateConcurrent(
                     "concurrent apps must share channels");
     }
 
-    // Lower every condition once, then install the plans on one
-    // engine (the install path the hub runtime uses at admission).
     hub::Engine engine(channels, config.shareHubNodes);
-    double wake_bound_hz = 0.0;
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        const il::ExecutionPlan plan =
-            il::lower(apps[a]->wakeCondition().compile(), channels,
-                      il::LowerOptions{config.shareHubNodes});
-        wake_bound_hz += plan.wakeRateBoundHz;
-        engine.addCondition(static_cast<int>(a + 1), plan);
-    }
-
+    const hub::McuModel mcu =
+        installConditions(engine, apps, channels, config.shareHubNodes);
     ConcurrentResult result;
     result.hubNodeCount = engine.nodeCount();
     result.hubCyclesPerSecond = engine.estimatedCyclesPerSecond();
-    // Size the hub against the full budget set — compute, RAM, and
-    // the summed wake bound — not just cycles: a node mix that fits
-    // the MSP430's cycle budget can still blow its 16 KB of SRAM.
-    il::ProgramCost hub_load;
-    hub_load.cyclesPerSecond = result.hubCyclesPerSecond;
-    hub_load.ramBytes = engine.estimatedRamBytes();
-    hub_load.wakeRateBoundHz = wake_bound_hz;
-    const hub::McuModel mcu = hub::selectMcuForCost(hub_load);
     result.mcuName = mcu.name;
 
     // Replay the trace; collect triggers per condition.
-    std::vector<std::size_t> mapping;
-    for (const auto &ch : channels)
-        mapping.push_back(trace.channelIndex(ch.name));
-
-    std::map<int, std::vector<double>> triggers;
-    std::vector<double> values(mapping.size());
-    const std::size_t n = trace.sampleCount();
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t c = 0; c < mapping.size(); ++c)
-            values[c] = trace.channels[mapping[c]][i];
-        engine.pushSamples(values, trace.timeOf(i));
-        for (const auto &event : engine.drainWakeEvents())
-            triggers[event.conditionId].push_back(event.timestamp);
-    }
+    Triggers triggers;
+    detail::replayTrace(engine, trace, [&](const hub::WakeEvent &event) {
+        triggers[event.conditionId].push_back(event.timestamp);
+    });
 
     // One shared timeline: the CPU wakes when any condition fires.
     // The dwell and lookback honour the most demanding application.
@@ -100,47 +131,7 @@ simulateConcurrent(
     result.timeline = timeline.summarize(model);
     result.averagePowerMw = result.timeline.averagePowerMw;
     result.hubMw = mcu.activePowerMw;
-
-    // Per-application classification over the shared awake windows.
-    for (std::size_t a = 0; a < apps.size(); ++a) {
-        const auto &app = *apps[a];
-        std::vector<double> detections;
-        double covered_until = 0.0;
-        for (const auto &interval : merged) {
-            const double begin_t =
-                std::max(interval.start - lookback, covered_until);
-            covered_until = interval.end;
-            const auto begin = static_cast<std::size_t>(
-                std::max(begin_t, 0.0) * trace.sampleRateHz);
-            const auto end = std::min(
-                static_cast<std::size_t>(interval.end *
-                                         trace.sampleRateHz),
-                n);
-            if (end <= begin)
-                continue;
-            for (double t : app.classify(trace, begin, end))
-                detections.push_back(t);
-        }
-        std::sort(detections.begin(), detections.end());
-
-        const auto truth = trace.eventsOfType(app.eventType());
-        ConcurrentAppResult app_result;
-        app_result.appName = app.name();
-        app_result.hubTriggerCount =
-            triggers.count(static_cast<int>(a + 1))
-                ? triggers.at(static_cast<int>(a + 1)).size()
-                : 0;
-        app_result.detection =
-            app.coalesceDetections()
-                ? metrics::matchEventsCoalesced(truth, detections,
-                                                app.matchTolerance())
-                : metrics::matchEvents(truth, detections,
-                                       app.matchTolerance());
-        app_result.recall = app_result.detection.recall();
-        app_result.precision = app_result.detection.precision();
-        result.apps.push_back(std::move(app_result));
-    }
-
+    result.apps = scoreApps(trace, apps, triggers, merged, lookback);
     return result;
 }
 
@@ -170,7 +161,7 @@ simulateDevice(const std::vector<DeviceDomain> &domains,
     struct PendingDomain
     {
         const DeviceDomain *domain;
-        std::map<int, std::vector<double>> triggers;
+        Triggers triggers;
         double lookback = 0.0;
     };
     std::vector<PendingDomain> pending;
@@ -178,35 +169,17 @@ simulateDevice(const std::vector<DeviceDomain> &domains,
     // Run each domain's hub; accumulate triggers onto one timeline.
     for (const auto &domain : domains) {
         const auto &apps = *domain.apps;
-        const auto &trace = *domain.trace;
         const auto channels = apps.front()->channels();
 
         hub::Engine engine(channels, config.shareHubNodes);
-        double wake_bound_hz = 0.0;
-        for (std::size_t a = 0; a < apps.size(); ++a) {
-            const il::ExecutionPlan plan = il::lower(
-                apps[a]->wakeCondition().compile(), channels,
-                il::LowerOptions{config.shareHubNodes});
-            wake_bound_hz += plan.wakeRateBoundHz;
-            engine.addCondition(static_cast<int>(a + 1), plan);
-        }
-
+        const hub::McuModel mcu = installConditions(
+            engine, apps, channels, config.shareHubNodes);
         DeviceDomainResult domain_result;
         domain_result.hubNodeCount = engine.nodeCount();
-        // Full budget set per domain hub: cycles, RAM, wake bound.
-        il::ProgramCost hub_load;
-        hub_load.cyclesPerSecond = engine.estimatedCyclesPerSecond();
-        hub_load.ramBytes = engine.estimatedRamBytes();
-        hub_load.wakeRateBoundHz = wake_bound_hz;
-        const hub::McuModel mcu = hub::selectMcuForCost(hub_load);
         domain_result.mcuName = mcu.name;
         domain_result.hubMw = mcu.activePowerMw;
         result.totalHubMw += mcu.activePowerMw;
         model.hubMw += mcu.activePowerMw;
-
-        std::vector<std::size_t> mapping;
-        for (const auto &ch : channels)
-            mapping.push_back(trace.channelIndex(ch.name));
 
         PendingDomain p;
         p.domain = &domain;
@@ -221,19 +194,14 @@ simulateDevice(const std::vector<DeviceDomain> &domains,
                                 : app->recommendedLookbackSeconds());
         }
 
-        std::vector<double> values(mapping.size());
-        for (std::size_t i = 0; i < trace.sampleCount(); ++i) {
-            for (std::size_t c = 0; c < mapping.size(); ++c)
-                values[c] = trace.channels[mapping[c]][i];
-            engine.pushSamples(values, trace.timeOf(i));
-            for (const auto &event : engine.drainWakeEvents()) {
+        detail::replayTrace(
+            engine, *domain.trace, [&](const hub::WakeEvent &event) {
                 p.triggers[event.conditionId].push_back(
                     event.timestamp);
                 timeline.addAwakeInterval(
                     event.timestamp + trans,
                     event.timestamp + trans + event_dwell);
-            }
-        }
+            });
 
         result.domains.push_back(std::move(domain_result));
         pending.push_back(std::move(p));
@@ -246,47 +214,9 @@ simulateDevice(const std::vector<DeviceDomain> &domains,
     // Classify per app over the shared awake windows.
     for (std::size_t d = 0; d < pending.size(); ++d) {
         const auto &p = pending[d];
-        const auto &apps = *p.domain->apps;
-        const auto &trace = *p.domain->trace;
-
-        for (std::size_t a = 0; a < apps.size(); ++a) {
-            const auto &app = *apps[a];
-            std::vector<double> detections;
-            double covered_until = 0.0;
-            for (const auto &interval : merged) {
-                const double begin_t = std::max(
-                    interval.start - p.lookback, covered_until);
-                covered_until = interval.end;
-                const auto begin = static_cast<std::size_t>(
-                    std::max(begin_t, 0.0) * trace.sampleRateHz);
-                const auto end = std::min(
-                    static_cast<std::size_t>(interval.end *
-                                             trace.sampleRateHz),
-                    trace.sampleCount());
-                if (end <= begin)
-                    continue;
-                for (double t : app.classify(trace, begin, end))
-                    detections.push_back(t);
-            }
-            std::sort(detections.begin(), detections.end());
-
-            const auto truth = trace.eventsOfType(app.eventType());
-            ConcurrentAppResult app_result;
-            app_result.appName = app.name();
-            app_result.hubTriggerCount =
-                p.triggers.count(static_cast<int>(a + 1))
-                    ? p.triggers.at(static_cast<int>(a + 1)).size()
-                    : 0;
-            app_result.detection =
-                app.coalesceDetections()
-                    ? metrics::matchEventsCoalesced(
-                          truth, detections, app.matchTolerance())
-                    : metrics::matchEvents(truth, detections,
-                                           app.matchTolerance());
-            app_result.recall = app_result.detection.recall();
-            app_result.precision = app_result.detection.precision();
-            result.domains[d].apps.push_back(std::move(app_result));
-        }
+        result.domains[d].apps =
+            scoreApps(*p.domain->trace, *p.domain->apps, p.triggers,
+                      merged, p.lookback);
     }
 
     return result;

@@ -464,15 +464,7 @@ simulateSupervised(const trace::Trace &trace,
     result.timeline = timeline.summarize(model);
     result.averagePowerMw = result.timeline.averagePowerMw;
     result.hubMw = model.hubMw;
-
-    result.detection =
-        app.coalesceDetections()
-            ? metrics::matchEventsCoalesced(truth, detections,
-                                            app.matchTolerance())
-            : metrics::matchEvents(truth, detections,
-                                   app.matchTolerance());
-    result.recall = result.detection.recall();
-    result.precision = result.detection.precision();
+    detail::scoreDetections(app, truth, detections, result);
     return result;
 }
 

@@ -16,18 +16,12 @@ namespace sidewinder::sim {
 
 namespace {
 
-using detail::channelMapping;
 using detail::classifyIntervals;
 using detail::meanLatency;
 using detail::sampleAt;
 
-/** Event-driven strategies: run a hub condition over the trace. */
-struct HubRun
-{
-    std::vector<double> triggerTimes;
-};
-
-HubRun
+/** Event-driven strategies: the hub condition's trigger times. */
+std::vector<double>
 runHubCondition(const trace::Trace &trace,
                 const std::vector<il::ChannelInfo> &channels,
                 const il::Program &program, bool share_nodes)
@@ -36,19 +30,11 @@ runHubCondition(const trace::Trace &trace,
     engine.addCondition(
         1, il::lower(program, channels, il::LowerOptions{share_nodes}));
 
-    const auto mapping = channelMapping(trace, channels);
-    const std::size_t n = trace.sampleCount();
-    std::vector<double> values(channels.size());
-
-    HubRun run;
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t c = 0; c < mapping.size(); ++c)
-            values[c] = trace.channels[mapping[c]][i];
-        engine.pushSamples(values, trace.timeOf(i));
-        for (const auto &event : engine.drainWakeEvents())
-            run.triggerTimes.push_back(event.timestamp);
-    }
-    return run;
+    std::vector<double> trigger_times;
+    detail::replayTrace(engine, trace, [&](const hub::WakeEvent &event) {
+        trigger_times.push_back(event.timestamp);
+    });
+    return trigger_times;
 }
 
 /** The Predefined Activity condition for this application's sensor. */
@@ -245,10 +231,10 @@ simulate(const trace::Trace &trace, const apps::Application &app,
             result.mcuName = mcu.name;
         }
 
-        const HubRun run = runHubCondition(trace, channels, program,
-                                           config.shareHubNodes);
-        result.hubTriggerCount = run.triggerTimes.size();
-        for (double t_e : run.triggerTimes)
+        const auto trigger_times = runHubCondition(
+            trace, channels, program, config.shareHubNodes);
+        result.hubTriggerCount = trigger_times.size();
+        for (double t_e : trigger_times)
             timeline.addAwakeInterval(
                 t_e + trans, t_e + trans + event_dwell);
 
@@ -265,15 +251,7 @@ simulate(const trace::Trace &trace, const apps::Application &app,
     result.timeline = timeline.summarize(model);
     result.averagePowerMw = result.timeline.averagePowerMw;
     result.hubMw = model.hubMw;
-
-    result.detection =
-        app.coalesceDetections()
-            ? metrics::matchEventsCoalesced(truth, detections,
-                                            app.matchTolerance())
-            : metrics::matchEvents(truth, detections,
-                                   app.matchTolerance());
-    result.recall = result.detection.recall();
-    result.precision = result.detection.precision();
+    detail::scoreDetections(app, truth, detections, result);
     return result;
 }
 

@@ -67,9 +67,13 @@ expectFullCoverage(const Application &app, const trace::Trace &trace,
 
 // --- Accelerometer sweep: activity group x seed ---------------------
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and the
+// printout is part of the registered test name. A 64-bit group leaves
+// the struct without padding, so no uninitialised bytes reach the name
+// and it is the same in every build.
 struct AccelCase
 {
-    int group;
+    std::int64_t group;
     std::uint64_t seed;
 };
 
@@ -80,8 +84,8 @@ class AccelSweep : public ::testing::TestWithParam<AccelCase>
     makeTrace() const
     {
         trace::RobotRunConfig config;
-        config.idleFraction =
-            trace::robotGroupIdleFraction(GetParam().group);
+        config.idleFraction = trace::robotGroupIdleFraction(
+            static_cast<int>(GetParam().group));
         config.durationSeconds = 150.0;
         config.seed = GetParam().seed;
         config.name = "sweep-g" + std::to_string(GetParam().group) +
@@ -121,6 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
 struct AudioCase
 {
     trace::AudioEnvironment environment;
+    std::uint32_t unused = 0; // fills the padding; see AccelCase
     std::uint64_t seed;
 };
 
@@ -180,12 +185,18 @@ TEST_P(AudioSweep, SpeechWakeCoversAllSpeech)
 INSTANTIATE_TEST_SUITE_P(
     EnvironmentsAndSeeds, AudioSweep,
     ::testing::Values(
-        AudioCase{trace::AudioEnvironment::Office, 11},
-        AudioCase{trace::AudioEnvironment::Office, 22},
-        AudioCase{trace::AudioEnvironment::CoffeeShop, 11},
-        AudioCase{trace::AudioEnvironment::CoffeeShop, 22},
-        AudioCase{trace::AudioEnvironment::Outdoors, 11},
-        AudioCase{trace::AudioEnvironment::Outdoors, 22}),
+        AudioCase{.environment = trace::AudioEnvironment::Office,
+                  .seed = 11},
+        AudioCase{.environment = trace::AudioEnvironment::Office,
+                  .seed = 22},
+        AudioCase{.environment = trace::AudioEnvironment::CoffeeShop,
+                  .seed = 11},
+        AudioCase{.environment = trace::AudioEnvironment::CoffeeShop,
+                  .seed = 22},
+        AudioCase{.environment = trace::AudioEnvironment::Outdoors,
+                  .seed = 11},
+        AudioCase{.environment = trace::AudioEnvironment::Outdoors,
+                  .seed = 22}),
     [](const ::testing::TestParamInfo<AudioCase> &info) {
         return trace::audioEnvironmentName(info.param.environment) +
                "s" + std::to_string(info.param.seed);

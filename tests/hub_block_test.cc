@@ -51,11 +51,15 @@ fillWave(Rng &rng, int wave, std::vector<double> &values)
 TEST(HubBlock, BlocksAndSingleWavesInterleaveBitIdentically)
 {
     // Blocks of varying sizes mixed with single pushes must leave the
-    // engine in exactly the per-sample state at every step.
+    // engine in exactly the per-sample state at every step — fed
+    // channel-major, and through the lane-pointer overload from
+    // separate per-channel vectors.
     const il::Program program = il::parse(kMotionIl);
     Engine block_engine(kChannels, true);
+    Engine lane_engine(kChannels, true);
     Engine ref(kChannels, true);
     block_engine.addCondition(1, program);
+    lane_engine.addCondition(1, program);
     ref.addCondition(1, program);
 
     Rng rng(21);
@@ -64,52 +68,74 @@ TEST(HubBlock, BlocksAndSingleWavesInterleaveBitIdentically)
     std::vector<double> values(nch);
     std::vector<double> packed;
     std::vector<double> times;
+    std::vector<std::vector<double>> lane_storage(nch);
+    std::vector<const double *> lanes(nch);
+    // The edge cases come first: the count == 1 tail, the smallest
+    // real block, and either side of the 64-wave replay block.
+    const std::size_t edge_counts[] = {1, 2, 63, 64, 65};
+    std::size_t step = 0;
     int wave = 0;
     std::size_t wakes = 0;
 
     while (wave < 4000) {
-        // Alternate single pushes with blocks of 2..97 waves.
-        const bool single = pattern.uniform(0.0, 1.0) < 0.3;
-        const std::size_t count =
-            single ? 1
-                   : static_cast<std::size_t>(
-                         pattern.uniformInt(2, 97));
+        // Then alternate single pushes with blocks of 2..97 waves.
+        std::size_t count = 1;
+        if (step < std::size(edge_counts))
+            count = edge_counts[step];
+        else if (pattern.uniform(0.0, 1.0) >= 0.3)
+            count = static_cast<std::size_t>(pattern.uniformInt(2, 97));
+        ++step;
         packed.assign(nch * count, 0.0);
         times.resize(count);
+        // Each lane starts at a non-zero offset into a vector of its
+        // own, sized exactly and NaN-padded in front: a read outside
+        // the lane poisons the wakes or leaves the allocation.
+        const std::size_t offset = 1 + step % 5;
+        for (auto &lane : lane_storage)
+            lane = std::vector<double>(offset + count, std::nan(""));
         std::vector<WakeEvent> want;
         for (std::size_t w = 0; w < count; ++w) {
             const double t = wave * 0.02;
             fillWave(rng, wave, values);
-            for (std::size_t c = 0; c < nch; ++c)
+            for (std::size_t c = 0; c < nch; ++c) {
                 packed[c * count + w] = values[c];
+                lane_storage[c][offset + w] = values[c];
+            }
             times[w] = t;
             ref.pushSamples(values, t);
             for (const auto &event : ref.drainWakeEvents())
                 want.push_back(event);
             ++wave;
         }
-        if (single)
+        for (std::size_t c = 0; c < nch; ++c)
+            lanes[c] = lane_storage[c].data() + offset;
+        if (count == 1)
             block_engine.pushSamples(values, times[0]);
         else
             block_engine.pushBlock(packed.data(), count,
                                    times.data());
+        lane_engine.pushBlock(lanes.data(), count, times.data());
 
-        const auto got = block_engine.drainWakeEvents();
-        ASSERT_EQ(got.size(), want.size()) << "wave " << wave;
-        for (std::size_t e = 0; e < got.size(); ++e) {
-            EXPECT_EQ(got[e].conditionId, want[e].conditionId);
-            EXPECT_EQ(got[e].timestamp, want[e].timestamp);
-            EXPECT_EQ(got[e].value, want[e].value);
+        for (Engine *engine : {&block_engine, &lane_engine}) {
+            const auto got = engine->drainWakeEvents();
+            ASSERT_EQ(got.size(), want.size()) << "wave " << wave;
+            for (std::size_t e = 0; e < got.size(); ++e) {
+                EXPECT_EQ(got[e].conditionId, want[e].conditionId);
+                EXPECT_EQ(got[e].timestamp, want[e].timestamp);
+                EXPECT_EQ(got[e].value, want[e].value);
+            }
         }
-        wakes += got.size();
+        wakes += want.size();
     }
 
     EXPECT_GT(wakes, 0u);
-    EXPECT_EQ(block_engine.rawSnapshot(1), ref.rawSnapshot(1));
-    // Firing decisions are identical, so the abstract cycle meter
-    // must agree up to floating-point summation order.
-    EXPECT_NEAR(block_engine.cyclesConsumed(), ref.cyclesConsumed(),
-                1e-6 * ref.cyclesConsumed() + 1e-9);
+    for (const Engine *engine : {&block_engine, &lane_engine}) {
+        EXPECT_EQ(engine->rawSnapshot(1), ref.rawSnapshot(1));
+        // Firing decisions are identical, so the abstract cycle meter
+        // must agree up to floating-point summation order.
+        EXPECT_NEAR(engine->cyclesConsumed(), ref.cyclesConsumed(),
+                    1e-6 * ref.cyclesConsumed() + 1e-9);
+    }
 }
 
 TEST(HubBlock, EvenlySpacedOverloadMatchesExplicitTimestamps)

@@ -1,0 +1,209 @@
+/**
+ * @file
+ * Output goldens for the fault-free replay drivers: simulate() under
+ * Predefined Activity and Sidewinder for all six shipped apps,
+ * simulateConcurrent() over the three audio apps, and simulateDevice()
+ * over both sensor domains, pinned under tests/data/replay/
+ * (regenerate with SW_UPDATE_GOLDENS=1). Any change to how the drivers
+ * feed the hub engine must leave every line byte-identical. The traces
+ * are short and seeded, and their sample counts are not multiples of
+ * the 64-wave replay block, so the ragged final block runs too; the
+ * block replay itself is checked against a per-sample replay on a
+ * condition that wakes inside that final block.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "apps/apps.h"
+#include "apps/predefined.h"
+#include "sim/concurrent.h"
+#include "sim/replay.h"
+#include "sim/simulator.h"
+#include "trace/audio_gen.h"
+#include "trace/robot_gen.h"
+
+namespace sidewinder::sim {
+namespace {
+
+constexpr double kSeconds = 180.3;
+
+trace::Trace
+accelTrace()
+{
+    trace::RobotRunConfig config;
+    config.idleFraction = 0.5;
+    config.durationSeconds = kSeconds;
+    config.seed = 7;
+    return trace::generateRobotRun(config);
+}
+
+trace::Trace
+audioTrace()
+{
+    // Event-dense, so three minutes of audio hold sirens, music and
+    // phrases.
+    trace::AudioTraceConfig config;
+    config.durationSeconds = kSeconds;
+    config.sirenFraction = 0.1;
+    config.musicFraction = 0.1;
+    config.speechFraction = 0.2;
+    config.phraseProbability = 0.9;
+    config.seed = 7;
+    return trace::generateAudioTrace(config);
+}
+
+/** @p value with every bit shown (%.17g round-trips a double). */
+std::string
+exact(double value)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", value);
+    return buf;
+}
+
+std::string
+scored(std::size_t triggers, const metrics::MatchResult &detection,
+       double recall)
+{
+    return " triggers=" + std::to_string(triggers) +
+           " recall=" + exact(recall) +
+           " tp=" + std::to_string(detection.truePositives) +
+           " fp=" + std::to_string(detection.falsePositives) +
+           " fn=" + std::to_string(detection.falseNegatives);
+}
+
+std::string
+appLines(const std::vector<ConcurrentAppResult> &apps)
+{
+    std::string out;
+    for (const auto &app : apps)
+        out += "  " + app.appName +
+               scored(app.hubTriggerCount, app.detection, app.recall) +
+               "\n";
+    return out;
+}
+
+void
+expectGolden(const std::string &name, const std::string &actual)
+{
+    const auto path = std::filesystem::path(SW_TEST_DATA_DIR) /
+                      "replay" / (name + ".golden");
+    if (std::getenv("SW_UPDATE_GOLDENS") != nullptr) {
+        std::filesystem::create_directories(path.parent_path());
+        std::ofstream out(path);
+        ASSERT_TRUE(out) << path;
+        out << actual;
+        return;
+    }
+    std::ifstream golden(path);
+    ASSERT_TRUE(golden)
+        << path << " missing — regenerate with SW_UPDATE_GOLDENS=1";
+    std::ostringstream expected;
+    expected << golden.rdbuf();
+    EXPECT_EQ(actual, expected.str());
+}
+
+TEST(ReplayGoldens, TracesEndOnARaggedBlock)
+{
+    EXPECT_NE(accelTrace().sampleCount() % detail::replayBlockWaves, 0u);
+    EXPECT_NE(audioTrace().sampleCount() % detail::replayBlockWaves, 0u);
+}
+
+TEST(ReplayGoldens, BlockReplayKeepsTheRaggedTailWakes)
+{
+    // A hair-trigger significant-motion condition wakes at every
+    // window hop, so the final partial block carries wakes too; the
+    // block replay must raise exactly the per-sample replay's stream.
+    const auto trace = accelTrace();
+    const auto channels = apps::makeStepsApp()->channels();
+    const il::Program program =
+        apps::significantMotionCondition(1e-9).compile();
+    hub::Engine block(channels);
+    hub::Engine ref(channels);
+    block.addCondition(1, program);
+    ref.addCondition(1, program);
+
+    std::vector<hub::WakeEvent> got;
+    detail::replayTrace(block, trace, [&](const hub::WakeEvent &event) {
+        got.push_back(event);
+    });
+
+    std::vector<hub::WakeEvent> want;
+    const auto mapping = detail::channelMapping(trace, channels);
+    std::vector<double> values(mapping.size());
+    for (std::size_t i = 0; i < trace.sampleCount(); ++i) {
+        for (std::size_t c = 0; c < mapping.size(); ++c)
+            values[c] = trace.channels[mapping[c]][i];
+        ref.pushSamples(values, trace.timeOf(i));
+        for (const auto &event : ref.drainWakeEvents())
+            want.push_back(event);
+    }
+
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t e = 0; e < got.size(); ++e) {
+        EXPECT_EQ(got[e].conditionId, want[e].conditionId);
+        EXPECT_EQ(got[e].timestamp, want[e].timestamp);
+        EXPECT_EQ(got[e].value, want[e].value);
+    }
+    const std::size_t tail = trace.sampleCount() -
+                             trace.sampleCount() % detail::replayBlockWaves;
+    ASSERT_FALSE(want.empty());
+    EXPECT_GE(want.back().timestamp, trace.timeOf(tail));
+}
+
+TEST(ReplayGoldens, SimulatePredefinedAndSidewinderOnAllApps)
+{
+    const auto accel = accelTrace();
+    const auto audio = audioTrace();
+    std::string actual;
+    for (const auto &app : apps::allApps()) {
+        const bool on_audio = app->channels().front().name == "AUDIO";
+        const auto &trace = on_audio ? audio : accel;
+        for (Strategy strategy :
+             {Strategy::PredefinedActivity, Strategy::Sidewinder}) {
+            SimConfig config;
+            config.strategy = strategy;
+            const SimResult r = simulate(trace, *app, config);
+            actual += app->name() + " " + r.configName +
+                      scored(r.hubTriggerCount, r.detection, r.recall) +
+                      " power=" + exact(r.averagePowerMw) +
+                      " latency=" + exact(r.meanDetectionLatencySeconds) +
+                      "\n";
+        }
+    }
+    expectGolden("simulate", actual);
+}
+
+TEST(ReplayGoldens, ConcurrentAudioApps)
+{
+    const auto r = simulateConcurrent(audioTrace(), apps::audioApps());
+    expectGolden("concurrent", "power=" + exact(r.averagePowerMw) +
+                                   " hub=" + r.mcuName + "\n" +
+                                   appLines(r.apps));
+}
+
+TEST(ReplayGoldens, DeviceWithBothDomains)
+{
+    const auto accel = accelTrace();
+    const auto audio = audioTrace();
+    const auto accel_apps = apps::accelerometerApps();
+    const auto audio_apps = apps::audioApps();
+    const auto r =
+        simulateDevice({DeviceDomain{&accel, &accel_apps},
+                        DeviceDomain{&audio, &audio_apps}});
+    std::string actual = "power=" + exact(r.averagePowerMw) +
+                         " hubs=" + exact(r.totalHubMw) + "\n";
+    for (const auto &domain : r.domains)
+        actual += domain.mcuName + "\n" + appLines(domain.apps);
+    expectGolden("device", actual);
+}
+
+} // namespace
+} // namespace sidewinder::sim
