@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -30,7 +31,11 @@
 #include "il/parser.h"
 #include "il/plan.h"
 #include "reference/legacy_engine.h"
+#include "sim/faults.h"
 #include "support/thread_pool.h"
+#include "transport/frame.h"
+#include "transport/link.h"
+#include "transport/messages.h"
 
 using namespace sidewinder;
 
@@ -630,6 +635,91 @@ BM_AnalyzeAndRenderSiren(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AnalyzeAndRenderSiren);
+
+/**
+ * A WakeUp frame the size the supervised runs ship: ~1.2 KB, 147 raw
+ * accelerometer samples of history behind the trigger.
+ */
+transport::Frame
+wakeFrame(int id)
+{
+    transport::WakeUpMessage message;
+    message.conditionId = id;
+    message.timestamp = 12.5 + id;
+    message.triggerValue = 15.2;
+    for (int i = 0; i < 147; ++i)
+        message.rawData.push_back(9.81 + std::sin(0.3 * i + id));
+    return transport::encodeWakeUp(message);
+}
+
+/**
+ * The phone's receive path on a clean line: sixteen wake frames fed
+ * to the decoder as one span — SOF search, header checks, bulk
+ * payload CRC and one payload copy per frame.
+ */
+void
+BM_FrameDecoderWake(benchmark::State &state)
+{
+    std::vector<std::uint8_t> stream;
+    for (int id = 0; id < 16; ++id) {
+        const auto wire = transport::encodeFrame(wakeFrame(id));
+        stream.insert(stream.end(), wire.begin(), wire.end());
+    }
+    transport::FrameDecoder decoder;
+    std::int64_t frames = 0;
+    const auto allocs_before = bench::allocCount();
+    for (auto _ : state) {
+        decoder.feed(std::span<const std::uint8_t>(stream));
+        while (auto frame = decoder.poll()) {
+            benchmark::DoNotOptimize(frame->payload.data());
+            ++frames;
+        }
+    }
+    const double iters =
+        static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
+    state.counters["frames/iter"] = static_cast<double>(frames) / iters;
+    state.counters["allocs/iter"] =
+        static_cast<double>(bench::allocCount() - allocs_before) / iters;
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(BM_FrameDecoderWake);
+
+/**
+ * One wake frame across the supervised link: sendFrame under
+ * sim::armLink's seeded 1e-3 per-byte corruption, receive once the
+ * line has serialized it, decode — resynchronizing whenever a flip
+ * lands. The per-byte corruption draw is the fault model itself and
+ * sets the floor here.
+ */
+void
+BM_LinkCorruptedWake(benchmark::State &state)
+{
+    transport::LinkPair link(115200.0);
+    sim::FaultPlan plan;
+    plan.byteCorruptionRate = 1e-3;
+    sim::armLink(link, plan);
+    transport::UartLink &line = link.hubToPhone();
+    const transport::Frame frame = wakeFrame(1);
+    transport::FrameDecoder decoder;
+    double now = 0.0;
+    std::int64_t delivered = 0;
+    for (auto _ : state) {
+        line.sendFrame(frame, now);
+        now = line.busyUntil();
+        decoder.feed(line.receive(now));
+        while (decoder.poll())
+            ++delivered;
+    }
+    const double iters =
+        static_cast<double>(std::max<std::int64_t>(state.iterations(), 1));
+    state.counters["delivered/iter"] =
+        static_cast<double>(delivered) / iters;
+    state.counters["corrupted/iter"] =
+        static_cast<double>(line.corruptedBytes()) / iters;
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LinkCorruptedWake);
 
 } // namespace
 

@@ -40,8 +40,9 @@
 #  - BENCH_reproduce.json — wall time of the table/figure drivers the
 #    paper's evaluation runs (bench_table2_audio_power,
 #    bench_fig5_robot_power, bench_whole_device,
-#    bench_goertzel_ablation), one run each. Recorded, not gated: the
-#    numbers depend on the host.
+#    bench_goertzel_ablation), one run each, plus the bench_fault_sweep
+#    run above (the supervised transport path). Recorded, not gated:
+#    the numbers depend on the host.
 #
 # Every JSON record carries its worker-thread context — the effective
 # pool width, the SW_THREADS override (null/unset when absent), and
@@ -114,7 +115,9 @@ echo "wrote $OUT"
 
 "$BUILD_DIR"/bench/bench_sweep_scaling "$OUT_SWEEP"
 
+fault_sweep_start=$(date +%s%N)
 "$BUILD_DIR"/bench/bench_fault_sweep "$OUT_FAULTS"
+fault_sweep_ns=$(($(date +%s%N) - fault_sweep_start))
 
 "$BUILD_DIR"/bench/bench_fleet_scaling "$OUT_FLEET"
 
@@ -124,7 +127,7 @@ echo "wrote $OUT"
 
 # Driver wall times, stamped with the thread context and SW_FAST flag
 # bench_sweep_scaling recorded above in this same environment.
-timings=()
+timings=(bench_fault_sweep "$fault_sweep_ns")
 for driver in "${DRIVERS[@]}"; do
     start=$(date +%s%N)
     "$BUILD_DIR/bench/$driver" >/dev/null

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "core/sensor_manager.h"
 #include "hub/mcu.h"
@@ -157,26 +158,26 @@ armLink(transport::LinkPair &link, const FaultPlan &plan,
         // The effective rate rises by updateCorruptionRate while an
         // update transaction is in flight (the flag the simulator
         // toggles), modelling lines that degrade exactly when the
-        // reconfiguration traffic is on them.
+        // reconfiguration traffic is on them. The flag only changes
+        // between sends, so one read per send is the rate of each of
+        // its bytes; every byte draws its own chance, and a hit its
+        // own bit.
         auto rate = [corruption, update_extra, update_active]() {
             return corruption + (update_active && *update_active
                                      ? update_extra
                                      : 0.0);
         };
-        link.phoneToHub().setCorruptor(
-            [p2h_corrupt, rate](std::uint8_t byte) {
-                if (!p2h_corrupt->chance(rate()))
-                    return byte;
-                return static_cast<std::uint8_t>(
-                    byte ^ (1u << p2h_corrupt->uniformInt(0, 7)));
-            });
-        link.hubToPhone().setCorruptor(
-            [h2p_corrupt, rate](std::uint8_t byte) {
-                if (!h2p_corrupt->chance(rate()))
-                    return byte;
-                return static_cast<std::uint8_t>(
-                    byte ^ (1u << h2p_corrupt->uniformInt(0, 7)));
-            });
+        auto corruptor = [rate](std::shared_ptr<Rng> rng) {
+            return [rng, rate](std::span<std::uint8_t> bytes) {
+                const double p = rate();
+                for (std::uint8_t &byte : bytes)
+                    if (rng->chance(p))
+                        byte = static_cast<std::uint8_t>(
+                            byte ^ (1u << rng->uniformInt(0, 7)));
+            };
+        };
+        link.phoneToHub().setCorruptor(corruptor(p2h_corrupt));
+        link.hubToPhone().setCorruptor(corruptor(h2p_corrupt));
     }
     if (drop > 0.0) {
         link.phoneToHub().setFrameDropper(

@@ -3,22 +3,8 @@
 namespace sidewinder::transport {
 
 std::uint16_t
-crc16Step(std::uint16_t crc, std::uint8_t byte)
+crc16Update(std::uint16_t crc, std::span<const std::uint8_t> data)
 {
-    crc ^= static_cast<std::uint16_t>(byte) << 8;
-    for (int bit = 0; bit < 8; ++bit) {
-        if (crc & 0x8000)
-            crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
-        else
-            crc = static_cast<std::uint16_t>(crc << 1);
-    }
-    return crc;
-}
-
-std::uint16_t
-crc16(const std::vector<std::uint8_t> &data)
-{
-    std::uint16_t crc = 0xFFFF;
     for (std::uint8_t byte : data)
         crc = crc16Step(crc, byte);
     return crc;

@@ -1,9 +1,21 @@
 #include "transport/frame.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "support/error.h"
 #include "transport/crc.h"
 
 namespace sidewinder::transport {
+
+namespace {
+
+/** SOF, type and the two length bytes ahead of the payload. */
+constexpr std::size_t frameHeaderBytes = 4;
+/** The big-endian CRC behind the payload. */
+constexpr std::size_t frameCrcBytes = 2;
+
+} // namespace
 
 std::vector<std::uint8_t>
 encodeFrame(const Frame &frame)
@@ -23,9 +35,8 @@ encodeFrame(const Frame &frame)
     wire.insert(wire.end(), frame.payload.begin(), frame.payload.end());
 
     // The CRC covers type, length and payload (everything after SOF).
-    std::uint16_t crc = 0xFFFF;
-    for (std::size_t i = 1; i < wire.size(); ++i)
-        crc = crc16Step(crc, wire[i]);
+    const std::uint16_t crc =
+        crc16(std::span<const std::uint8_t>(wire).subspan(1));
     wire.push_back(static_cast<std::uint8_t>((crc >> 8) & 0xFF));
     wire.push_back(static_cast<std::uint8_t>(crc & 0xFF));
     return wire;
@@ -36,111 +47,124 @@ FrameDecoder::fail()
 {
     // The SOF that opened this candidate was presumably noise (or the
     // header behind it was corrupted); everything that followed it may
-    // be — or contain — a real frame, so rescan instead of discarding.
+    // be — or contain — a real frame, so rescan it ahead of the unread
+    // bytes instead of discarding it.
     ++dropped;
     state = State::Sync;
-    payload.clear();
-    backlog.insert(backlog.begin(), raw.begin() + 1, raw.end());
+    rescan.erase(rescan.begin(),
+                 rescan.begin() + static_cast<std::ptrdiff_t>(rescanPos));
+    rescan.insert(rescan.begin(), raw.begin() + 1, raw.end());
+    rescanPos = 0;
     raw.clear();
 }
 
-void
-FrameDecoder::step(std::uint8_t byte)
+std::size_t
+FrameDecoder::parse(std::span<const std::uint8_t> in, bool &failed)
 {
-    if (state != State::Sync)
-        raw.push_back(byte);
-    switch (state) {
-      case State::Sync:
-        if (byte == frameSof) {
+    std::size_t i = 0;
+    while (i < in.size()) {
+        if (state == State::Sync) {
+            const auto *sof = static_cast<const std::uint8_t *>(
+                std::memchr(in.data() + i, frameSof, in.size() - i));
+            const std::size_t at =
+                sof ? static_cast<std::size_t>(sof - in.data())
+                    : in.size();
+            dropped += at - i;
+            if (!sof)
+                return at;
+            i = at + 1;
             state = State::Type;
             crcAccum = 0xFFFF;
-            payload.clear();
-            raw.assign(1, byte);
+            raw.assign(1, frameSof);
             ++candidateEpoch;
-        } else {
-            ++dropped;
+            continue;
         }
-        return;
-      case State::Type:
-        type = byte;
-        crcAccum = crc16Step(crcAccum, byte);
-        if (type < 1 ||
-            type > static_cast<std::uint8_t>(MessageType::UpdateAck)) {
-            fail();
-            return;
+        if (state == State::Payload) {
+            const std::size_t have = raw.size() - frameHeaderBytes;
+            const auto chunk =
+                in.subspan(i, std::min(expected - have, in.size() - i));
+            crcAccum = crc16Update(crcAccum, chunk);
+            raw.insert(raw.end(), chunk.begin(), chunk.end());
+            i += chunk.size();
+            if (have + chunk.size() == expected)
+                state = State::CrcHi;
+            continue;
         }
-        state = State::LenLo;
-        return;
-      case State::LenLo:
-        expected = byte;
-        crcAccum = crc16Step(crcAccum, byte);
-        state = State::LenHi;
-        return;
-      case State::LenHi:
-        expected |= static_cast<std::size_t>(byte) << 8;
-        crcAccum = crc16Step(crcAccum, byte);
-        if (expected > maxPayloadBytes) {
-            fail();
-            return;
-        }
-        state = expected == 0 ? State::CrcHi : State::Payload;
-        return;
-      case State::Payload:
-        payload.push_back(byte);
-        crcAccum = crc16Step(crcAccum, byte);
-        if (payload.size() == expected)
-            state = State::CrcHi;
-        return;
-      case State::CrcHi:
-        crcReceived = static_cast<std::uint16_t>(byte) << 8;
-        state = State::CrcLo;
-        return;
-      case State::CrcLo:
-        crcReceived |= byte;
-        if (crcReceived == crcAccum) {
+
+        const std::uint8_t byte = in[i++];
+        raw.push_back(byte);
+        switch (state) {
+          case State::Type:
+            crcAccum = crc16Step(crcAccum, byte);
+            if (byte < 1 ||
+                byte > static_cast<std::uint8_t>(MessageType::UpdateAck)) {
+                failed = true;
+                return i;
+            }
+            state = State::LenLo;
+            break;
+          case State::LenLo:
+            expected = byte;
+            crcAccum = crc16Step(crcAccum, byte);
+            state = State::LenHi;
+            break;
+          case State::LenHi:
+            expected |= static_cast<std::size_t>(byte) << 8;
+            crcAccum = crc16Step(crcAccum, byte);
+            if (expected > maxPayloadBytes) {
+                failed = true;
+                return i;
+            }
+            state = expected == 0 ? State::CrcHi : State::Payload;
+            break;
+          case State::CrcHi:
+            state = State::CrcLo;
+            break;
+          case State::CrcLo: {
+            const auto received = static_cast<std::uint16_t>(
+                raw[raw.size() - 2] << 8 | byte);
+            if (received != crcAccum) {
+                failed = true;
+                return i;
+            }
             Frame frame;
-            frame.type = static_cast<MessageType>(type);
-            frame.payload = std::move(payload);
-            payload = {};
+            frame.type = static_cast<MessageType>(raw[1]);
+            frame.payload.assign(raw.begin() + frameHeaderBytes,
+                                 raw.end() - frameCrcBytes);
             ready.push_back(std::move(frame));
             state = State::Sync;
             raw.clear();
-        } else {
-            fail();
+            break;
+          }
+          case State::Sync:
+          case State::Payload:
+            break; // handled above
         }
-        return;
     }
+    return i;
 }
 
 void
-FrameDecoder::drain()
+FrameDecoder::feed(std::span<const std::uint8_t> bytes)
 {
-    // fail() pushes a candidate's bytes back onto the front of the
-    // backlog; each pass permanently consumes at least that
-    // candidate's SOF, so this terminates.
-    if (draining)
-        return;
-    draining = true;
-    while (!backlog.empty()) {
-        const std::uint8_t byte = backlog.front();
-        backlog.pop_front();
-        step(byte);
+    // Rescanned bytes go first. Each failure consumes its candidate's
+    // SOF for good, so this terminates.
+    for (;;) {
+        bool failed = false;
+        if (rescanPos < rescan.size()) {
+            rescanPos += parse(
+                std::span<const std::uint8_t>(rescan).subspan(rescanPos),
+                failed);
+        } else if (!bytes.empty()) {
+            bytes = bytes.subspan(parse(bytes, failed));
+        } else {
+            rescan.clear();
+            rescanPos = 0;
+            return;
+        }
+        if (failed)
+            fail();
     }
-    draining = false;
-}
-
-void
-FrameDecoder::feed(std::uint8_t byte)
-{
-    backlog.push_back(byte);
-    drain();
-}
-
-void
-FrameDecoder::feed(const std::vector<std::uint8_t> &bytes)
-{
-    backlog.insert(backlog.end(), bytes.begin(), bytes.end());
-    drain();
 }
 
 void
@@ -149,7 +173,7 @@ FrameDecoder::resync()
     if (state == State::Sync)
         return;
     fail();
-    drain();
+    feed(std::span<const std::uint8_t>());
 }
 
 void

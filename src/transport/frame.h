@@ -12,7 +12,9 @@
  * The decoder resynchronizes after any CRC or length violation by
  * rescanning the failed candidate's bytes for embedded frames (an SOF
  * byte inside noise or a corrupted header must not swallow the intact
- * frame that follows), counting the bytes it had to discard. Because a
+ * frame that follows), counting the bytes it had to discard. Where a
+ * byte arrives — alone, in a span, or split across calls — never
+ * changes what the decoder yields or counts. Because a
  * corrupted length field can promise more payload than will ever
  * arrive, receivers poll tickStall() with their clock so a wedged
  * candidate is abandoned instead of deafening the link.
@@ -24,6 +26,7 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <span>
 #include <vector>
 
 namespace sidewinder::transport {
@@ -136,11 +139,18 @@ std::vector<std::uint8_t> encodeFrame(const Frame &frame);
 class FrameDecoder
 {
   public:
-    /** Feed one received byte. */
-    void feed(std::uint8_t byte);
+    /** Feed a span of received bytes; parsed in place. */
+    void feed(std::span<const std::uint8_t> bytes);
 
-    /** Feed a span of received bytes. */
-    void feed(const std::vector<std::uint8_t> &bytes);
+    /** Feed received bytes held in a vector. */
+    void
+    feed(const std::vector<std::uint8_t> &bytes)
+    {
+        feed(std::span<const std::uint8_t>(bytes));
+    }
+
+    /** Feed one received byte. */
+    void feed(std::uint8_t byte) { feed(std::span(&byte, 1)); }
 
     /** Retrieve the next completed frame, if any. */
     std::optional<Frame> poll();
@@ -171,23 +181,21 @@ class FrameDecoder
   private:
     enum class State { Sync, Type, LenLo, LenHi, Payload, CrcHi, CrcLo };
 
-    void step(std::uint8_t byte);
-    void drain();
+    std::size_t parse(std::span<const std::uint8_t> in, bool &failed);
     void fail();
 
     State state = State::Sync;
-    std::uint8_t type = 0;
     std::size_t expected = 0;
-    std::vector<std::uint8_t> payload;
     std::uint16_t crcAccum = 0;
-    std::uint16_t crcReceived = 0;
     std::size_t dropped = 0;
     std::deque<Frame> ready;
-    /** Bytes of the current candidate, SOF included. */
+    /** Bytes of the current candidate, SOF included; a completed
+        frame's payload is sliced from here. */
     std::vector<std::uint8_t> raw;
-    /** Bytes awaiting (re)scan; drained before feed() returns. */
-    std::deque<std::uint8_t> backlog;
-    bool draining = false;
+    /** Failed candidates' bytes awaiting a rescan ahead of the
+        unconsumed input, from rescanPos on; empty between calls. */
+    std::vector<std::uint8_t> rescan;
+    std::size_t rescanPos = 0;
     /** Candidates opened so far; identifies the stalled one. */
     std::uint64_t candidateEpoch = 0;
     std::uint64_t stallObservedEpoch = 0;

@@ -6,6 +6,17 @@
 
 namespace sidewinder::transport {
 
+namespace {
+
+/** A delivery time due by @p now (with a little float slack). */
+bool
+isDue(double delivery_time, double now)
+{
+    return delivery_time <= now + 1e-12;
+}
+
+} // namespace
+
 UartLink::UartLink(double baud_rate) : baudRate(baud_rate)
 {
     if (!(baud_rate > 0.0))
@@ -22,14 +33,30 @@ UartLink::transferSeconds(std::size_t byte_count) const
 void
 UartLink::send(const std::vector<std::uint8_t> &bytes, double now)
 {
+    // Drop what receive() already handed out; its view expires here.
+    const auto received = static_cast<std::ptrdiff_t>(head);
+    wire.erase(wire.begin(), wire.begin() + received);
+    deliveryTime.erase(deliveryTime.begin(),
+                       deliveryTime.begin() + received);
+    head = 0;
+
+    const std::size_t first = wire.size();
+    wire.insert(wire.end(), bytes.begin(), bytes.end());
+    if (corrupt) {
+        const std::span<std::uint8_t> sent(wire.data() + first,
+                                           bytes.size());
+        corrupt(sent);
+        for (std::size_t i = 0; i < bytes.size(); ++i)
+            corruptedCount += sent[i] != bytes[i];
+    }
+
+    // A running sum per byte, not start + k * byte time: the two
+    // round differently, and delivery times are part of the model.
+    const double byte_seconds = transferSeconds(1);
     double start = std::max(now, lineBusyUntil);
-    for (std::uint8_t byte : bytes) {
-        const double done = start + transferSeconds(1);
-        const std::uint8_t delivered = corrupt ? corrupt(byte) : byte;
-        if (delivered != byte)
-            ++corruptedCount;
-        inFlight.push_back(InFlight{delivered, done});
-        start = done;
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+        start += byte_seconds;
+        deliveryTime.push_back(start);
     }
     lineBusyUntil = start;
 }
@@ -44,26 +71,22 @@ UartLink::sendFrame(const Frame &frame, double now)
     send(encodeFrame(frame), now);
 }
 
-std::vector<std::uint8_t>
+std::span<const std::uint8_t>
 UartLink::receive(double now)
 {
-    std::vector<std::uint8_t> out;
-    while (!inFlight.empty() &&
-           inFlight.front().deliveryTime <= now + 1e-12) {
-        out.push_back(inFlight.front().byte);
-        inFlight.pop_front();
-    }
-    return out;
+    const std::size_t first = head;
+    while (head < wire.size() && isDue(deliveryTime[head], now))
+        ++head;
+    return {wire.data() + first, head - first};
 }
 
 std::size_t
 UartLink::pendingBytes(double now) const
 {
-    std::size_t count = 0;
-    for (const auto &entry : inFlight)
-        if (entry.deliveryTime > now + 1e-12)
-            ++count;
-    return count;
+    return static_cast<std::size_t>(std::count_if(
+        deliveryTime.begin() + static_cast<std::ptrdiff_t>(head),
+        deliveryTime.end(),
+        [now](double due) { return !isDue(due, now); }));
 }
 
 } // namespace sidewinder::transport

@@ -13,9 +13,8 @@
 #define SIDEWINDER_TRANSPORT_LINK_H
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "transport/frame.h"
@@ -29,6 +28,10 @@ namespace sidewinder::transport {
  * the serialization delay implied by the baud rate (8N1 framing: 10
  * bit times per byte). An optional corruption hook lets tests flip
  * bits in transit to exercise the decoder's resynchronization.
+ *
+ * In-flight bytes and their delivery times sit in two contiguous
+ * buffers read from a head index; receive() hands out a view into
+ * them and send() compacts the consumed prefix away.
  */
 class UartLink
 {
@@ -42,8 +45,12 @@ class UartLink
     /** Queue an encoded frame for transmission at time @p now. */
     void sendFrame(const Frame &frame, double now);
 
-    /** Bytes fully delivered by time @p now, in order. */
-    std::vector<std::uint8_t> receive(double now);
+    /**
+     * Bytes fully delivered by time @p now, in order. The view points
+     * into the link's buffer and stays valid until the next send() or
+     * sendFrame() on this link.
+     */
+    std::span<const std::uint8_t> receive(double now);
 
     /** Seconds needed to serialize @p byte_count bytes. */
     double transferSeconds(std::size_t byte_count) const;
@@ -52,16 +59,18 @@ class UartLink
     double bandwidthBitsPerSecond() const { return baudRate * 0.8; }
 
     /**
-     * Install a per-byte corruption hook; it receives the byte and
-     * returns the (possibly corrupted) byte to deliver. Installed by
-     * sim::armLink() from a seeded FaultPlan so every corruption
-     * pattern is reproducible (tests may also install ad-hoc hooks).
+     * Corruption hook: called once per send() with that send's bytes,
+     * in order, which it may alter in place before they go on the
+     * wire.
      */
-    void
-    setCorruptor(std::function<std::uint8_t(std::uint8_t)> corruptor)
-    {
-        corrupt = std::move(corruptor);
-    }
+    using Corruptor = std::function<void(std::span<std::uint8_t>)>;
+
+    /**
+     * Install a corruption hook. Installed by sim::armLink() from a
+     * seeded FaultPlan so every corruption pattern is reproducible
+     * (tests may also install ad-hoc hooks).
+     */
+    void setCorruptor(Corruptor corruptor) { corrupt = std::move(corruptor); }
 
     /**
      * Install a per-frame loss hook consulted by sendFrame(); when it
@@ -93,17 +102,15 @@ class UartLink
     double busyUntil() const { return lineBusyUntil; }
 
   private:
-    struct InFlight
-    {
-        std::uint8_t byte;
-        double deliveryTime;
-    };
-
     double baudRate;
     /** Time the transmitter becomes free again. */
     double lineBusyUntil = 0.0;
-    std::deque<InFlight> inFlight;
-    std::function<std::uint8_t(std::uint8_t)> corrupt;
+    /** Bytes on the wire (delivered or not) and their delivery
+        times; entries before `head` have been received. */
+    std::vector<std::uint8_t> wire;
+    std::vector<double> deliveryTime;
+    std::size_t head = 0;
+    Corruptor corrupt;
     std::function<bool()> dropFrame;
     std::size_t corruptedCount = 0;
     std::size_t droppedFrameCount = 0;

@@ -1,11 +1,13 @@
 /**
  * @file
- * Output goldens for the fault-free replay drivers: simulate() under
- * Predefined Activity and Sidewinder for all six shipped apps,
- * simulateConcurrent() over the three audio apps, and simulateDevice()
- * over both sensor domains, pinned under tests/data/replay/
- * (regenerate with SW_UPDATE_GOLDENS=1). Any change to how the drivers
- * feed the hub engine must leave every line byte-identical. The traces
+ * Output goldens for the replay drivers: simulate() under Predefined
+ * Activity and Sidewinder for all six shipped apps,
+ * simulateConcurrent() over the three audio apps, simulateDevice()
+ * over both sensor domains, and simulateSupervised() over the three
+ * robot apps under a grid of fault plans, pinned under
+ * tests/data/replay/ (regenerate with SW_UPDATE_GOLDENS=1). Any change
+ * to how the drivers feed the hub engine, or to how bytes cross the
+ * simulated UART, must leave every line byte-identical. The traces
  * are short and seeded, and their sample counts are not multiples of
  * the 64-wave replay block, so the ragged final block runs too; the
  * block replay itself is checked against a per-sample replay on a
@@ -19,11 +21,15 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/apps.h"
 #include "apps/predefined.h"
 #include "sim/concurrent.h"
+#include "sim/faults.h"
 #include "sim/replay.h"
 #include "sim/simulator.h"
 #include "trace/audio_gen.h"
@@ -88,6 +94,30 @@ appLines(const std::vector<ConcurrentAppResult> &apps)
                scored(app.hubTriggerCount, app.detection, app.recall) +
                "\n";
     return out;
+}
+
+/** Every FaultMetrics field, in declaration order. */
+std::string
+faultFields(const metrics::FaultMetrics &f)
+{
+    return " retransmits=" + std::to_string(f.retransmits) +
+           " lost=" + std::to_string(f.framesLost) +
+           " dropped=" + std::to_string(f.framesDropped) +
+           " corrupted=" + std::to_string(f.bytesCorrupted) +
+           " decoderDropped=" + std::to_string(f.decoderDroppedBytes) +
+           " resets=" + std::to_string(f.hubResets) +
+           " repushed=" + std::to_string(f.repushedConditions) +
+           " coalesced=" + std::to_string(f.wakesCoalesced) +
+           " down=" + exact(f.hubDownSeconds) +
+           " fallbackAwake=" + exact(f.fallbackAwakeSeconds) +
+           " fallbackMj=" + exact(f.fallbackEnergyMj) +
+           " linkDown=" + std::to_string(f.linkDownDeclared) +
+           " stale=" + std::to_string(f.staleEpochFrames) +
+           " committed=" + std::to_string(f.updatesCommitted) +
+           " rolledBack=" + std::to_string(f.updatesRolledBack) +
+           " deltaBytes=" + std::to_string(f.reconfigDeltaBytes) +
+           " fullBytes=" + std::to_string(f.reconfigFullBytes) +
+           " blind=" + exact(f.blindWindowSeconds);
 }
 
 void
@@ -203,6 +233,68 @@ TEST(ReplayGoldens, DeviceWithBothDomains)
     for (const auto &domain : r.domains)
         actual += domain.mcuName + "\n" + appLines(domain.apps);
     expectGolden("device", actual);
+}
+
+TEST(ReplayGoldens, SupervisedFaultPlansOnRobotApps)
+{
+    // Every fault axis the supervised stack models, each at the rates
+    // the sweeps use: byte corruption up to the 1e-2 recall-cliff
+    // column, frame drops, brownouts, a stuck sensor, a mix of all
+    // three link faults, and a live reconfiguration whose traffic
+    // meets extra corruption.
+    std::vector<std::pair<std::string, FaultPlan>> plans;
+    for (double rate : {1e-4, 1e-3, 5e-3, 1e-2}) {
+        FaultPlan plan;
+        plan.byteCorruptionRate = rate;
+        plans.emplace_back("corrupt=" + exact(rate), plan);
+    }
+    for (double rate : {0.05, 0.2}) {
+        FaultPlan plan;
+        plan.frameDropRate = rate;
+        plans.emplace_back("drop=" + exact(rate), plan);
+    }
+    FaultPlan resets;
+    resets.hubResetTimes = {45.0, 120.0};
+    resets.hubResetDowntimeSeconds = 8.0;
+    plans.emplace_back("resets", resets);
+    FaultPlan stuck;
+    stuck.stuckSensors = {{0, 30.0, 90.0}};
+    plans.emplace_back("stuck", stuck);
+    FaultPlan mix;
+    mix.byteCorruptionRate = 1e-3;
+    mix.frameDropRate = 0.05;
+    mix.hubResetTimes = {90.0};
+    mix.hubResetDowntimeSeconds = 10.0;
+    plans.emplace_back("mix", mix);
+    FaultPlan reconfig;
+    reconfig.reconfigUpdates = {{60.0, 0.8}};
+    reconfig.updateCorruptionRate = 5e-3;
+    plans.emplace_back("reconfig", reconfig);
+
+    std::vector<std::unique_ptr<apps::Application>> robot_apps;
+    robot_apps.push_back(apps::makeStepsApp());
+    robot_apps.push_back(apps::makeTransitionsApp());
+    robot_apps.push_back(apps::makeHeadbuttsApp());
+
+    const auto trace = accelTrace();
+    std::string actual;
+    for (const auto &app : robot_apps) {
+        for (const auto &[name, plan] : plans) {
+            SimConfig config;
+            config.strategy = Strategy::Sidewinder;
+            config.faults = plan;
+            const SimResult r = simulateSupervised(trace, *app, config);
+            actual += app->name() + " " + name +
+                      scored(r.hubTriggerCount, r.detection, r.recall) +
+                      " power=" + exact(r.averagePowerMw) +
+                      " precision=" + exact(r.precision) +
+                      " energy=" + exact(r.timeline.energyMj) +
+                      " awake=" + exact(r.timeline.awakeSeconds) +
+                      " latency=" + exact(r.meanDetectionLatencySeconds) +
+                      faultFields(r.faults) + "\n";
+        }
+    }
+    expectGolden("supervised", actual);
 }
 
 } // namespace

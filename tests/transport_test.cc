@@ -1,10 +1,18 @@
 /**
  * @file
- * Unit tests for the transport layer: CRC, frame codec with fault
- * injection, message serialization, and UART timing.
+ * Unit tests for the transport layer: CRC (the lookup table against
+ * the bitwise definition), frame codec with fault injection and the
+ * decoder's chunking invariance, message serialization, and UART
+ * timing, corruption hook and receive views.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <span>
+#include <vector>
 
 #include "support/error.h"
 #include "support/rng.h"
@@ -27,6 +35,50 @@ TEST(Crc16, KnownVector)
 TEST(Crc16, EmptyIsInit)
 {
     EXPECT_EQ(crc16({}), 0xFFFF);
+}
+
+/** The CRC-16/CCITT-FALSE register update, one bit at a time. */
+std::uint16_t
+bitwiseCrc16Step(std::uint16_t crc, std::uint8_t byte)
+{
+    crc ^= static_cast<std::uint16_t>(byte) << 8;
+    for (int bit = 0; bit < 8; ++bit) {
+        if (crc & 0x8000)
+            crc = static_cast<std::uint16_t>((crc << 1) ^ 0x1021);
+        else
+            crc = static_cast<std::uint16_t>(crc << 1);
+    }
+    return crc;
+}
+
+TEST(Crc16, TableStepMatchesBitwiseDefinition)
+{
+    Rng rng(0xC2C);
+    std::vector<std::uint16_t> states = {0x0000, 0xFFFF, 0x8000, 0x0001};
+    for (int i = 0; i < 500; ++i)
+        states.push_back(
+            static_cast<std::uint16_t>(rng.uniformInt(0, 0xFFFF)));
+    for (std::uint16_t state : states)
+        for (unsigned byte = 0; byte < 256; ++byte)
+            ASSERT_EQ(crc16Step(state, static_cast<std::uint8_t>(byte)),
+                      bitwiseCrc16Step(state,
+                                       static_cast<std::uint8_t>(byte)))
+                << "state " << state << " byte " << byte;
+}
+
+TEST(Crc16, UpdateFoldsBytesInOrder)
+{
+    Rng rng(31);
+    std::vector<std::uint8_t> data(1000);
+    for (auto &byte : data)
+        byte = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    std::uint16_t bitwise = 0xFFFF;
+    for (std::uint8_t byte : data)
+        bitwise = bitwiseCrc16Step(bitwise, byte);
+    EXPECT_EQ(crc16(data), bitwise);
+    const std::span<const std::uint8_t> all(data);
+    EXPECT_EQ(crc16Update(crc16(all.first(377)), all.subspan(377)),
+              bitwise);
 }
 
 TEST(FrameCodec, RoundTripsPayload)
@@ -209,8 +261,9 @@ TEST(UartLink, QueuesBackToBackSends)
 TEST(UartLink, CorruptorAffectsDelivery)
 {
     UartLink link(1e6);
-    link.setCorruptor([](std::uint8_t b) {
-        return static_cast<std::uint8_t>(b ^ 0xFF);
+    link.setCorruptor([](std::span<std::uint8_t> bytes) {
+        for (std::uint8_t &b : bytes)
+            b = static_cast<std::uint8_t>(b ^ 0xFF);
     });
     link.send({0x0F}, 0.0);
     const auto bytes = link.receive(1.0);
@@ -222,9 +275,10 @@ TEST(UartLink, FrameOverCorruptLinkIsDroppedByDecoder)
 {
     UartLink link(1e6);
     int count = 0;
-    link.setCorruptor([&count](std::uint8_t b) {
-        ++count;
-        return count == 6 ? static_cast<std::uint8_t>(b ^ 1) : b;
+    link.setCorruptor([&count](std::span<std::uint8_t> bytes) {
+        for (std::uint8_t &b : bytes)
+            if (++count == 6)
+                b = static_cast<std::uint8_t>(b ^ 1);
     });
 
     Frame frame;
@@ -237,6 +291,248 @@ TEST(UartLink, FrameOverCorruptLinkIsDroppedByDecoder)
     EXPECT_FALSE(decoder.poll().has_value());
 }
 
+TEST(UartLink, CorruptorSeesEachSendOnceInOrder)
+{
+    UartLink link(1e5);
+    std::vector<std::vector<std::uint8_t>> seen;
+    std::size_t changed = 0;
+    Rng rng(5);
+    link.setCorruptor([&](std::span<std::uint8_t> bytes) {
+        seen.emplace_back(bytes.begin(), bytes.end());
+        for (std::uint8_t &b : bytes) {
+            if (rng.uniformInt(0, 9) == 0) {
+                b = static_cast<std::uint8_t>(b ^ 0x10);
+                ++changed;
+            }
+        }
+    });
+
+    std::vector<std::vector<std::uint8_t>> sent;
+    std::vector<std::uint8_t> wire;
+    double now = 0.0;
+    for (int i = 0; i < 40; ++i) {
+        std::vector<std::uint8_t> bytes(
+            static_cast<std::size_t>(rng.uniformInt(0, 50)));
+        for (auto &b : bytes)
+            b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+        link.send(bytes, now);
+        sent.push_back(bytes);
+        if (i % 3 == 0) {
+            const auto got = link.receive(now);
+            wire.insert(wire.end(), got.begin(), got.end());
+        }
+        now += 1e-3;
+    }
+    Frame frame;
+    frame.type = MessageType::WakeUp;
+    frame.payload = {1, 2, 0x7E, 4};
+    link.sendFrame(frame, now);
+    sent.push_back(encodeFrame(frame));
+
+    EXPECT_EQ(seen, sent);
+    EXPECT_GT(changed, 0u);
+    EXPECT_EQ(link.corruptedBytes(), changed);
+
+    // What arrives is exactly what the hook left, byte for byte.
+    const auto rest = link.receive(1e9);
+    wire.insert(wire.end(), rest.begin(), rest.end());
+    std::vector<std::uint8_t> all_sent;
+    for (const auto &bytes : sent)
+        all_sent.insert(all_sent.end(), bytes.begin(), bytes.end());
+    ASSERT_EQ(wire.size(), all_sent.size());
+    std::size_t differing = 0;
+    for (std::size_t i = 0; i < wire.size(); ++i)
+        differing += wire[i] != all_sent[i];
+    EXPECT_EQ(differing, changed);
+}
+
+TEST(UartLink, ReceiveViewsMatchANaivePerByteModel)
+{
+    // The reference keeps every in-flight byte with its own delivery
+    // time, accumulated byte by byte the way the link defines it.
+    struct Entry
+    {
+        std::uint8_t byte;
+        double due;
+    };
+    UartLink link(115200.0);
+    std::deque<Entry> naive;
+    double naive_busy = 0.0;
+
+    Rng rng(0x11AC);
+    double now = 0.0;
+    std::span<const std::uint8_t> held;
+    std::vector<std::uint8_t> held_copy;
+    for (int step = 0; step < 4000; ++step) {
+        if (rng.chance(0.4)) {
+            std::vector<std::uint8_t> bytes(
+                static_cast<std::size_t>(rng.uniformInt(0, 300)));
+            for (auto &b : bytes)
+                b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+            link.send(bytes, now);
+            double start = std::max(now, naive_busy);
+            for (std::uint8_t b : bytes) {
+                const double done = start + link.transferSeconds(1);
+                naive.push_back({b, done});
+                start = done;
+            }
+            naive_busy = start;
+            ASSERT_EQ(link.busyUntil(), naive_busy) << "step " << step;
+            held = {}; // a send ends the last view's life
+            held_copy.clear();
+        } else {
+            // Sometimes land exactly on a pending byte's delivery time.
+            if (!naive.empty() && rng.chance(0.3)) {
+                const auto pick = static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(naive.size()) - 1));
+                now = std::max(now, naive[pick].due);
+            } else {
+                now += rng.uniform(0.0, 0.01);
+            }
+
+            // An earlier view outlives later receives.
+            ASSERT_TRUE(std::equal(held.begin(), held.end(),
+                                   held_copy.begin(), held_copy.end()));
+            const auto view = link.receive(now);
+            std::vector<std::uint8_t> want;
+            while (!naive.empty() && naive.front().due <= now + 1e-12) {
+                want.push_back(naive.front().byte);
+                naive.pop_front();
+            }
+            ASSERT_EQ(std::vector<std::uint8_t>(view.begin(), view.end()),
+                      want)
+                << "step " << step;
+            held = view;
+            held_copy = want;
+        }
+        ASSERT_EQ(link.pendingBytes(now), naive.size()) << "step " << step;
+    }
+}
+
+/** Random bytes with SOF markers sprinkled in. */
+std::vector<std::uint8_t>
+noise(Rng &rng, std::size_t count)
+{
+    std::vector<std::uint8_t> bytes(count);
+    for (auto &b : bytes)
+        b = static_cast<std::uint8_t>(
+            rng.chance(0.1) ? frameSof : rng.uniformInt(0, 255));
+    return bytes;
+}
+
+/** A valid frame whose payload carries SOF bytes. */
+Frame
+randomFrame(Rng &rng)
+{
+    Frame frame;
+    frame.type = static_cast<MessageType>(rng.uniformInt(
+        1, static_cast<std::int64_t>(MessageType::UpdateAck)));
+    frame.payload = noise(rng, static_cast<std::size_t>(
+                                   rng.uniformInt(0, 600)));
+    return frame;
+}
+
+/** Decode @p stream fed in chunks of @p sizes (cycled), resyncing a
+    stalled candidate at @p stall_at, then flushing at the end. */
+std::pair<std::vector<Frame>, std::size_t>
+decodeInChunks(const std::vector<std::uint8_t> &stream,
+               std::size_t stall_at, const std::vector<std::size_t> &sizes)
+{
+    FrameDecoder decoder;
+    const std::span<const std::uint8_t> all(stream);
+    auto feed = [&](std::span<const std::uint8_t> part) {
+        for (std::size_t at = 0, k = 0; at < part.size(); ++k) {
+            const std::size_t n =
+                std::min(sizes[k % sizes.size()], part.size() - at);
+            decoder.feed(part.subspan(at, n));
+            at += n;
+        }
+    };
+    feed(all.first(stall_at));
+    EXPECT_TRUE(decoder.midFrame());
+    const std::size_t before = decoder.droppedBytes();
+    decoder.tickStall(10.0);
+    decoder.tickStall(11.5);
+    EXPECT_GT(decoder.droppedBytes(), before); // the stall fired
+    feed(all.subspan(stall_at));
+    while (decoder.midFrame())
+        decoder.resync();
+
+    std::vector<Frame> frames;
+    while (auto frame = decoder.poll())
+        frames.push_back(std::move(*frame));
+    return {frames, decoder.droppedBytes()};
+}
+
+TEST(FrameDecoderChunking, AnySplitYieldsTheSameFramesAndDrops)
+{
+    Rng rng(0xC0FFEE);
+    std::vector<std::uint8_t> stream;
+    std::vector<Frame> intact;
+    std::size_t stall_at = 0;
+    auto append = [&](const std::vector<std::uint8_t> &bytes) {
+        stream.insert(stream.end(), bytes.begin(), bytes.end());
+    };
+    for (int round = 0; round < 120; ++round) {
+        append(noise(rng,
+                     static_cast<std::size_t>(rng.uniformInt(0, 40))));
+        const Frame frame = randomFrame(rng);
+        auto wire = encodeFrame(frame);
+        switch (round % 4) {
+          case 0: // intact
+            intact.push_back(frame);
+            break;
+          case 1: // bad type: fails on its first header byte
+            wire[1] = rng.chance(0.5) ? 0 : 0xEE;
+            break;
+          case 2: // a length that swallows what follows, then a CRC miss
+            wire[2] = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+            wire[3] = static_cast<std::uint8_t>(rng.uniformInt(0, 0x0F));
+            if (wire[2] == (frame.payload.size() & 0xFF) &&
+                wire[3] == frame.payload.size() >> 8)
+                wire[3] ^= 0x01;
+            break;
+          case 3: // CRC mismatch: its payload's SOFs get rescanned
+            wire.back() ^= 0x5A;
+            break;
+        }
+        append(wire);
+        if (round == 60) {
+            // A candidate that stalls: header and a little payload of
+            // a frame that never finishes.
+            const Frame lost = randomFrame(rng);
+            const auto truncated = encodeFrame(lost);
+            append({truncated.begin(),
+                    truncated.begin() +
+                        std::min<std::ptrdiff_t>(
+                            10, static_cast<std::ptrdiff_t>(
+                                    truncated.size()) - 1)});
+            stall_at = stream.size();
+        }
+    }
+
+    const auto [whole_frames, whole_dropped] =
+        decodeInChunks(stream, stall_at, {stream.size()});
+    EXPECT_EQ(whole_frames, intact);
+    EXPECT_GT(whole_dropped, 0u);
+
+    const auto [byte_frames, byte_dropped] =
+        decodeInChunks(stream, stall_at, {1});
+    EXPECT_EQ(byte_frames, whole_frames);
+    EXPECT_EQ(byte_dropped, whole_dropped);
+
+    // Chunks shorter than a header, then chunks that end mid-payload.
+    for (int trial = 0; trial < 20; ++trial) {
+        const std::int64_t longest = trial < 10 ? 8 : 900;
+        std::vector<std::size_t> sizes(17);
+        for (auto &n : sizes)
+            n = static_cast<std::size_t>(rng.uniformInt(1, longest));
+        const auto [frames, dropped] =
+            decodeInChunks(stream, stall_at, sizes);
+        EXPECT_EQ(frames, whole_frames) << "trial " << trial;
+        EXPECT_EQ(dropped, whole_dropped) << "trial " << trial;
+    }
+}
 
 TEST(SensorBatch, RoundTripsWithQuantization)
 {
