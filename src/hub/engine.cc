@@ -243,24 +243,6 @@ Engine::stageCondition(int condition_id, const il::ExecutionPlan &plan)
     rebuildSchedule();
 }
 
-bool
-Engine::hasStagedCondition(int condition_id) const
-{
-    return stagedConditions.count(condition_id) != 0;
-}
-
-std::vector<int>
-Engine::stagedConditionIds() const
-{
-    std::vector<int> ids;
-    ids.reserve(stagedConditions.size());
-    for (const auto &[id, cond] : stagedConditions) {
-        (void)cond;
-        ids.push_back(id);
-    }
-    return ids;
-}
-
 void
 Engine::commitStaged()
 {
@@ -293,24 +275,6 @@ Engine::abortStaged()
     }
     stagedConditions.clear();
     rebuildSchedule();
-}
-
-bool
-Engine::hasNodeWithKeyHash(std::uint64_t key_hash) const
-{
-    return nodeByKeyHash.count(key_hash) != 0;
-}
-
-std::vector<std::string>
-Engine::liveShareKeys() const
-{
-    std::vector<std::string> keys;
-    keys.reserve(nodeByKey.size());
-    for (const auto &[key, index] : nodeByKey) {
-        (void)index;
-        keys.push_back(key);
-    }
-    return keys;
 }
 
 il::NodeId

@@ -128,12 +128,6 @@ class Engine
      */
     void stageCondition(int condition_id, const il::ExecutionPlan &plan);
 
-    /** True when @p condition_id is staged in the shadow slot. */
-    bool hasStagedCondition(int condition_id) const;
-
-    /** Ids staged in the shadow slot. */
-    std::vector<int> stagedConditionIds() const;
-
     /** Number of staged conditions. */
     std::size_t stagedCount() const { return stagedConditions.size(); }
 
@@ -154,16 +148,6 @@ class Engine
      * mid-update.
      */
     void abortStaged();
-
-    /**
-     * True when a live or staged node's canonical shareKey hashes to
-     * @p key_hash (il::shareKeyHash). Only meaningful with sharing
-     * enabled — delta pushes require a sharing hub.
-     */
-    bool hasNodeWithKeyHash(std::uint64_t key_hash) const;
-
-    /** Canonical shareKeys of all live nodes (sharing enabled). */
-    std::vector<std::string> liveShareKeys() const;
 
     /**
      * Reconstruct the subgraph rooted at the node whose shareKey

@@ -421,21 +421,6 @@ HubRuntime::rollbackUpdate(double now, const std::string &reason)
 }
 
 void
-HubRuntime::noteWave(double first_timestamp, double last_timestamp)
-{
-    if (swapPending) {
-        // First wave after a committed swap closes the blind window:
-        // the gap between the last wave the A plans evaluated and the
-        // first wave the B plans see. Under zero loss this is one
-        // sample period.
-        if (swapLastWave >= 0.0)
-            blindWindow = first_timestamp - swapLastWave;
-        swapPending = false;
-    }
-    lastWaveTime = last_timestamp;
-}
-
-void
 HubRuntime::enableBatchStreaming(std::size_t channel_index,
                                  std::size_t batch_samples)
 {
@@ -446,8 +431,8 @@ HubRuntime::enableBatchStreaming(std::size_t channel_index,
         throw ConfigError("batch streaming needs a positive batch");
     BatchStream stream;
     stream.batchSamples = batch_samples;
-    // Size the buffer once: the steady-state streaming path (per
-    // sample or per block) never reallocates it.
+    // Size the buffer once: the steady-state streaming path never
+    // reallocates it.
     stream.pending.reserve(batch_samples);
     batchStreams[channel_index] = std::move(stream);
 }
@@ -478,9 +463,6 @@ HubRuntime::flushBatch(std::size_t channel, BatchStream &stream,
 void
 HubRuntime::forwardWakeEvents()
 {
-    // Each event carries its own wave timestamp, so coalescing
-    // decisions are identical whether the events arrived one wave at
-    // a time or in a block.
     for (const auto &event : dataflow.drainWakeEvents()) {
         if (wakeCoalesceInterval > 0.0) {
             const auto last = lastWakeSent.find(event.conditionId);
@@ -505,7 +487,16 @@ HubRuntime::pushSamples(const std::vector<double> &values,
                         double timestamp)
 {
     dataflow.pushSamples(values, timestamp);
-    noteWave(timestamp, timestamp);
+    if (swapPending) {
+        // First wave after a committed swap closes the blind window:
+        // the gap between the last wave the A plans evaluated and the
+        // first wave the B plans see. Under zero loss this is one
+        // sample period.
+        if (swapLastWave >= 0.0)
+            blindWindow = timestamp - swapLastWave;
+        swapPending = false;
+    }
+    lastWaveTime = timestamp;
 
     for (auto &[channel, stream] : batchStreams) {
         if (stream.pending.empty())
@@ -513,37 +504,6 @@ HubRuntime::pushSamples(const std::vector<double> &values,
         stream.pending.push_back(values[channel]);
         if (stream.pending.size() >= stream.batchSamples)
             flushBatch(channel, stream, timestamp);
-    }
-
-    forwardWakeEvents();
-}
-
-void
-HubRuntime::pushBlock(const double *samples, std::size_t count,
-                      const double *timestamps)
-{
-    if (count == 0)
-        return;
-    dataflow.pushBlock(samples, count, timestamps);
-    noteWave(timestamps[0], timestamps[count - 1]);
-
-    for (auto &[channel, stream] : batchStreams) {
-        // Span append: whole slices of the caller's channel lane go
-        // into the batch buffer at once — no per-sample push_back.
-        const double *lane = samples + channel * count;
-        std::size_t done = 0;
-        while (done < count) {
-            if (stream.pending.empty())
-                stream.firstTimestamp = timestamps[done];
-            const std::size_t take =
-                std::min(stream.batchSamples - stream.pending.size(),
-                         count - done);
-            stream.pending.insert(stream.pending.end(), lane + done,
-                                  lane + done + take);
-            done += take;
-            if (stream.pending.size() >= stream.batchSamples)
-                flushBatch(channel, stream, timestamps[done - 1]);
-        }
     }
 
     forwardWakeEvents();

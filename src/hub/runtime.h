@@ -65,17 +65,6 @@ class HubRuntime
     void pushSamples(const std::vector<double> &values, double timestamp);
 
     /**
-     * Block ingestion: feed @p count waves at once (channel-major, as
-     * Engine::pushBlock) and forward the resulting wake-ups. Batch
-     * streams append whole spans per block instead of one push_back
-     * per sample. Wake frames (and their raw snapshots) are emitted
-     * after the block settles, stamped with each event's own wave
-     * timestamp — so coalescing decisions match the per-sample path.
-     */
-    void pushBlock(const double *samples, std::size_t count,
-                   const double *timestamps);
-
-    /**
      * Start emitting Heartbeat beacons every @p interval_seconds.
      * Beacons bypass the reliable queue so their latency stays bounded
      * even when the line is backlogged with retransmissions.
@@ -221,8 +210,6 @@ class HubRuntime
     void gateAndStage(int condition_id, const il::Program &program);
     /** Abort the shadow slot and notify the phone. */
     void rollbackUpdate(double now, const std::string &reason);
-    /** Track wave timestamps for the blind-window measurement. */
-    void noteWave(double first_timestamp, double last_timestamp);
     /** Ship a full batch-stream buffer as a SensorBatch frame. */
     void flushBatch(std::size_t channel, BatchStream &stream,
                     double timestamp);

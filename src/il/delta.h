@@ -58,13 +58,6 @@ struct PlanDelta
     std::vector<std::size_t> reusedRefs;
     /** All reused plan nodes (referenced or interior). */
     std::size_t reusedCount = 0;
-
-    /** True when nothing ships — the whole plan is already live. */
-    bool
-    fullyReused() const
-    {
-        return shippedNodes.empty();
-    }
 };
 
 /**

@@ -39,6 +39,11 @@ struct ConcurrentAppResult
     double precision = 1.0;
     /** Hub triggers raised by this application's condition. */
     std::size_t hubTriggerCount = 0;
+    /**
+     * Mean delay from event start to the device being awake with the
+     * event's data available, seconds (SimResult's measure).
+     */
+    double meanDetectionLatencySeconds = 0.0;
 };
 
 /** Outcome of a concurrent multi-application simulation. */
@@ -60,10 +65,11 @@ struct ConcurrentResult
 
 /**
  * Run all @p apps concurrently over @p trace under the Sidewinder
- * strategy. All applications must use the same sensor channels (they
- * share one hub).
+ * strategy: simulateDevice() with one domain. All applications must
+ * use the same sensor channels (they share one hub).
  *
- * @throws CapabilityError when the combined load fits no MCU.
+ * @throws ConfigError on no apps or mixed channel sets;
+ *     CapabilityError when the combined load fits no MCU.
  */
 ConcurrentResult
 simulateConcurrent(const trace::Trace &trace,
@@ -91,6 +97,8 @@ struct DeviceDomainResult
     std::string mcuName;
     double hubMw = 0.0;
     std::size_t hubNodeCount = 0;
+    /** Sustained hub compute demand, abstract cycle units/s. */
+    double hubCyclesPerSecond = 0.0;
     /** Per-application detection quality. */
     std::vector<ConcurrentAppResult> apps;
 };
@@ -113,8 +121,9 @@ struct DeviceResult
  * applications' wake-up conditions on its own hub; any hub's trigger
  * wakes the shared main CPU. Domain traces must have equal durations.
  *
- * @throws ConfigError on empty/mismatched domains; CapabilityError
- *     when a domain's load fits no MCU.
+ * @throws ConfigError on empty/mismatched domains or a domain whose
+ *     apps do not share one channel set; CapabilityError when a
+ *     domain's load fits no MCU.
  */
 DeviceResult simulateDevice(const std::vector<DeviceDomain> &domains,
                             const SimConfig &config = {});

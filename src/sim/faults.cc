@@ -201,43 +201,20 @@ simulateSupervised(const trace::Trace &trace,
 
     const FaultPlan &plan = config.faults;
     const double total = trace.durationSeconds();
-    const auto truth = trace.eventsOfType(app.eventType());
 
     PowerModel model = nexus4();
     DeviceTimeline timeline(total);
     SimResult result;
     result.configName =
         strategyName(config.strategy, config.sleepIntervalSeconds);
-
     const double trans = model.transitionSeconds;
-    const double event_dwell =
-        config.eventDwellSeconds > 0.0
-            ? config.eventDwellSeconds
-            : app.recommendedEventDwellSeconds();
-    const double lookback = config.lookbackSeconds > 0.0
-                                ? config.lookbackSeconds
-                                : app.recommendedLookbackSeconds();
 
     core::ProcessingPipeline pipeline = app.wakeCondition();
-    const il::Program program = pipeline.compile();
     const auto channels = app.channels();
-    // Same executor space simulate() uses for this backend, so a
-    // supervised run with no active faults stays bit-identical.
-    std::vector<hub::ExecutorModel> space;
-    if (config.hubBackend == HubBackend::Heterogeneous) {
-        space = hub::platformExecutors();
-    } else {
-        for (const auto &mcu : hub::availableMcus())
-            space.push_back(hub::mcuExecutor(mcu));
-    }
-    const il::ExecutionPlan il_plan = il::lower(program, channels);
-    const hub::PlacementDecision home =
-        hub::placeCondition(il_plan, space);
-    if (!home.placed()) {
-        hub::selectMcuForCost(il_plan.cost());
-        throw CapabilityError(
-            "no hub executor can home the condition");
-    }
+    // The placement simulate() makes for this backend, so a supervised
+    // run with no active faults stays bit-identical.
+    const hub::PlacementDecision home = detail::placeOnBackend(
+        il::lower(pipeline.compile(), channels), config.hubBackend);
     model.hubMw = home.marginalPowerMw;
     result.mcuName = home.executorName;
     result.placement = home;
@@ -291,8 +268,9 @@ simulateSupervised(const trace::Trace &trace,
     manager.enableSupervision(
         {heartbeatIntervalSeconds, missedBeatsThreshold}, 0.0);
 
-    std::vector<double> triggerTimes;
-    CollectingListener listener(triggerTimes);
+    // The phone records every delivered wake-up as the app's trigger.
+    detail::HubDomain domain(trace, {&app}, config);
+    CollectingListener listener(domain.triggers.front());
     const int condition_id = manager.push(pipeline, &listener, 0.0);
 
     const auto mapping = detail::channelMapping(trace, channels);
@@ -420,11 +398,6 @@ simulateSupervised(const trace::Trace &trace,
         manager.poll(t);
     }
 
-    result.hubTriggerCount = triggerTimes.size();
-    for (double t_e : triggerTimes)
-        timeline.addAwakeInterval(t_e + trans,
-                                  t_e + trans + event_dwell);
-
     const auto *phone_stats = manager.reliableStats();
     const auto *hub_stats = hubRuntime.reliableStats();
     result.faults.retransmits =
@@ -456,16 +429,11 @@ simulateSupervised(const trace::Trace &trace,
     result.faults.blindWindowSeconds =
         hubRuntime.lastBlindWindowSeconds();
 
-    const auto merged = timeline.mergedIntervals(2.0 * trans - 1e-9);
-    const auto detections =
-        detail::classifyIntervals(trace, app, merged, lookback);
-    result.meanDetectionLatencySeconds =
-        detail::meanLatency(trace, app.eventType(), merged, lookback);
-
-    result.timeline = timeline.summarize(model);
+    const auto merged = detail::wakeWindows(timeline, {&domain, 1}, model,
+                                            result.timeline);
     result.averagePowerMw = result.timeline.averagePowerMw;
     result.hubMw = model.hubMw;
-    detail::scoreDetections(app, truth, detections, result);
+    detail::scoreApp(domain, 0, merged, result);
     return result;
 }
 

@@ -1,10 +1,14 @@
 /**
  * @file
- * Internal helpers shared by the trace-replay paths of the simulator
- * (sim/simulator.cc, sim/concurrent.cc) and the fault-injection
- * harness (sim/faults.cc). They replay the same traces and score
- * detections identically; these live here so no path can drift from
- * another.
+ * The device-replay core behind every hub-triggered driver:
+ * simulate() under Predefined Activity and Sidewinder,
+ * simulateConcurrent(), simulateDevice() and simulateSupervised().
+ * Only the trigger source differs between them — a direct hub::Engine
+ * per sensor domain (replayEngineHub), or the supervised transport
+ * stack (sim/faults.cc). Everything after the triggers is written
+ * once here: the awake-window rule (HubDomain), the wake, merge and
+ * pricing of the timeline (wakeWindows), and each app's classify,
+ * score and latency (scoreApp).
  */
 
 #ifndef SIDEWINDER_SIM_REPLAY_H
@@ -13,13 +17,17 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "apps/app.h"
 #include "hub/engine.h"
+#include "hub/placer.h"
 #include "il/validate.h"
 #include "metrics/events.h"
+#include "sim/concurrent.h"
 #include "sim/timeline.h"
 #include "trace/types.h"
 
@@ -156,6 +164,100 @@ meanLatency(const trace::Trace &trace, const std::string &event_type,
         }
     }
     return counted > 0 ? total / static_cast<double>(counted) : 0.0;
+}
+
+/**
+ * Home @p plan on @p backend's executor space: the shipped MCUs, the
+ * iCE40 fabric, or the whole platform under the placer.
+ *
+ * @throws CapabilityError when no executor of the space can home it.
+ */
+hub::PlacementDecision placeOnBackend(const il::ExecutionPlan &plan,
+                                      HubBackend backend);
+
+/**
+ * One sensor domain of a replay: the trace its hub sees, the apps
+ * whose conditions run there, and what each condition raised.
+ */
+struct HubDomain
+{
+    const trace::Trace *trace = nullptr;
+    /** Apps on this hub; condition id i + 1 is apps[i]'s. */
+    std::vector<const apps::Application *> apps;
+    /** Trigger times of each app's condition, by app index. */
+    std::vector<std::vector<double>> triggers;
+    /**
+     * The awake-window rule: each trigger keeps the phone awake for
+     * dwell seconds after its wake transition, and each app classifies
+     * lookback seconds of history before every awake window. Each is
+     * SimConfig's value when set (> 0), otherwise the largest any app
+     * on this hub recommends.
+     */
+    double dwell = 0.0;
+    double lookback = 0.0;
+
+    HubDomain(const trace::Trace &trace,
+              std::vector<const apps::Application *> apps,
+              const SimConfig &config);
+};
+
+/** The executor a hub runs on and the power it adds, mW. */
+struct HubChoice
+{
+    std::string name;
+    double powerMw = 0.0;
+};
+
+/**
+ * The direct-engine trigger source: lower @p conditions (one per app
+ * of @p domain) and install them as ids 1..N on a fresh hub::Engine,
+ * the path the hub runtime takes at admission; let @p choose pick the
+ * hub from their combined load (engine cycles and RAM, summed wake
+ * bounds); then replay the domain's trace and record every
+ * condition's triggers on @p domain.
+ *
+ * @returns the hub's name, power, node count and cycle demand (apps
+ *     left empty for scoreApp).
+ * @throws ConfigError when the apps do not share one channel set.
+ */
+DeviceDomainResult replayEngineHub(
+    HubDomain &domain, std::span<const il::Program> conditions,
+    bool share_nodes,
+    const std::function<HubChoice(const il::ProgramCost &)> &choose);
+
+/**
+ * Wake the phone one transition after every trigger of @p domains for
+ * its domain's dwell, merge the awake windows and price them under
+ * @p model (its hubMw the summed hub power) into @p priced.
+ * @p timeline may already hold other awake windows, such as the
+ * supervised Duty-Cycling fallback.
+ *
+ * @returns the merged awake windows.
+ */
+std::vector<Interval> wakeWindows(DeviceTimeline &timeline,
+                                  std::span<const HubDomain> domains,
+                                  const PowerModel &model,
+                                  TimelineSummary &priced);
+
+/**
+ * Classify app @p a of @p domain over the device's @p merged awake
+ * windows, and record its trigger count, match, recall, precision and
+ * mean detection latency on @p result (a SimResult or a
+ * ConcurrentAppResult).
+ */
+template <typename Result>
+void
+scoreApp(const HubDomain &domain, std::size_t a,
+         const std::vector<Interval> &merged, Result &result)
+{
+    const trace::Trace &trace = *domain.trace;
+    const apps::Application &app = *domain.apps[a];
+    result.hubTriggerCount = domain.triggers[a].size();
+    scoreDetections(app, trace.eventsOfType(app.eventType()),
+                    classifyIntervals(trace, app, merged, domain.lookback),
+                    result);
+    result.meanDetectionLatencySeconds =
+        meanLatency(trace, app.eventType(), merged, domain.lookback);
 }
 
 } // namespace sidewinder::sim::detail

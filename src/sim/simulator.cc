@@ -1,16 +1,11 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "apps/predefined.h"
-#include "hub/engine.h"
-#include "hub/fpga.h"
 #include "hub/mcu.h"
-#include "hub/placer.h"
 #include "il/lower.h"
 #include "sim/replay.h"
-#include "support/error.h"
 
 namespace sidewinder::sim {
 
@@ -19,23 +14,6 @@ namespace {
 using detail::classifyIntervals;
 using detail::meanLatency;
 using detail::sampleAt;
-
-/** Event-driven strategies: the hub condition's trigger times. */
-std::vector<double>
-runHubCondition(const trace::Trace &trace,
-                const std::vector<il::ChannelInfo> &channels,
-                const il::Program &program, bool share_nodes)
-{
-    hub::Engine engine(channels, share_nodes);
-    engine.addCondition(
-        1, il::lower(program, channels, il::LowerOptions{share_nodes}));
-
-    std::vector<double> trigger_times;
-    detail::replayTrace(engine, trace, [&](const hub::WakeEvent &event) {
-        trigger_times.push_back(event.timestamp);
-    });
-    return trigger_times;
-}
 
 /** The Predefined Activity condition for this application's sensor. */
 core::ProcessingPipeline
@@ -103,9 +81,6 @@ simulate(const trace::Trace &trace, const apps::Application &app,
         config.eventDwellSeconds > 0.0
             ? config.eventDwellSeconds
             : app.recommendedEventDwellSeconds();
-    const double lookback = config.lookbackSeconds > 0.0
-                                ? config.lookbackSeconds
-                                : app.recommendedLookbackSeconds();
 
     switch (config.strategy) {
       case Strategy::AlwaysAwake: {
@@ -186,65 +161,34 @@ simulate(const trace::Trace &trace, const apps::Application &app,
 
       case Strategy::PredefinedActivity:
       case Strategy::Sidewinder: {
-        core::ProcessingPipeline pipeline =
-            config.strategy == Strategy::Sidewinder
-                ? app.wakeCondition()
-                : predefinedConditionFor(app,
-                                         config.predefinedThreshold);
-        const il::Program program = pipeline.compile();
-        const auto channels = app.channels();
-
-        if (config.strategy == Strategy::Sidewinder) {
-            const il::ExecutionPlan plan = il::lower(program, channels);
-            std::vector<hub::ExecutorModel> space;
-            switch (config.hubBackend) {
-              case HubBackend::Microcontroller:
-                for (const auto &mcu : hub::availableMcus())
-                    space.push_back(hub::mcuExecutor(mcu));
-                break;
-              case HubBackend::Fpga:
-                space.push_back(hub::fpgaExecutor(hub::ice40Hub()));
-                break;
-              case HubBackend::Heterogeneous:
-                space = hub::platformExecutors();
-                break;
-            }
-            const hub::PlacementDecision home =
-                hub::placeCondition(plan, space);
-            if (!home.placed()) {
-                if (config.hubBackend == HubBackend::Fpga)
-                    throw CapabilityError(
-                        "condition does not fit the FPGA fabric");
-                // Re-derive selectMcu's diagnostic (names the binding
-                // budget); unreachable when the space holds the
-                // always-feasible AP fallback.
-                hub::selectMcuForCost(plan.cost());
-                throw CapabilityError(
-                    "no hub executor can home the condition");
-            }
-            model.hubMw = home.marginalPowerMw;
-            result.mcuName = home.executorName;
-            result.placement = home;
-        } else {
-            const hub::McuModel mcu = hub::msp430();
-            model.hubMw = mcu.activePowerMw;
-            result.mcuName = mcu.name;
+        // One hub domain with one condition: the app's own, or the
+        // manufacturer's detector on the MSP430.
+        const bool sidewinder = config.strategy == Strategy::Sidewinder;
+        const il::Program program =
+            (sidewinder ? app.wakeCondition()
+                        : predefinedConditionFor(
+                              app, config.predefinedThreshold))
+                .compile();
+        detail::HubChoice home{hub::msp430().name,
+                               hub::msp430().activePowerMw};
+        if (sidewinder) {
+            result.placement = detail::placeOnBackend(
+                il::lower(program, app.channels()), config.hubBackend);
+            home = {result.placement.executorName,
+                    result.placement.marginalPowerMw};
         }
-
-        const auto trigger_times = runHubCondition(
-            trace, channels, program, config.shareHubNodes);
-        result.hubTriggerCount = trigger_times.size();
-        for (double t_e : trigger_times)
-            timeline.addAwakeInterval(
-                t_e + trans, t_e + trans + event_dwell);
-
-        const auto merged =
-            timeline.mergedIntervals(2.0 * trans - 1e-9);
-        detections =
-            classifyIntervals(trace, app, merged, lookback);
-        result.meanDetectionLatencySeconds =
-            meanLatency(trace, app.eventType(), merged, lookback);
-        break;
+        detail::HubDomain domain(trace, {&app}, config);
+        detail::replayEngineHub(
+            domain, {&program, 1}, config.shareHubNodes,
+            [&](const il::ProgramCost &) { return home; });
+        result.mcuName = home.name;
+        model.hubMw = home.powerMw;
+        const auto merged = detail::wakeWindows(
+            timeline, {&domain, 1}, model, result.timeline);
+        result.averagePowerMw = result.timeline.averagePowerMw;
+        result.hubMw = model.hubMw;
+        detail::scoreApp(domain, 0, merged, result);
+        return result;
       }
     }
 

@@ -235,12 +235,6 @@ humanScenarioName(HumanScenario scenario)
     return "?";
 }
 
-double
-humanWalkFraction(HumanScenario scenario)
-{
-    return profileFor(scenario).walkFraction;
-}
-
 Trace
 generateHumanTrace(const HumanTraceConfig &config)
 {

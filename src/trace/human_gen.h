@@ -69,9 +69,6 @@ Trace generateHumanTrace(const HumanTraceConfig &config);
 std::vector<Trace> generateHumanCorpus(double duration_seconds,
                                        std::uint64_t seed);
 
-/** Walking time fraction targeted for @p scenario (0.20 .. 0.37). */
-double humanWalkFraction(HumanScenario scenario);
-
 } // namespace sidewinder::trace
 
 #endif // SIDEWINDER_TRACE_HUMAN_GEN_H

@@ -202,8 +202,6 @@ class ReliableEndpoint
      */
     void setLocalEpoch(std::uint32_t epoch) { localEpoch = epoch; }
 
-    std::uint32_t getLocalEpoch() const { return localEpoch; }
-
     /**
      * Refuse incoming data frames stamped with a nonzero config epoch
      * below @p epoch (see ReliableStats::staleEpochFrames). Receivers
@@ -212,8 +210,6 @@ class ReliableEndpoint
      * otherwise catch a delayed retransmit is lost.
      */
     void setMinimumEpoch(std::uint32_t epoch) { minimumEpoch = epoch; }
-
-    std::uint32_t getMinimumEpoch() const { return minimumEpoch; }
 
     /**
      * Forget all transmission state: flush the queue (counted in

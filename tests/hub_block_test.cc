@@ -2,8 +2,7 @@
  * @file
  * Block-execution tests: pushBlock() interleaved with per-sample
  * pushes, cycle accounting, Q15-mode parity with the double pipeline
- * on the shipped applications, the Q15 RAM model, and HubRuntime
- * block ingestion against its per-sample path.
+ * on the shipped applications, and the Q15 RAM model.
  */
 
 #include <gtest/gtest.h>
@@ -15,14 +14,10 @@
 #include "apps/apps.h"
 #include "dsp/q15.h"
 #include "hub/engine.h"
-#include "hub/mcu.h"
-#include "hub/runtime.h"
 #include "il/lower.h"
 #include "il/parser.h"
 #include "support/rng.h"
-#include "transport/link.h"
 #include "trace/audio_gen.h"
-#include "transport/messages.h"
 
 namespace sidewinder::hub {
 namespace {
@@ -265,99 +260,6 @@ TEST(HubBlock, Q15WakeEventsTrackDoublePipelineOnShippedAudioApps)
     }
     // The traces must actually exercise the wake path.
     EXPECT_GT(total_double_wakes, 0u);
-}
-
-// ---------------------------------------------------------------------
-// HubRuntime block ingestion: identical frames to the per-sample path.
-
-std::vector<transport::Frame>
-drainFrames(transport::LinkPair &link, double now)
-{
-    transport::FrameDecoder decoder;
-    decoder.feed(link.hubToPhone().receive(now));
-    std::vector<transport::Frame> frames;
-    while (auto frame = decoder.poll())
-        frames.push_back(*frame);
-    return frames;
-}
-
-TEST(HubBlock, RuntimeBlockIngestionMatchesPerSampleFrames)
-{
-    transport::LinkPair link_a(1e6);
-    transport::LinkPair link_b(1e6);
-    HubRuntime per_sample(link_a, kChannels, lm4f120());
-    HubRuntime block(link_b, kChannels, lm4f120());
-
-    link_a.phoneToHub().sendFrame(
-        transport::encodeConfigPush({7, kMotionIl}), 0.0);
-    link_b.phoneToHub().sendFrame(
-        transport::encodeConfigPush({7, kMotionIl}), 0.0);
-    per_sample.pollLink(0.5);
-    block.pollLink(0.5);
-    ASSERT_EQ(drainFrames(link_a, 1.0).size(), 1u);
-    ASSERT_EQ(drainFrames(link_b, 1.0).size(), 1u);
-
-    // Batch-stream one channel so the span-append path runs too.
-    per_sample.enableBatchStreaming(0, 32);
-    block.enableBatchStreaming(0, 32);
-
-    Rng rng(51);
-    const std::size_t nch = kChannels.size();
-    const std::size_t count = 64;
-    std::vector<double> values(nch);
-    std::vector<double> packed(nch * count);
-    std::vector<double> times(count);
-    int wave = 0;
-    for (int blocks = 0; blocks < 30; ++blocks) {
-        for (std::size_t w = 0; w < count; ++w) {
-            const double t = 1.0 + wave * 0.02;
-            fillWave(rng, wave, values);
-            for (std::size_t c = 0; c < nch; ++c)
-                packed[c * count + w] = values[c];
-            times[w] = t;
-            per_sample.pushSamples(values, t);
-            ++wave;
-        }
-        block.pushBlock(packed.data(), count, times.data());
-    }
-
-    // Within one block, batch flushes land mid-block while wake
-    // frames are emitted after the block settles, so WakeUp and
-    // SensorBatch frames may interleave differently than per-sample.
-    // The per-type streams, however, must match byte for byte.
-    const auto split = [](const std::vector<transport::Frame> &all) {
-        std::pair<std::vector<transport::Frame>,
-                  std::vector<transport::Frame>>
-            out;
-        for (const auto &frame : all) {
-            if (frame.type == transport::MessageType::WakeUp)
-                out.first.push_back(frame);
-            else if (frame.type ==
-                     transport::MessageType::SensorBatch)
-                out.second.push_back(frame);
-        }
-        return out;
-    };
-    const auto [wakes_a, batches_a] = split(drainFrames(link_a, 1e6));
-    const auto [wakes_b, batches_b] = split(drainFrames(link_b, 1e6));
-    ASSERT_FALSE(wakes_a.empty());
-    ASSERT_FALSE(batches_a.empty());
-    // Wake frames match in id/timestamp/value; the attached raw
-    // snapshot is documented to be taken after the block settles, so
-    // it may trail the per-sample one by up to a block of samples.
-    ASSERT_EQ(wakes_a.size(), wakes_b.size());
-    for (std::size_t i = 0; i < wakes_a.size(); ++i) {
-        const auto a = transport::decodeWakeUp(wakes_a[i]);
-        const auto b = transport::decodeWakeUp(wakes_b[i]);
-        EXPECT_EQ(a.conditionId, b.conditionId) << "wake " << i;
-        EXPECT_EQ(a.timestamp, b.timestamp) << "wake " << i;
-        EXPECT_EQ(a.triggerValue, b.triggerValue) << "wake " << i;
-        EXPECT_FALSE(b.rawData.empty());
-    }
-    ASSERT_EQ(batches_a.size(), batches_b.size());
-    for (std::size_t i = 0; i < batches_a.size(); ++i)
-        EXPECT_EQ(batches_a[i], batches_b[i])
-            << "batch frame " << i;
 }
 
 } // namespace

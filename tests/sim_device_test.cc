@@ -52,6 +52,14 @@ TEST(Device, RejectsBadInput)
     DeviceDomain a{&accel, &accel_apps};
     DeviceDomain b{&audio, &audio_apps};
     EXPECT_THROW(simulateDevice({a, b}), ConfigError);
+
+    // One hub samples one channel set: a domain mixing accelerometer
+    // and audio apps is refused before anything is lowered.
+    std::vector<std::unique_ptr<apps::Application>> mixed;
+    mixed.push_back(apps::makeStepsApp());
+    mixed.push_back(apps::makeSirenApp());
+    EXPECT_THROW(simulateDevice({DeviceDomain{&accel, &mixed}}),
+                 ConfigError);
 }
 
 TEST(Device, TwoHubsAllAppsFullRecall)

@@ -263,6 +263,11 @@ TEST(FaultSim, FaultsRequireSidewinderOnMcu)
     config.strategy = Strategy::Sidewinder;
     config.hubBackend = HubBackend::Fpga;
     EXPECT_THROW(simulate(trace, *app, config), ConfigError);
+
+    // The placer homes steps on the iCE40 fabric, which has no hub
+    // runtime for the transport stack to supervise.
+    config.hubBackend = HubBackend::Heterogeneous;
+    EXPECT_THROW(simulate(trace, *app, config), ConfigError);
 }
 
 } // namespace

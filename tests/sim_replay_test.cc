@@ -1,7 +1,8 @@
 /**
  * @file
  * Output goldens for the replay drivers: simulate() under Predefined
- * Activity and Sidewinder for all six shipped apps,
+ * Activity and Sidewinder for all six shipped apps (Sidewinder also
+ * on the FPGA and Heterogeneous hub backends),
  * simulateConcurrent() over the three audio apps, simulateDevice()
  * over both sensor domains, and simulateSupervised() over the three
  * robot apps under a grid of fault plans, pinned under
@@ -209,6 +210,37 @@ TEST(ReplayGoldens, SimulatePredefinedAndSidewinderOnAllApps)
         }
     }
     expectGolden("simulate", actual);
+}
+
+TEST(ReplayGoldens, SidewinderOnFpgaAndHeterogeneousBackends)
+{
+    // The placement paths beyond the default MCU space: the fabric
+    // alone, and the whole platform under the placer.
+    const auto accel = accelTrace();
+    const auto audio = audioTrace();
+    const std::pair<const char *, HubBackend> backends[] = {
+        {"fpga", HubBackend::Fpga},
+        {"heterogeneous", HubBackend::Heterogeneous}};
+    std::string actual;
+    for (const auto &app : apps::allApps()) {
+        const bool on_audio = app->channels().front().name == "AUDIO";
+        const auto &trace = on_audio ? audio : accel;
+        for (const auto &[name, backend] : backends) {
+            SimConfig config;
+            config.strategy = Strategy::Sidewinder;
+            config.hubBackend = backend;
+            const SimResult r = simulate(trace, *app, config);
+            actual += app->name() + " " + name +
+                      scored(r.hubTriggerCount, r.detection, r.recall) +
+                      " power=" + exact(r.averagePowerMw) +
+                      " latency=" + exact(r.meanDetectionLatencySeconds) +
+                      " hubMw=" + exact(r.hubMw) + " mcu=" + r.mcuName +
+                      " executor=" + r.placement.executorName +
+                      " marginalMw=" + exact(r.placement.marginalPowerMw) +
+                      "\n";
+        }
+    }
+    expectGolden("backends", actual);
 }
 
 TEST(ReplayGoldens, ConcurrentAudioApps)
