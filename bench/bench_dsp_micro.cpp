@@ -33,6 +33,7 @@
 #include "reference/legacy_engine.h"
 #include "sim/faults.h"
 #include "support/thread_pool.h"
+#include "trace/audio_gen.h"
 #include "transport/frame.h"
 #include "transport/link.h"
 #include "transport/messages.h"
@@ -188,6 +189,45 @@ BM_FftBlockFilterInto(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FftBlockFilterInto)->RangeMultiplier(4)->Range(64, 4096);
+
+/** A generated 60 s office audio trace, built once. */
+const trace::Trace &
+officeAudioTrace()
+{
+    static const trace::Trace trace = [] {
+        trace::AudioTraceConfig config;
+        config.environment = trace::AudioEnvironment::Office;
+        config.durationSeconds = 60.0;
+        config.seed = 20160402;
+        return trace::generateAudioTrace(config);
+    }();
+    return trace;
+}
+
+/**
+ * One main-CPU audio classifier over the whole 60 s office trace: the
+ * phone-side work Table 2 does per awake window. planned/iter counts
+ * the transforms of one classify call (siren runs three real FFTs
+ * per frame, music and phrase one).
+ */
+void
+BM_AudioClassify(benchmark::State &state,
+                 std::unique_ptr<apps::Application> (*make)())
+{
+    const auto app = make();
+    const auto &trace = officeAudioTrace();
+    app->classify(trace, 0, trace.sampleCount()); // warm the plan cache
+    DspCounterScope scope(state);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            app->classify(trace, 0, trace.sampleCount()));
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(trace.sampleCount()));
+}
+BENCHMARK_CAPTURE(BM_AudioClassify, siren, &apps::makeSirenApp);
+BENCHMARK_CAPTURE(BM_AudioClassify, music, &apps::makeMusicJournalApp);
+BENCHMARK_CAPTURE(BM_AudioClassify, phrase, &apps::makePhraseApp);
 
 void
 BM_MovingAverage(benchmark::State &state)

@@ -13,7 +13,9 @@
  * fidgeting) yet wake the device.
  *
  * The subject x strategy grid runs on the shared thread pool via
- * sim::runSweep with deterministic, serial-identical results.
+ * sim::runSweep with deterministic, serial-identical results; the PA
+ * cells are the threshold calibration's own runs at its chosen
+ * threshold.
  */
 
 #include <cstdio>
@@ -32,13 +34,11 @@ using namespace sidewinder;
 namespace {
 
 sim::SimConfig
-cellConfig(sim::Strategy strategy, double sleep = 10.0,
-           double threshold = 0.0)
+cellConfig(sim::Strategy strategy, double sleep = 10.0)
 {
     sim::SimConfig config;
     config.strategy = strategy;
     config.sleepIntervalSeconds = sleep;
-    config.predefinedThreshold = threshold;
     return config;
 }
 
@@ -56,10 +56,11 @@ main()
     const auto corpus = trace::generateHumanCorpus(seconds, 20160402);
     const auto app = apps::makeStepsApp();
 
+    // The calibration's runs at the chosen threshold are the PA cells.
     const auto calibration = sim::calibratePredefinedThreshold(
         corpus, *app, {0.3, 0.5, 0.8, 1.2, 2.0});
 
-    // Six strategy cells per subject, consumed in cell order below.
+    // Five strategy cells per subject, consumed in cell order below.
     std::vector<sim::SweepCell> cells;
     for (const auto &t : corpus) {
         cells.push_back(
@@ -72,10 +73,6 @@ main()
         cells.push_back(
             {&t, app.get(),
              cellConfig(sim::Strategy::Batching, 10.0)});
-        cells.push_back(
-            {&t, app.get(),
-             cellConfig(sim::Strategy::PredefinedActivity, 10.0,
-                        calibration.threshold)});
         cells.push_back(
             {&t, app.get(), cellConfig(sim::Strategy::Sidewinder)});
     }
@@ -90,12 +87,13 @@ main()
     double min_share = 1.0;
     double dc_recall_sum = 0.0;
     std::size_t cell = 0;
-    for (const auto &t : corpus) {
+    for (std::size_t s = 0; s < corpus.size(); ++s) {
+        const auto &t = corpus[s];
         const double oracle = results[cell++].averagePowerMw;
         const double aa = results[cell++].averagePowerMw;
         const auto &dc = results[cell++];
         const double ba = results[cell++].averagePowerMw;
-        const double pa = results[cell++].averagePowerMw;
+        const double pa = calibration.results[s].averagePowerMw;
         const double sw = results[cell++].averagePowerMw;
 
         const double share =

@@ -14,6 +14,10 @@
  *     Oracle      16.8 / 27.2 / 14.7 mW
  *     Predefined  51.9 (all three)
  *     Sidewinder  63.1* / 32.3 / 35.6 mW   (* includes the LM4F120)
+ *
+ * The three calibrations and the Oracle / Sidewinder cells run on the
+ * shared thread pool with serial-identical results; the PA cells are
+ * the calibration's own runs at the chosen threshold.
  */
 
 #include <cstdio>
@@ -23,6 +27,8 @@
 #include "bench_common.h"
 #include "metrics/events.h"
 #include "sim/calibrate.h"
+#include "sim/sweep.h"
+#include "support/thread_pool.h"
 #include "trace/audio_gen.h"
 
 using namespace sidewinder;
@@ -38,40 +44,61 @@ main()
     const auto traces = trace::generateAudioCorpus(seconds, 20160402);
     const auto apps = apps::audioApps();
 
+    // Oracle and Sidewinder cells per app and trace, consumed in cell
+    // order below.
+    std::vector<sim::SweepCell> cells;
+    for (const auto &app : apps) {
+        for (const auto &t : traces) {
+            for (const auto strategy :
+                 {sim::Strategy::Oracle, sim::Strategy::Sidewinder}) {
+                sim::SimConfig config;
+                config.strategy = strategy;
+                cells.push_back({&t, app.get(), config});
+            }
+        }
+    }
+
+    // One pool pass: first each app's Predefined Activity threshold
+    // calibration, per the paper's over-fitting-in-PA's-favor policy
+    // (Section 5.3), whose runs at the chosen threshold are the PA
+    // cells; then the cells above. Calibrations run longest, so they
+    // are claimed first and the remaining workers start on the cells.
+    std::vector<sim::CalibrationResult> calibrations(apps.size());
+    std::vector<sim::SimResult> results(cells.size());
+    support::ThreadPool::shared().parallelFor(
+        0, apps.size() + cells.size(), [&](std::size_t i) {
+            if (i < apps.size()) {
+                calibrations[i] = sim::calibratePredefinedThreshold(
+                    traces, *apps[i],
+                    {0.05, 0.07, 0.09, 0.12, 0.16, 0.22});
+                return;
+            }
+            const auto &cell = cells[i - apps.size()];
+            results[i - apps.size()] =
+                sim::simulate(*cell.trace, *cell.app, cell.config);
+        });
+
     struct Row
     {
         std::string app;
         double oracle = 0.0;
         double predefined = 0.0;
         double sidewinder = 0.0;
-        double paThreshold = 0.0;
         double recall = 1.0;
         std::string mcu;
     };
     std::vector<Row> rows;
 
-    for (const auto &app : apps) {
+    std::size_t cell = 0;
+    for (std::size_t a = 0; a < apps.size(); ++a) {
         Row row;
-        row.app = app->name();
-
-        // Calibrate the Predefined Activity sound threshold per the
-        // paper's over-fitting-in-PA's-favor policy (Section 5.3).
-        const auto calibration = sim::calibratePredefinedThreshold(
-            traces, *app, {0.05, 0.07, 0.09, 0.12, 0.16, 0.22});
-        row.paThreshold = calibration.threshold;
+        row.app = apps[a]->name();
 
         std::vector<double> oracle_mw, pa_mw, sw_mw;
-        for (const auto &t : traces) {
-            oracle_mw.push_back(
-                bench::runStrategy(t, *app, sim::Strategy::Oracle)
-                    .averagePowerMw);
-            pa_mw.push_back(
-                bench::runStrategy(t, *app,
-                                   sim::Strategy::PredefinedActivity,
-                                   10.0, calibration.threshold)
-                    .averagePowerMw);
-            const auto sw =
-                bench::runStrategy(t, *app, sim::Strategy::Sidewinder);
+        for (std::size_t i = 0; i < traces.size(); ++i) {
+            oracle_mw.push_back(results[cell++].averagePowerMw);
+            pa_mw.push_back(calibrations[a].results[i].averagePowerMw);
+            const auto &sw = results[cell++];
             sw_mw.push_back(sw.averagePowerMw);
             row.recall = std::min(row.recall, sw.recall);
             row.mcu = sw.mcuName;

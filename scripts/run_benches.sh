@@ -41,7 +41,10 @@
 #    paper's evaluation runs (bench_table2_audio_power,
 #    bench_fig5_robot_power, bench_whole_device,
 #    bench_goertzel_ablation), one run each, plus the bench_fault_sweep
-#    run above (the supervised transport path). Recorded, not gated:
+#    run above (the supervised transport path). Table 2 runs twice: on
+#    the default pool and at SW_THREADS=1, so its serial and pooled
+#    wall times are both on record. Each row carries the pool width it
+#    ran at, and the record names the host's CPU. Recorded, not gated:
 #    the numbers depend on the host.
 #
 # Every JSON record carries its worker-thread context — the effective
@@ -126,25 +129,40 @@ fault_sweep_ns=$(($(date +%s%N) - fault_sweep_start))
 "$BUILD_DIR"/bench/bench_placement "$OUT_PLACEMENT"
 
 # Driver wall times, stamped with the thread context and SW_FAST flag
-# bench_sweep_scaling recorded above in this same environment.
-timings=(bench_fault_sweep "$fault_sweep_ns")
+# bench_sweep_scaling recorded above in this same environment, as
+# (name, width, ns) triples; width "pool" is that context's width.
+timings=(bench_fault_sweep pool "$fault_sweep_ns")
 for driver in "${DRIVERS[@]}"; do
     start=$(date +%s%N)
     "$BUILD_DIR/bench/$driver" >/dev/null
-    timings+=("$driver" "$(($(date +%s%N) - start))")
+    timings+=("$driver" pool "$(($(date +%s%N) - start))")
 done
+start=$(date +%s%N)
+SW_THREADS=1 "$BUILD_DIR/bench/bench_table2_audio_power" >/dev/null
+timings+=(bench_table2_audio_power 1 "$(($(date +%s%N) - start))")
 python3 - "$OUT_SWEEP" BENCH_reproduce.json "${timings[@]}" <<'EOF_PY'
 import json
+import platform
 import sys
 
 sweep, out, timings = sys.argv[1], sys.argv[2], sys.argv[3:]
 with open(sweep) as f:
     context = json.load(f)
-record = {key: context[key]
-          for key in ("fast_mode", "threads", "sw_threads", "cores")}
+host = platform.processor() or platform.machine()
+try:
+    with open("/proc/cpuinfo") as f:
+        host = next(line.split(":", 1)[1].strip() for line in f
+                    if line.startswith("model name"))
+except (OSError, StopIteration):
+    pass
+record = {"host": host}
+record.update({key: context[key]
+               for key in ("fast_mode", "threads", "sw_threads", "cores")})
 record["drivers"] = [
-    {"name": name, "wall_s": round(int(ns) / 1e9, 3)}
-    for name, ns in zip(timings[::2], timings[1::2])]
+    {"name": name,
+     "threads": context["threads"] if width == "pool" else int(width),
+     "wall_s": round(int(ns) / 1e9, 3)}
+    for name, width, ns in zip(timings[::3], timings[1::3], timings[2::3])]
 with open(out, "w") as f:
     json.dump(record, f, indent=2)
     f.write("\n")

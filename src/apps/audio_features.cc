@@ -1,5 +1,8 @@
 #include "apps/audio_features.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "dsp/features.h"
 #include "dsp/fft.h"
 #include "dsp/filters.h"
@@ -7,9 +10,32 @@
 
 namespace sidewinder::apps {
 
+FrameSpectrum::FrameSpectrum(std::size_t frame_size)
+    : plan(dsp::FftPlan::forSize(frame_size)), spectrum(frame_size),
+      mags(frame_size / 2 + 1)
+{
+}
+
+void
+FrameSpectrum::compute(const double *frame)
+{
+    plan->forwardReal(frame, spectrum.data());
+    for (std::size_t i = 0; i < mags.size(); ++i)
+        mags[i] = std::abs(spectrum[i]);
+}
+
+namespace {
+
+/**
+ * Walk every analysis window fully contained in [begin, end) of the
+ * audio channel: copy it into a reused frame, take its spectrum, and
+ * hand both to @p visit(features, frame, spectrum), which fills the
+ * features its classifier reads.
+ */
+template <typename Visit>
 std::vector<AudioWindowFeatures>
-extractAudioFeatures(const trace::Trace &trace, std::size_t begin,
-                     std::size_t end, const AudioFeatureConfig &config)
+walkFrames(const trace::Trace &trace, std::size_t begin, std::size_t end,
+           const AudioFeatureConfig &config, Visit visit)
 {
     if (!dsp::isPowerOfTwo(config.windowSize))
         throw ConfigError("audio feature window must be a power of two");
@@ -19,59 +45,85 @@ extractAudioFeatures(const trace::Trace &trace, std::size_t begin,
         config.subWindowSize > config.windowSize)
         throw ConfigError("audio sub-window must be in [1, window]");
 
-    const auto audio_idx = trace.channelIndex("AUDIO");
-    const auto &samples = trace.channels[audio_idx];
+    const auto &samples = trace.channels[trace.channelIndex("AUDIO")];
     end = std::min(end, samples.size());
 
-    const dsp::FftBlockFilter high_pass(dsp::PassBand::HighPass,
-                                        config.highPassCutoffHz,
-                                        trace.sampleRateHz);
-
+    FrameSpectrum spectrum(config.windowSize);
+    std::vector<double> frame(config.windowSize);
     std::vector<AudioWindowFeatures> features;
     for (std::size_t start = begin;
          start + config.windowSize <= end; start += config.hop) {
-        const std::vector<double> frame(
-            samples.begin() + static_cast<long>(start),
-            samples.begin() + static_cast<long>(start +
-                                                config.windowSize));
+        std::copy_n(samples.begin() + static_cast<long>(start),
+                    config.windowSize, frame.begin());
+        spectrum.compute(frame.data());
 
         AudioWindowFeatures f;
         f.time = trace.timeOf(start + config.windowSize / 2);
-        f.amplitudeVariance = dsp::variance(frame);
-        f.rms = dsp::rootMeanSquare(frame);
-
-        // ZCR variance across sub-windows.
-        std::vector<double> zcrs;
-        zcrs.reserve(config.windowSize / config.subWindowSize);
-        for (std::size_t sub = 0;
-             sub + config.subWindowSize <= frame.size();
-             sub += config.subWindowSize) {
-            const std::vector<double> sub_frame(
-                frame.begin() + static_cast<long>(sub),
-                frame.begin() +
-                    static_cast<long>(sub + config.subWindowSize));
-            zcrs.push_back(dsp::zeroCrossingRate(sub_frame));
-        }
-        f.zcrVariance = dsp::variance(zcrs);
-
-        // Plain spectral features.
-        const auto mags = dsp::magnitudeSpectrum(frame);
-        const auto dom = dsp::dominantFrequency(mags);
-        f.dominantFreqHz = dsp::binFrequencyHz(dom.bin, frame.size(),
-                                               trace.sampleRateHz);
-        f.peakToMeanRatio = dom.peakToMeanRatio();
-
-        // Siren front end: high-pass then spectral peak.
-        const auto hp = high_pass.apply(frame);
-        const auto hp_mags = dsp::magnitudeSpectrum(hp);
-        const auto hp_dom = dsp::dominantFrequency(hp_mags);
-        f.highPassDominantFreqHz = dsp::binFrequencyHz(
-            hp_dom.bin, hp.size(), trace.sampleRateHz);
-        f.highPassPeakToMeanRatio = hp_dom.peakToMeanRatio();
-
+        visit(f, frame, spectrum);
         features.push_back(f);
     }
     return features;
+}
+
+} // namespace
+
+std::vector<AudioWindowFeatures>
+extractSirenFeatures(const trace::Trace &trace, std::size_t begin,
+                     std::size_t end, const AudioFeatureConfig &config)
+{
+    const double rate = trace.sampleRateHz;
+    const dsp::FftBlockFilter high_pass(dsp::PassBand::HighPass,
+                                        config.highPassCutoffHz, rate);
+    std::vector<double> filtered;
+    return walkFrames(
+        trace, begin, end, config,
+        [&](AudioWindowFeatures &f, const std::vector<double> &,
+            FrameSpectrum &spectrum) {
+            const auto dom = dsp::dominantFrequency(spectrum.magnitudes());
+            f.dominantFreqHz =
+                dsp::binFrequencyHz(dom.bin, config.windowSize, rate);
+
+            // High-pass the frame's own spectrum, then take the
+            // spectrum of the filtered frame.
+            high_pass.applySpectrumInto(spectrum.bins(), filtered);
+            spectrum.compute(filtered.data());
+            const auto hp_dom =
+                dsp::dominantFrequency(spectrum.magnitudes());
+            f.highPassDominantFreqHz =
+                dsp::binFrequencyHz(hp_dom.bin, config.windowSize, rate);
+            f.highPassPeakToMeanRatio = hp_dom.peakToMeanRatio();
+        });
+}
+
+std::vector<AudioWindowFeatures>
+extractMusicFeatures(const trace::Trace &trace, std::size_t begin,
+                     std::size_t end, const AudioFeatureConfig &config)
+{
+    const double rate = trace.sampleRateHz;
+    std::vector<double> sub_frame(config.subWindowSize);
+    std::vector<double> zcrs;
+    return walkFrames(
+        trace, begin, end, config,
+        [&](AudioWindowFeatures &f, const std::vector<double> &frame,
+            FrameSpectrum &spectrum) {
+            f.amplitudeVariance = dsp::variance(frame);
+
+            // ZCR variance across sub-windows.
+            zcrs.clear();
+            for (std::size_t sub = 0;
+                 sub + config.subWindowSize <= frame.size();
+                 sub += config.subWindowSize) {
+                std::copy_n(frame.begin() + static_cast<long>(sub),
+                            config.subWindowSize, sub_frame.begin());
+                zcrs.push_back(dsp::zeroCrossingRate(sub_frame));
+            }
+            f.zcrVariance = dsp::variance(zcrs);
+
+            const auto dom = dsp::dominantFrequency(spectrum.magnitudes());
+            f.dominantFreqHz =
+                dsp::binFrequencyHz(dom.bin, config.windowSize, rate);
+            f.peakToMeanRatio = dom.peakToMeanRatio();
+        });
 }
 
 std::vector<double>

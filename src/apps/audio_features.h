@@ -4,36 +4,43 @@
  * main-CPU classifiers (Section 3.7.2 of the paper): amplitude
  * variance, zero-crossing-rate variance across sub-windows, and
  * dominant-frequency statistics.
+ *
+ * Each analysis frame gets one planned real FFT into buffers reused
+ * across frames, and each classifier computes only the features it
+ * reads from that frame and its spectrum.
  */
 
 #ifndef SIDEWINDER_APPS_AUDIO_FEATURES_H
 #define SIDEWINDER_APPS_AUDIO_FEATURES_H
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
+#include "dsp/fft_plan.h"
 #include "trace/types.h"
 
 namespace sidewinder::apps {
 
-/** Features of one analysis window of audio. */
+/**
+ * Features of one analysis window of audio. Each extractor fills the
+ * fields its classifier reads and leaves the rest zero.
+ */
 struct AudioWindowFeatures
 {
     /** Window midpoint, seconds from trace start. */
     double time = 0.0;
-    /** Variance of the amplitude over the whole window. */
+    /** Variance of the amplitude over the whole window (music). */
     double amplitudeVariance = 0.0;
-    /** Variance of the ZCR across the window's sub-windows. */
+    /** Variance of the ZCR across the window's sub-windows (music). */
     double zcrVariance = 0.0;
-    /** Root mean square of the window. */
-    double rms = 0.0;
-    /** Frequency of the strongest non-DC spectral bin, Hz. */
+    /** Frequency of the strongest non-DC spectral bin, Hz (both). */
     double dominantFreqHz = 0.0;
-    /** Dominant-bin magnitude over mean bin magnitude. */
+    /** Dominant-bin magnitude over mean bin magnitude (music). */
     double peakToMeanRatio = 0.0;
-    /** Same, computed after a 750 Hz high-pass (siren front end). */
+    /** Same, computed after the high-pass (siren). */
     double highPassPeakToMeanRatio = 0.0;
-    /** Dominant frequency after the 750 Hz high-pass, Hz. */
+    /** Dominant frequency after the high-pass, Hz (siren). */
     double highPassDominantFreqHz = 0.0;
 };
 
@@ -51,13 +58,51 @@ struct AudioFeatureConfig
 };
 
 /**
- * Extract features for every analysis window fully contained in
- * [@p begin, @p end) of the audio channel of @p trace.
+ * The spectrum of one analysis frame: one planned real FFT into
+ * buffers reused across frames, and the magnitudes of bins 0..N/2
+ * (the same bits dsp::magnitudeSpectrum() returns).
+ */
+class FrameSpectrum
+{
+  public:
+    /** @throws ConfigError unless @p frame_size is a power of two. */
+    explicit FrameSpectrum(std::size_t frame_size);
+
+    /** Transform the frame_size samples at @p frame. */
+    void compute(const double *frame);
+
+    /** All N bins of the last transform; callers may modify them. */
+    std::vector<dsp::Complex> &bins() { return spectrum; }
+
+    /** |bin| of bins 0..N/2 of the last transform. */
+    const std::vector<double> &magnitudes() const { return mags; }
+
+  private:
+    std::shared_ptr<const dsp::FftPlan> plan;
+    std::vector<dsp::Complex> spectrum;
+    std::vector<double> mags;
+};
+
+/**
+ * Siren features of every analysis window fully contained in
+ * [@p begin, @p end) of the audio channel of @p trace:
+ * dominantFreqHz, and highPassDominantFreqHz and
+ * highPassPeakToMeanRatio after the config's high-pass. Three planned
+ * real transforms per window: the frame, the inverse of its filtered
+ * spectrum, and the filtered frame.
  */
 std::vector<AudioWindowFeatures>
-extractAudioFeatures(const trace::Trace &trace, std::size_t begin,
-                     std::size_t end,
-                     const AudioFeatureConfig &config = {});
+extractSirenFeatures(const trace::Trace &trace, std::size_t begin,
+                     std::size_t end, const AudioFeatureConfig &config);
+
+/**
+ * Music features of every analysis window fully contained in
+ * [@p begin, @p end): amplitudeVariance, zcrVariance, dominantFreqHz
+ * and peakToMeanRatio. One planned real transform per window.
+ */
+std::vector<AudioWindowFeatures>
+extractMusicFeatures(const trace::Trace &trace, std::size_t begin,
+                     std::size_t end, const AudioFeatureConfig &config);
 
 /**
  * Group consecutive flagged windows into runs and return the midpoint

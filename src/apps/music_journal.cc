@@ -115,7 +115,7 @@ class MusicJournalApp : public Application
         config.subWindowSize = zcrSubWindow;
 
         const auto features =
-            extractAudioFeatures(trace, begin, end, config);
+            extractMusicFeatures(trace, begin, end, config);
         std::vector<bool> flags(features.size());
         for (std::size_t i = 0; i < features.size(); ++i) {
             const auto &f = features[i];

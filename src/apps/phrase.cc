@@ -21,12 +21,13 @@
 #include "apps/apps.h"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <cstddef>
+#include <vector>
 
-#include "dsp/features.h"
-#include "dsp/window.h"
+#include "apps/audio_features.h"
 #include "dsp/fft.h"
+#include "dsp/window.h"
 #include "core/algorithm.h"
 #include "core/sensors.h"
 #include "trace/types.h"
@@ -57,6 +58,17 @@ constexpr double toneProminence = 5.0;
 /** Guard bands around the tones must stay below this multiple. */
 constexpr double guardProminence = 4.0;
 constexpr double classifierMinDurationSeconds = 0.6;
+/** [low, high] Hz of the two tone bands, then of the three guard
+ * bands around them. */
+constexpr double chordBandsHz[5][2] = {
+    {toneAHz - toneToleranceHz, toneAHz + toneToleranceHz},
+    {toneBHz - toneToleranceHz, toneBHz + toneToleranceHz},
+    {300.0, toneAHz - 2.5 * toneToleranceHz},
+    {toneAHz + 2.5 * toneToleranceHz, toneBHz - 2.5 * toneToleranceHz},
+    {toneBHz + 2.5 * toneToleranceHz, 1000.0}};
+
+/** Per chordBandsHz entry, the classifier window's bins inside it. */
+using ChordBins = std::array<std::vector<std::size_t>, 5>;
 
 class PhraseApp : public Application
 {
@@ -106,6 +118,15 @@ class PhraseApp : public Application
             trace.channels[trace.channelIndex("AUDIO")];
         end = std::min(end, samples.size());
 
+        // Once per call: the Hamming coefficients and the bins of
+        // each tone and guard band.
+        std::vector<double> hamming(classifierWindow);
+        for (std::size_t i = 0; i < classifierWindow; ++i)
+            hamming[i] = dsp::hammingCoefficient(i, classifierWindow);
+        const ChordBins bins = chordBins(trace.sampleRateHz);
+        std::vector<double> frame(classifierWindow);
+        FrameSpectrum spectrum(classifierWindow);
+
         // Scan windows for the dual-tone chord signature; group
         // consecutive hits into a phrase detection.
         std::vector<double> detections;
@@ -121,14 +142,15 @@ class PhraseApp : public Application
 
         for (std::size_t start = begin;
              start + classifierWindow <= end; start += classifierHop) {
-            const std::vector<double> frame(
-                samples.begin() + static_cast<long>(start),
-                samples.begin() +
-                    static_cast<long>(start + classifierWindow));
+            // Hamming windowing keeps tone energy out of the guard
+            // bands.
+            for (std::size_t i = 0; i < classifierWindow; ++i)
+                frame[i] = samples[start + i] * hamming[i];
+            spectrum.compute(frame.data());
             const double t =
                 trace.timeOf(start + classifierWindow / 2);
 
-            if (windowHasChord(frame, trace.sampleRateHz)) {
+            if (windowHasChord(spectrum.magnitudes(), bins)) {
                 if (run_start < 0.0)
                     run_start = t;
                 run_end = t;
@@ -153,18 +175,32 @@ class PhraseApp : public Application
     double recommendedLookbackSeconds() const override { return 5.0; }
 
   private:
+    /** Bins 1..N/2 of each chord band, ascending. */
+    static ChordBins
+    chordBins(double sample_rate_hz)
+    {
+        ChordBins bins;
+        for (std::size_t b = 0; b < bins.size(); ++b) {
+            for (std::size_t i = 1; i <= classifierWindow / 2; ++i) {
+                const double f = dsp::binFrequencyHz(i, classifierWindow,
+                                                     sample_rate_hz);
+                if (f >= chordBandsHz[b][0] && f <= chordBandsHz[b][1])
+                    bins[b].push_back(i);
+            }
+        }
+        return bins;
+    }
+
     /**
-     * True when @p frame carries both phrase tones prominently and
-     * nothing else: music chords whose harmonics graze the tone
-     * regions always light up neighbouring frequencies too, so quiet
-     * guard bands around the tones reject them.
+     * True when the window with magnitudes @p mags carries both
+     * phrase tones prominently and nothing else: music chords whose
+     * harmonics graze the tone regions always light up neighbouring
+     * frequencies too, so quiet guard bands around the tones reject
+     * them.
      */
     static bool
-    windowHasChord(std::vector<double> frame, double sample_rate_hz)
+    windowHasChord(const std::vector<double> &mags, const ChordBins &bins)
     {
-        // Hamming windowing keeps tone energy out of the guard bands.
-        dsp::applyWindow(frame, dsp::WindowType::Hamming);
-        const auto mags = dsp::magnitudeSpectrum(frame);
         double total = 0.0;
         for (std::size_t i = 1; i < mags.size(); ++i)
             total += mags[i];
@@ -173,32 +209,14 @@ class PhraseApp : public Application
         if (mean_mag <= 0.0)
             return false;
 
-        auto band_peak = [&](double lo_hz, double hi_hz) {
-            double peak = 0.0;
-            for (std::size_t i = 1; i < mags.size(); ++i) {
-                const double f = dsp::binFrequencyHz(i, frame.size(),
-                                                     sample_rate_hz);
-                if (f >= lo_hz && f <= hi_hz)
-                    peak = std::max(peak, mags[i]);
-            }
-            return peak;
-        };
+        double peak[5] = {};
+        for (std::size_t b = 0; b < bins.size(); ++b)
+            for (const std::size_t i : bins[b])
+                peak[b] = std::max(peak[b], mags[i]);
+        const double guard = std::max({peak[2], peak[3], peak[4]});
 
-        const double tone_a =
-            band_peak(toneAHz - toneToleranceHz,
-                      toneAHz + toneToleranceHz);
-        const double tone_b =
-            band_peak(toneBHz - toneToleranceHz,
-                      toneBHz + toneToleranceHz);
-        const double guard =
-            std::max({band_peak(300.0, toneAHz - 2.5 * toneToleranceHz),
-                      band_peak(toneAHz + 2.5 * toneToleranceHz,
-                                toneBHz - 2.5 * toneToleranceHz),
-                      band_peak(toneBHz + 2.5 * toneToleranceHz,
-                                1000.0)});
-
-        return tone_a >= toneProminence * mean_mag &&
-               tone_b >= toneProminence * mean_mag &&
+        return peak[0] >= toneProminence * mean_mag &&
+               peak[1] >= toneProminence * mean_mag &&
                guard < guardProminence * mean_mag;
     }
 };

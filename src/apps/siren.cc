@@ -111,7 +111,7 @@ class SirenApp : public Application
         config.highPassCutoffHz = highPassCutoffHz;
 
         const auto features =
-            extractAudioFeatures(trace, begin, end, config);
+            extractSirenFeatures(trace, begin, end, config);
         std::vector<bool> flags(features.size());
         for (std::size_t i = 0; i < features.size(); ++i) {
             const auto &f = features[i];

@@ -91,8 +91,17 @@ FftPlan::FftPlan(std::size_t n, std::shared_ptr<const FftPlan> half_plan)
     bump(g_plansBuilt);
 }
 
+/**
+ * Radix-2 butterflies on explicit real arithmetic. v = x * w is
+ * computed as re = xr*wr - xi*wi, im = xr*wi + xi*wr: the products
+ * and sums std::complex multiplication performs on finite input,
+ * without its NaN-recovery branch, so every output bit is unchanged.
+ * The inverse negates wi (conj(w)). Twiddle-outer loops load each
+ * twiddle once per stage.
+ */
+template <bool Inverse>
 void
-FftPlan::transform(Complex *data, bool inv) const
+FftPlan::transform(Complex *data) const
 {
     const std::size_t n = points;
     for (std::size_t i = 1; i < n; ++i) {
@@ -101,23 +110,31 @@ FftPlan::transform(Complex *data, bool inv) const
             std::swap(data[i], data[j]);
     }
 
+    // std::complex<double> is layout-compatible with double[2].
+    double *d = reinterpret_cast<double *>(data);
     for (std::size_t len = 2; len <= n; len <<= 1) {
         const std::size_t half_len = len / 2;
         const std::size_t stride = n / len;
-        for (std::size_t i = 0; i < n; i += len) {
-            for (std::size_t k = 0; k < half_len; ++k) {
-                Complex w = twiddles[k * stride];
-                if (inv)
-                    w = std::conj(w);
-                const Complex u = data[i + k];
-                const Complex v = data[i + k + half_len] * w;
-                data[i + k] = u + v;
-                data[i + k + half_len] = u - v;
+        for (std::size_t k = 0; k < half_len; ++k) {
+            const Complex w = twiddles[k * stride];
+            const double wr = w.real();
+            const double wi = Inverse ? -w.imag() : w.imag();
+            for (std::size_t i = k; i < n; i += len) {
+                double *u = d + 2 * i;
+                double *x = d + 2 * (i + half_len);
+                const double vr = x[0] * wr - x[1] * wi;
+                const double vi = x[0] * wi + x[1] * wr;
+                const double ur = u[0];
+                const double ui = u[1];
+                u[0] = ur + vr;
+                u[1] = ui + vi;
+                x[0] = ur - vr;
+                x[1] = ui - vi;
             }
         }
     }
 
-    if (inv) {
+    if constexpr (Inverse) {
         const double scale = 1.0 / static_cast<double>(n);
         for (std::size_t i = 0; i < n; ++i)
             data[i] *= scale;
@@ -128,14 +145,14 @@ void
 FftPlan::forward(Complex *data) const
 {
     bump(g_planned);
-    transform(data, false);
+    transform<false>(data);
 }
 
 void
 FftPlan::inverse(Complex *data) const
 {
     bump(g_planned);
-    transform(data, true);
+    transform<true>(data);
 }
 
 void

@@ -115,7 +115,7 @@ class FftPlan
   private:
     FftPlan(std::size_t n, std::shared_ptr<const FftPlan> half_plan);
 
-    void transform(Complex *data, bool inv) const;
+    template <bool Inverse> void transform(Complex *data) const;
 
     std::size_t points;
     /** bitrev[i] = bit-reversed i; permutation applied by swaps. */

@@ -56,35 +56,52 @@ FftBlockFilter::apply(const std::vector<double> &frame) const
 }
 
 void
+FftBlockFilter::prepare(std::size_t n) const
+{
+    if (plan && plan->size() == n)
+        return;
+    if (!isPowerOfTwo(n))
+        throw ConfigError("FFT filter frame size must be a power of two");
+    plan = FftPlan::forSize(n);
+    stopBins.clear();
+    for (std::size_t i = 0; i <= n / 2; ++i) {
+        const double freq = binFrequencyHz(i, n, sampleRate);
+        const bool keep = direction == PassBand::LowPass ? freq <= cutoff
+                                                         : freq >= cutoff;
+        if (!keep)
+            stopBins.push_back(i);
+    }
+}
+
+void
 FftBlockFilter::applyInto(const std::vector<double> &frame,
                           std::vector<double> &out) const
 {
-    const std::size_t n = frame.size();
-    if (!isPowerOfTwo(n))
-        throw ConfigError("FFT filter frame size must be a power of two");
-
-    if (!plan || plan->size() != n)
-        plan = FftPlan::forSize(n);
-    spectrum.resize(n);
+    prepare(frame.size());
+    spectrum.resize(frame.size());
     plan->forwardReal(frame.data(), spectrum.data());
+    applySpectrumInto(spectrum, out);
+}
+
+void
+FftBlockFilter::applySpectrumInto(std::vector<Complex> &bins,
+                                  std::vector<double> &out) const
+{
+    const std::size_t n = bins.size();
+    prepare(n);
 
     // Zero the stop band. Bin i and its mirror n-i represent the same
     // frequency for a real signal, so both are zeroed together to keep
     // the output real (and the spectrum conjugate-symmetric, which the
     // half-size inverse relies on).
-    for (std::size_t i = 0; i <= n / 2; ++i) {
-        const double freq = binFrequencyHz(i, n, sampleRate);
-        const bool keep = direction == PassBand::LowPass ? freq <= cutoff
-                                                         : freq >= cutoff;
-        if (!keep) {
-            spectrum[i] = Complex(0.0, 0.0);
-            if (i != 0 && i != n / 2)
-                spectrum[n - i] = Complex(0.0, 0.0);
-        }
+    for (const std::size_t i : stopBins) {
+        bins[i] = Complex(0.0, 0.0);
+        if (i != 0 && i != n / 2)
+            bins[n - i] = Complex(0.0, 0.0);
     }
 
     out.resize(n);
-    plan->inverseReal(spectrum.data(), out.data());
+    plan->inverseReal(bins.data(), out.data());
 }
 
 } // namespace sidewinder::dsp

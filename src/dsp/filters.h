@@ -138,6 +138,19 @@ class FftBlockFilter
     void applyInto(const std::vector<double> &frame,
                    std::vector<double> &out) const;
 
+    /**
+     * Filter a frame whose forward spectrum the caller already holds,
+     * as FftPlan::forwardReal() writes it: zero the stop band of
+     * @p bins and inverse-transform them into @p out. applyInto() is
+     * a forward transform plus this call, so both give the same bits.
+     * Same concurrency rule as applyInto().
+     *
+     * @param bins N conjugate-symmetric bins, N a power of two;
+     *     clobbered (the inverse uses them as scratch).
+     */
+    void applySpectrumInto(std::vector<Complex> &bins,
+                           std::vector<double> &out) const;
+
     /** Configured cutoff frequency in Hz. */
     double cutoffHz() const { return cutoff; }
 
@@ -145,11 +158,17 @@ class FftBlockFilter
     PassBand band() const { return direction; }
 
   private:
+    /** Build the plan and stop band for @p n-point frames if stale. */
+    void prepare(std::size_t n) const;
+
     PassBand direction;
     double cutoff;
     double sampleRate;
-    /** Plan + scratch for the current frame size, built lazily. */
+    /** Plan, stop band and scratch for the current frame size, built
+     * lazily. */
     mutable std::shared_ptr<const FftPlan> plan;
+    /** Bins 0..N/2 outside the pass band, ascending. */
+    mutable std::vector<std::size_t> stopBins;
     mutable std::vector<Complex> spectrum;
 };
 

@@ -11,7 +11,7 @@ namespace sidewinder::dsp {
 
 #if SIDEWINDER_Q15_COUNTERS_ENABLED
 namespace detail {
-thread_local std::uint64_t q15SaturationEvents = 0;
+constinit thread_local std::uint64_t q15SaturationEvents = 0;
 }
 #endif
 

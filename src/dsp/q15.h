@@ -60,7 +60,12 @@ inline constexpr double kQ15One = 32768.0;
 
 #if SIDEWINDER_Q15_COUNTERS_ENABLED
 namespace detail {
-extern thread_local std::uint64_t q15SaturationEvents;
+// constinit tells every includer the counter needs no dynamic
+// initialization, so GCC emits no TLS wrapper for it. With the
+// wrapper, GCC 12 miscompiles UBSan's null check on the variable's
+// address (the check's branch reuses the flags of the wrapper's
+// weak-symbol test) and reports a "load of null pointer".
+extern constinit thread_local std::uint64_t q15SaturationEvents;
 }
 #endif
 

@@ -22,38 +22,34 @@ calibratePredefinedThreshold(const std::vector<trace::Trace> &traces,
 
     base.strategy = Strategy::PredefinedActivity;
 
-    for (double threshold : candidates) {
+    // Run PA at @p threshold on every trace into `out`; with
+    // @p stop_on_miss, stop at the first trace that loses an event.
+    CalibrationResult out;
+    auto run_threshold = [&](double threshold, bool stop_on_miss) {
         base.predefinedThreshold = threshold;
+        out.threshold = threshold;
+        out.results.clear();
         double power_sum = 0.0;
-        bool full_recall = true;
         for (const auto &trace : traces) {
-            const SimResult result = simulate(trace, app, base);
-            power_sum += result.averagePowerMw;
-            if (result.recall < 1.0) {
-                full_recall = false;
-                break;
-            }
+            out.results.push_back(simulate(trace, app, base));
+            power_sum += out.results.back().averagePowerMw;
+            if (stop_on_miss && out.results.back().recall < 1.0)
+                return false;
         }
-        if (full_recall) {
-            CalibrationResult out;
-            out.threshold = threshold;
-            out.averagePowerMw =
-                power_sum / static_cast<double>(traces.size());
+        out.averagePowerMw =
+            power_sum / static_cast<double>(traces.size());
+        return true;
+    };
+
+    for (double threshold : candidates) {
+        if (run_threshold(threshold, true)) {
             out.achievedFullRecall = true;
             return out;
         }
     }
 
     // Even the most sensitive candidate misses events; report it.
-    CalibrationResult out;
-    out.threshold = candidates.back();
-    base.predefinedThreshold = out.threshold;
-    double power_sum = 0.0;
-    for (const auto &trace : traces)
-        power_sum += simulate(trace, app, base).averagePowerMw;
-    out.averagePowerMw =
-        power_sum / static_cast<double>(traces.size());
-    out.achievedFullRecall = false;
+    run_threshold(candidates.back(), false);
     return out;
 }
 

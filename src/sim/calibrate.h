@@ -34,6 +34,13 @@ struct CalibrationResult
      * loses events (the lowest candidate is returned in that case).
      */
     bool achievedFullRecall = false;
+    /**
+     * The Predefined Activity run at the chosen threshold on each
+     * calibration trace, in trace order: simulate(traces[i], app,
+     * base) with the strategy and threshold set. Callers that need
+     * those cells reuse them instead of simulating them again.
+     */
+    std::vector<SimResult> results;
 };
 
 /**

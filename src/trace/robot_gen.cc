@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <utility>
 
 #include "support/error.h"
 #include "support/rng.h"
@@ -317,7 +318,8 @@ generateRobotRun(const RobotRunConfig &config)
                   return x.startTime < y.startTime;
               });
     b.trace.checkInvariants();
-    return b.trace;
+    // A member is copied on return unless moved explicitly.
+    return std::move(b.trace);
 }
 
 std::vector<Trace>

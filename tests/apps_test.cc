@@ -10,6 +10,7 @@
 
 #include "apps/apps.h"
 #include "apps/predefined.h"
+#include "dsp/fft_plan.h"
 #include "hub/engine.h"
 #include "metrics/events.h"
 #include "trace/audio_gen.h"
@@ -246,6 +247,34 @@ TEST(Phrase, WakesFarMoreOftenThanPhrasesOccur)
     // Speech occupies several times more trace time than the phrase.
     EXPECT_GT(trace.eventSeconds(trace::event_type::speech),
               2.0 * trace.eventSeconds(trace::event_type::phrase));
+}
+
+TEST(AudioClassifiers, OnePlannedSpectrumPerFrame)
+{
+    // Each analysis frame gets one planned real FFT. Siren adds the
+    // high-pass round trip (inverse, then forward of the filtered
+    // frame); music and phrase read only the frame's own spectrum.
+    struct Case
+    {
+        std::unique_ptr<Application> app;
+        std::size_t window;
+        std::size_t hop;
+        std::uint64_t transformsPerFrame;
+    };
+    Case cases[] = {{makeSirenApp(), 256, 128, 3},
+                    {makeMusicJournalApp(), 2048, 1024, 1},
+                    {makePhraseApp(), 512, 256, 1}};
+    const auto trace = audioTrace();
+    const std::size_t begin = 1000;
+    const std::size_t end = trace.sampleCount() - 123;
+    for (const auto &c : cases) {
+        const std::uint64_t frames = (end - begin - c.window) / c.hop + 1;
+        const auto before = dsp::fftCounters().plannedRealTransforms;
+        c.app->classify(trace, begin, end);
+        EXPECT_EQ(dsp::fftCounters().plannedRealTransforms - before,
+                  c.transformsPerFrame * frames)
+            << c.app->name();
+    }
 }
 
 // --- Predefined activity -------------------------------------------

@@ -5,10 +5,21 @@
  * across random power-of-two sizes and signals, round-trip exactly,
  * and reuse cached plans. The zero-allocation property itself is
  * verified by the bench-mode allocation counter in bench_dsp_micro.
+ * Their exact output bits are pinned as FNV-1a digests in
+ * tests/data/fft/planned.golden (regenerate with SW_UPDATE_GOLDENS=1),
+ * so a change that rounds any butterfly differently fails here.
  */
 
+#include <cinttypes>
 #include <cmath>
 #include <complex>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -255,6 +266,86 @@ TEST(FftPlan, CountersTrackPlannedAndNaivePaths)
     const auto counters = fftCounters();
     EXPECT_GE(counters.plannedTransforms, 1u);
     EXPECT_GE(counters.naiveTransforms, 1u);
+}
+
+/** FNV-1a over the bytes of @p count doubles, continuing @p hash. */
+std::uint64_t
+fnv1a(const double *values, std::size_t count, std::uint64_t hash)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &values[i], sizeof bits);
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= (bits >> (8 * byte)) & 0xffu;
+            hash *= 0x100000001b3u;
+        }
+    }
+    return hash;
+}
+
+std::uint64_t
+fnv1a(const std::vector<Complex> &values, std::uint64_t hash)
+{
+    // std::complex<double> is layout-compatible with double[2].
+    return fnv1a(reinterpret_cast<const double *>(values.data()),
+                 2 * values.size(), hash);
+}
+
+TEST(FftPlanGolden, OutputBitsArePinned)
+{
+    constexpr std::uint64_t kOffset = 0xcbf29ce484222325u;
+    Rng rng(20160402);
+    std::string actual;
+    for (std::size_t n = 1; n <= 4096; n <<= 1) {
+        const auto plan = FftPlan::forSize(n);
+        std::uint64_t forward = kOffset, inverse = kOffset;
+        std::uint64_t forward_real = kOffset, inverse_real = kOffset;
+        for (int input = 0; input < 4; ++input) {
+            std::vector<Complex> signal(n);
+            for (auto &v : signal)
+                v = Complex(rng.uniform(-10.0, 10.0),
+                            rng.uniform(-10.0, 10.0));
+            auto data = signal;
+            plan->forward(data.data());
+            forward = fnv1a(data, forward);
+            data = signal;
+            plan->inverse(data.data());
+            inverse = fnv1a(data, inverse);
+
+            std::vector<double> samples(n);
+            for (auto &v : samples)
+                v = rng.uniform(-1.0, 1.0);
+            std::vector<Complex> spectrum(n);
+            plan->forwardReal(samples.data(), spectrum.data());
+            forward_real = fnv1a(spectrum, forward_real);
+            std::vector<double> restored(n);
+            plan->inverseReal(spectrum.data(), restored.data());
+            inverse_real = fnv1a(restored.data(), n, inverse_real);
+        }
+        char line[160];
+        std::snprintf(line, sizeof line,
+                      "n=%zu forward=%016" PRIx64 " inverse=%016" PRIx64
+                      " forwardReal=%016" PRIx64
+                      " inverseReal=%016" PRIx64 "\n",
+                      n, forward, inverse, forward_real, inverse_real);
+        actual += line;
+    }
+
+    const auto path = std::filesystem::path(SW_TEST_DATA_DIR) / "fft" /
+                      "planned.golden";
+    if (std::getenv("SW_UPDATE_GOLDENS") != nullptr) {
+        std::filesystem::create_directories(path.parent_path());
+        std::ofstream out(path);
+        ASSERT_TRUE(out) << path;
+        out << actual;
+        return;
+    }
+    std::ifstream golden(path);
+    ASSERT_TRUE(golden)
+        << path << " missing — regenerate with SW_UPDATE_GOLDENS=1";
+    std::ostringstream expected;
+    expected << golden.rdbuf();
+    EXPECT_EQ(actual, expected.str());
 }
 
 } // namespace

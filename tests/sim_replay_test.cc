@@ -4,8 +4,9 @@
  * Activity and Sidewinder for all six shipped apps (Sidewinder also
  * on the FPGA and Heterogeneous hub backends),
  * simulateConcurrent() over the three audio apps, simulateDevice()
- * over both sensor domains, and simulateSupervised() over the three
- * robot apps under a grid of fault plans, pinned under
+ * over both sensor domains, simulateSupervised() over the three
+ * robot apps under a grid of fault plans, and the audio apps'
+ * main-CPU detection times over the whole audio trace, pinned under
  * tests/data/replay/ (regenerate with SW_UPDATE_GOLDENS=1). Any change
  * to how the drivers feed the hub engine, or to how bytes cross the
  * simulated UART, must leave every line byte-identical. The traces
@@ -241,6 +242,23 @@ TEST(ReplayGoldens, SidewinderOnFpgaAndHeterogeneousBackends)
         }
     }
     expectGolden("backends", actual);
+}
+
+TEST(ReplayGoldens, AudioClassifierDetectionTimes)
+{
+    // The drivers classify only awake windows and the goldens above
+    // pin recall, not times; this pins every detection time each
+    // audio classifier reports over the whole trace.
+    const auto audio = audioTrace();
+    std::string actual;
+    for (const auto &app : apps::audioApps()) {
+        const auto times = app->classify(audio, 0, audio.sampleCount());
+        actual += app->name() + " detections=" +
+                  std::to_string(times.size()) + "\n";
+        for (double t : times)
+            actual += "  " + exact(t) + "\n";
+    }
+    expectGolden("classifiers", actual);
 }
 
 TEST(ReplayGoldens, ConcurrentAudioApps)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "apps/apps.h"
 #include "sim/calibrate.h"
 #include "sim/power_model.h"
@@ -292,6 +295,42 @@ TEST(Calibrate, PicksHighestFullRecallThreshold)
                  ConfigError);
     EXPECT_THROW(calibratePredefinedThreshold(traces, *app, {}),
                  ConfigError);
+}
+
+TEST(Calibrate, ReturnsThePredefinedRunsAtTheChosenThreshold)
+{
+    // Drivers reuse these runs as their PA cells, so each must equal
+    // a fresh PA run at the chosen threshold, field for field, in both
+    // the full-recall and the fallback outcome.
+    const auto app = apps::makeHeadbuttsApp();
+    const std::vector<trace::Trace> traces = {robotTrace(0.5, 61),
+                                              robotTrace(0.1, 62)};
+    const std::pair<std::vector<double>, bool> sweeps[] = {
+        {{0.2, 0.5, 1.0, 2.0, 5.0}, true}, {{50.0, 80.0}, false}};
+    for (const auto &[candidates, full_recall] : sweeps) {
+        const auto result =
+            calibratePredefinedThreshold(traces, *app, candidates);
+        EXPECT_EQ(result.achievedFullRecall, full_recall);
+        ASSERT_EQ(result.results.size(), traces.size());
+        SimConfig config;
+        config.strategy = Strategy::PredefinedActivity;
+        config.predefinedThreshold = result.threshold;
+        double power_sum = 0.0;
+        for (std::size_t i = 0; i < traces.size(); ++i) {
+            const SimResult fresh = simulate(traces[i], *app, config);
+            const SimResult &kept = result.results[i];
+            EXPECT_EQ(kept.averagePowerMw, fresh.averagePowerMw);
+            EXPECT_EQ(kept.recall, fresh.recall);
+            EXPECT_EQ(kept.hubTriggerCount, fresh.hubTriggerCount);
+            EXPECT_EQ(kept.detection.truePositives,
+                      fresh.detection.truePositives);
+            EXPECT_EQ(kept.detection.falsePositives,
+                      fresh.detection.falsePositives);
+            power_sum += kept.averagePowerMw;
+        }
+        EXPECT_EQ(result.averagePowerMw,
+                  power_sum / static_cast<double>(traces.size()));
+    }
 }
 
 } // namespace
