@@ -7,7 +7,9 @@
  */
 
 #include <cmath>
+#include <memory>
 #include <numbers>
+#include <random>
 #include <span>
 #include <string>
 #include <thread>
@@ -32,8 +34,10 @@
 #include "il/plan.h"
 #include "reference/legacy_engine.h"
 #include "sim/faults.h"
+#include "support/rng.h"
 #include "support/thread_pool.h"
 #include "trace/audio_gen.h"
+#include "transport/crc.h"
 #include "transport/frame.h"
 #include "transport/link.h"
 #include "transport/messages.h"
@@ -760,6 +764,88 @@ BM_LinkCorruptedWake(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LinkCorruptedWake);
+
+/** @p n wire bytes, one raw-data wake frame's worth at 1230. */
+std::vector<std::uint8_t>
+wireBytes(std::int64_t n)
+{
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(n));
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    return bytes;
+}
+
+/** CRC-16 as one crc16Step table lookup per byte, a serial chain. */
+void
+BM_Crc16Bytewise(benchmark::State &state)
+{
+    const auto bytes = wireBytes(state.range(0));
+    for (auto _ : state) {
+        std::uint16_t crc = 0xFFFF;
+        for (std::uint8_t byte : bytes)
+            crc = transport::crc16Step(crc, byte);
+        benchmark::DoNotOptimize(crc);
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc16Bytewise)->Arg(1230);
+
+/** The same CRC through crc16Update's slicing-by-8 fold. */
+void
+BM_Crc16(benchmark::State &state)
+{
+    const auto bytes = wireBytes(state.range(0));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(transport::crc16(bytes));
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc16)->Arg(1230);
+
+/**
+ * The per-byte corruption draw as a bernoulli_distribution(1e-3) on
+ * the standard library's mt19937_64, a bit from
+ * uniform_int_distribution(0, 7) on a hit: the loop byteCorruptor
+ * reproduces.
+ */
+void
+BM_StdBernoulliBytes(benchmark::State &state)
+{
+    auto bytes = wireBytes(state.range(0));
+    std::mt19937_64 engine(0x5EED5EED);
+    for (auto _ : state) {
+        for (std::uint8_t &byte : bytes) {
+            std::bernoulli_distribution hit(1e-3);
+            if (hit(engine)) {
+                std::uniform_int_distribution<std::int64_t> bit(0, 7);
+                byte = static_cast<std::uint8_t>(byte ^
+                                                 (1u << bit(engine)));
+            }
+        }
+        benchmark::DoNotOptimize(bytes.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_StdBernoulliBytes)->Arg(1230);
+
+/** The same draws through armLink's hook at 1e-3, one call a send. */
+void
+BM_CorruptBytes(benchmark::State &state)
+{
+    auto bytes = wireBytes(state.range(0));
+    const auto corrupt = sim::byteCorruptor(
+        std::make_shared<Rng>(0x5EED5EED), 1e-3, 1e-3, nullptr);
+    for (auto _ : state) {
+        corrupt(bytes);
+        benchmark::DoNotOptimize(bytes.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_CorruptBytes)->Arg(1230);
 
 } // namespace
 

@@ -276,7 +276,12 @@ fmtInterval(const Interval &iv)
 {
     if (iv.isEmpty())
         return "(empty)";
-    return "[" + fmt(iv.lo) + ", " + fmt(iv.hi) + "]";
+    std::string out = "[";
+    out += fmt(iv.lo);
+    out += ", ";
+    out += fmt(iv.hi);
+    out += "]";
+    return out;
 }
 
 /** True for the conditional threshold/peak family. */

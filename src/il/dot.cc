@@ -53,8 +53,9 @@ toDot(const Program &program, const std::string &name)
 
     // Edges.
     for (const auto &stmt : program.statements) {
-        const std::string target =
-            stmt.isOut ? "OUT" : "n" + std::to_string(stmt.id);
+        std::string target = stmt.isOut ? "OUT" : "n";
+        if (!stmt.isOut)
+            target += std::to_string(stmt.id);
         for (const auto &src : stmt.inputs) {
             if (src.kind == SourceRef::Kind::Channel)
                 out << "    " << channel_ids.at(src.channel);

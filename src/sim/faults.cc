@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <span>
 
 #include "core/sensor_manager.h"
@@ -158,26 +157,12 @@ armLink(transport::LinkPair &link, const FaultPlan &plan,
         // The effective rate rises by updateCorruptionRate while an
         // update transaction is in flight (the flag the simulator
         // toggles), modelling lines that degrade exactly when the
-        // reconfiguration traffic is on them. The flag only changes
-        // between sends, so one read per send is the rate of each of
-        // its bytes; every byte draws its own chance, and a hit its
-        // own bit.
-        auto rate = [corruption, update_extra, update_active]() {
-            return corruption + (update_active && *update_active
-                                     ? update_extra
-                                     : 0.0);
-        };
-        auto corruptor = [rate](std::shared_ptr<Rng> rng) {
-            return [rng, rate](std::span<std::uint8_t> bytes) {
-                const double p = rate();
-                for (std::uint8_t &byte : bytes)
-                    if (rng->chance(p))
-                        byte = static_cast<std::uint8_t>(
-                            byte ^ (1u << rng->uniformInt(0, 7)));
-            };
-        };
-        link.phoneToHub().setCorruptor(corruptor(p2h_corrupt));
-        link.hubToPhone().setCorruptor(corruptor(h2p_corrupt));
+        // reconfiguration traffic is on them.
+        const double raised = corruption + update_extra;
+        link.phoneToHub().setCorruptor(
+            byteCorruptor(p2h_corrupt, corruption, raised, update_active));
+        link.hubToPhone().setCorruptor(
+            byteCorruptor(h2p_corrupt, corruption, raised, update_active));
     }
     if (drop > 0.0) {
         link.phoneToHub().setFrameDropper(
@@ -185,6 +170,28 @@ armLink(transport::LinkPair &link, const FaultPlan &plan,
         link.hubToPhone().setFrameDropper(
             [h2p_drop, drop]() { return h2p_drop->chance(drop); });
     }
+}
+
+transport::UartLink::Corruptor
+byteCorruptor(std::shared_ptr<Rng> rng, double rate, double raised_rate,
+              std::shared_ptr<const bool> raised)
+{
+    // The flag only changes between sends, so one read per send picks
+    // the threshold of each of its bytes. Each byte consumes one raw
+    // output and a hit one more, for its bit, exactly as
+    // chance(rate) followed by uniformInt(0, 7) would.
+    const std::uint64_t base = Rng::chanceThreshold(rate);
+    const std::uint64_t high = Rng::chanceThreshold(raised_rate);
+    return [rng = std::move(rng), raised = std::move(raised), base,
+            high](std::span<std::uint8_t> bytes) {
+        const std::uint64_t cut = raised && *raised ? high : base;
+        // An all-ones cut means every output hits, all-ones included.
+        const bool every = cut == ~std::uint64_t{0};
+        for (std::uint8_t &byte : bytes)
+            if (rng->next() < cut || every)
+                byte = static_cast<std::uint8_t>(
+                    byte ^ (1u << rng->uniformInt(0, 7)));
+    };
 }
 
 SimResult
@@ -294,7 +301,8 @@ simulateSupervised(const trace::Trace &trace,
                   return a.timeSeconds < b.timeSeconds;
               });
     std::size_t next_update = 0;
-    std::optional<ReconfigUpdate> active_update;
+    // The update in progress, or null; points into 'updates'.
+    const ReconfigUpdate *active_update = nullptr;
     std::uint32_t attempt_epoch = 0;
 
     std::vector<double> values(channels.size());
@@ -331,7 +339,7 @@ simulateSupervised(const trace::Trace &trace,
 
         if (!active_update && next_update < updates.size() &&
             t >= updates[next_update].timeSeconds)
-            active_update = updates[next_update++];
+            active_update = &updates[next_update++];
         if (active_update) {
             if (attempt_epoch == 0) {
                 // (Re)try once the hub is reachable and no earlier
@@ -348,7 +356,7 @@ simulateSupervised(const trace::Trace &trace,
                 }
             } else if (!manager.updateInProgress()) {
                 if (manager.configEpoch() >= attempt_epoch)
-                    active_update.reset();
+                    active_update = nullptr;
                 else
                     // Rolled back (corruption, stall, brownout):
                     // retry under a fresh epoch.

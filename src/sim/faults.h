@@ -27,6 +27,9 @@
 
 #include "transport/link.h"
 
+namespace sidewinder {
+class Rng;
+}
 namespace sidewinder::trace {
 struct Trace;
 }
@@ -117,6 +120,19 @@ struct FaultPlan
  */
 void armLink(transport::LinkPair &link, const FaultPlan &plan,
              std::shared_ptr<const bool> update_active = nullptr);
+
+/**
+ * The corruption hook armLink() installs on each direction. Every
+ * byte of a send draws Rng::chance(rate) from @p rng, and a hit flips
+ * bit Rng::uniformInt(0, 7) of it; the rate is @p raised_rate instead
+ * for a send made while *@p raised is true (a null @p raised never
+ * is). The hook compares each byte's raw draw with
+ * Rng::chanceThreshold(rate), which consumes the same outputs and
+ * decides every byte as chance(rate) would.
+ */
+transport::UartLink::Corruptor
+byteCorruptor(std::shared_ptr<Rng> rng, double rate, double raised_rate,
+              std::shared_ptr<const bool> raised);
 
 /**
  * Replay @p trace for @p app under config.faults through the full

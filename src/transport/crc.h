@@ -31,7 +31,7 @@ inline constexpr std::array<std::uint16_t, 256> crc16Table = [] {
 } // namespace detail
 
 /** Incremental form: fold @p byte into a running @p crc. */
-inline std::uint16_t
+constexpr std::uint16_t
 crc16Step(std::uint16_t crc, std::uint8_t byte)
 {
     return static_cast<std::uint16_t>(

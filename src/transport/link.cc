@@ -54,9 +54,10 @@ UartLink::send(const std::vector<std::uint8_t> &bytes, double now)
     // round differently, and delivery times are part of the model.
     const double byte_seconds = transferSeconds(1);
     double start = std::max(now, lineBusyUntil);
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
+    deliveryTime.resize(wire.size());
+    for (std::size_t i = first; i < wire.size(); ++i) {
         start += byte_seconds;
-        deliveryTime.push_back(start);
+        deliveryTime[i] = start;
     }
     lineBusyUntil = start;
 }

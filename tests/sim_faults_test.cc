@@ -5,16 +5,28 @@
  * deterministic in the seed, and the acceptance scenario of
  * docs/fault-model.md — byte corruption plus a mid-run hub brownout —
  * recovers all pushed conditions with bounded recall loss and nonzero
- * fault metrics.
+ * fault metrics. armLink's corruption hooks flip exactly the bytes the
+ * per-byte chance(p) loop flips on the standard engine.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <memory>
+#include <random>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "apps/apps.h"
 #include "sim/faults.h"
 #include "sim/simulator.h"
 #include "support/error.h"
+#include "support/rng.h"
 #include "trace/robot_gen.h"
+#include "transport/link.h"
 
 namespace sidewinder::sim {
 namespace {
@@ -268,6 +280,122 @@ TEST(FaultSim, FaultsRequireSidewinderOnMcu)
     // runtime for the transport stack to supervise.
     config.hubBackend = HubBackend::Heterogeneous;
     EXPECT_THROW(simulate(trace, *app, config), ConfigError);
+}
+
+/**
+ * The corruption loop byteCorruptor must reproduce: per byte, a
+ * bernoulli_distribution(p) draw on the standard engine, and on a hit
+ * a bit from uniform_int_distribution(0, 7).
+ */
+void
+chanceLoopCorrupt(std::mt19937_64 &engine, double p,
+                  std::span<std::uint8_t> bytes)
+{
+    for (std::uint8_t &byte : bytes) {
+        std::bernoulli_distribution hit(p);
+        if (hit(engine)) {
+            std::uniform_int_distribution<std::int64_t> bit(0, 7);
+            byte = static_cast<std::uint8_t>(byte ^ (1u << bit(engine)));
+        }
+    }
+}
+
+/**
+ * Run byteCorruptor and the chance loop side by side over ~@p total
+ * bytes in mixed send sizes, the raised flag toggling between sends,
+ * and require the same flips and the same stream position after.
+ */
+void
+expectChanceLoopStream(double rate, double raised_rate, bool with_flag,
+                       std::size_t total)
+{
+    constexpr std::uint64_t seed = 0x5EED5EED;
+    const std::size_t sizes[] = {1, 8, 20, 1230, 1500};
+    auto raised = std::make_shared<bool>(false);
+    auto rng = std::make_shared<Rng>(seed);
+    const auto hook = byteCorruptor(rng, rate, raised_rate,
+                                    with_flag ? raised : nullptr);
+    std::mt19937_64 oracle(seed);
+    std::size_t sent = 0;
+    std::size_t flipped = 0;
+    for (std::size_t send = 0; sent < total; ++send) {
+        std::vector<std::uint8_t> bytes(sizes[send % std::size(sizes)]);
+        for (std::size_t i = 0; i < bytes.size(); ++i)
+            bytes[i] = static_cast<std::uint8_t>(sent + i);
+        std::vector<std::uint8_t> expected = bytes;
+        *raised = send % 3 == 1;
+        hook(bytes);
+        chanceLoopCorrupt(oracle,
+                          with_flag && *raised ? raised_rate : rate,
+                          expected);
+        ASSERT_EQ(bytes, expected) << "rate " << rate << " send " << send;
+        for (std::size_t i = 0; i < bytes.size(); ++i)
+            flipped += bytes[i] != static_cast<std::uint8_t>(sent + i);
+        sent += bytes.size();
+    }
+    EXPECT_EQ(rng->next(), oracle()) << "rate " << rate;
+    if (rate > 0.0) {
+        EXPECT_GT(flipped, 0u) << "rate " << rate;
+    }
+}
+
+TEST(ArmLink, CorruptorFlipsWhatTheChanceLoopFlips)
+{
+    // The faults workload's corruption rates, each raised by an
+    // update's 1e-3 while the flag is set; rate 0 is its reconfig
+    // cell, whose line corrupts only during updates.
+    for (double rate : {0.0, 1e-4, 5e-4, 1e-3, 2e-3, 5e-3})
+        expectChanceLoopStream(rate, rate + 1e-3, true, 1u << 20);
+    // armLink without an update flag.
+    expectChanceLoopStream(1e-3, 1e-3, false, 1u << 18);
+    // Every output hits, including all-ones, where x < threshold
+    // alone would miss.
+    expectChanceLoopStream(1.0, 1.0, true, 1u << 14);
+}
+
+TEST(ArmLink, HooksDrawFromForksOfThePlanSeed)
+{
+    FaultPlan plan;
+    plan.byteCorruptionRate = 5e-3;
+    plan.updateCorruptionRate = 1e-3;
+    plan.seed = 77;
+    auto updating = std::make_shared<bool>(false);
+    transport::LinkPair link(115200.0);
+    armLink(link, plan, updating);
+
+    // armLink forks phone-to-hub corruption, phone-to-hub drops, then
+    // hub-to-phone corruption from Rng(plan.seed).
+    std::mt19937_64 root(plan.seed);
+    std::mt19937_64 phone_to_hub(root());
+    root();
+    std::mt19937_64 hub_to_phone(root());
+
+    double now = 0.0;
+    for (int send = 0; send < 400; ++send) {
+        std::vector<std::uint8_t> bytes(
+            static_cast<std::size_t>(1 + (send * 37) % 1500));
+        for (std::size_t i = 0; i < bytes.size(); ++i)
+            bytes[i] = static_cast<std::uint8_t>(send + i);
+        *updating = send % 4 == 0;
+        const double p = plan.byteCorruptionRate +
+                         (*updating ? plan.updateCorruptionRate : 0.0);
+        for (auto [line, oracle] :
+             {std::pair{&link.phoneToHub(), &phone_to_hub},
+              std::pair{&link.hubToPhone(), &hub_to_phone}}) {
+            line->send(bytes, now);
+            std::vector<std::uint8_t> expected = bytes;
+            chanceLoopCorrupt(*oracle, p, expected);
+            const auto received = line->receive(line->busyUntil());
+            ASSERT_EQ(std::vector<std::uint8_t>(received.begin(),
+                                                received.end()),
+                      expected)
+                << "send " << send;
+        }
+        now = std::max(link.phoneToHub().busyUntil(),
+                       link.hubToPhone().busyUntil());
+    }
+    EXPECT_GT(link.phoneToHub().corruptedBytes(), 0u);
+    EXPECT_GT(link.hubToPhone().corruptedBytes(), 0u);
 }
 
 } // namespace

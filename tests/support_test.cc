@@ -1,10 +1,19 @@
 /**
  * @file
- * Unit tests for the support module: ring buffer, RNG determinism,
+ * Unit tests for the support module: ring buffer, RNG determinism
+ * (the engine and every helper against the standard library's
+ * mt19937_64, and chanceThreshold against bernoulli_distribution),
  * and logging levels.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "support/error.h"
 #include "support/logging.h"
@@ -152,6 +161,125 @@ TEST(Rng, ForkProducesIndependentStream)
     for (int i = 0; i < 10; ++i)
         any_diff |= a.uniform(0.0, 1.0) != child.uniform(0.0, 1.0);
     EXPECT_TRUE(any_diff);
+}
+
+TEST(Rng, NextMatchesStdMt19937_64)
+{
+    for (std::uint64_t seed :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{5489},
+          std::uint64_t{0x5EED5EED},
+          std::numeric_limits<std::uint64_t>::max()}) {
+        Rng rng(seed);
+        std::mt19937_64 oracle(seed);
+        for (int i = 0; i < 10000; ++i)
+            ASSERT_EQ(rng.next(), oracle())
+                << "seed " << seed << " output " << i;
+    }
+}
+
+TEST(Rng, StandardCheckValue)
+{
+    // [rand.predef]: the 10000th output of a default-constructed
+    // mt19937_64 (seed 5489).
+    Rng rng(5489);
+    for (int i = 1; i < 10000; ++i)
+        rng.next();
+    EXPECT_EQ(rng.next(), 9981545732273789042ULL);
+}
+
+TEST(Rng, HelpersMatchStdDistributionsOnStdEngine)
+{
+    constexpr int draws = 100000;
+    Rng rng(0xD157);
+    std::mt19937_64 oracle(0xD157);
+    Rng params(3);
+    const std::vector<double> weights = {0.5, 0.0, 2.0, 1e-3, 7.25};
+    for (int i = 0; i < draws; ++i) {
+        const double mean = params.uniform(-10.0, 10.0);
+        const double stddev = params.uniform(1e-3, 5.0);
+        std::normal_distribution<double> normal(mean, stddev);
+        ASSERT_EQ(rng.gaussian(mean, stddev), normal(oracle)) << i;
+    }
+    for (int i = 0; i < draws; ++i) {
+        const double lo = params.uniform(-1e3, 1e3);
+        const double hi = lo + params.uniform(1e-6, 1e3);
+        std::uniform_real_distribution<double> uniform(lo, hi);
+        ASSERT_EQ(rng.uniform(lo, hi), uniform(oracle)) << i;
+    }
+    constexpr std::int64_t lowest = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t highest = std::numeric_limits<std::int64_t>::max();
+    const std::pair<std::int64_t, std::int64_t> ranges[] = {
+        {0, 7}, {0, 0}, {-5, 5}, {0, 255}, {-1000, 1000003},
+        {0, std::int64_t{1} << 40}, {lowest, highest},
+        {-(std::int64_t{1} << 62), highest}};
+    for (int i = 0; i < draws; ++i) {
+        const auto [lo, hi] = ranges[i % std::size(ranges)];
+        std::uniform_int_distribution<std::int64_t> uniform(lo, hi);
+        ASSERT_EQ(rng.uniformInt(lo, hi), uniform(oracle)) << i;
+    }
+    for (int i = 0; i < draws; ++i) {
+        const double p = i % 4 == 0 ? params.uniform(0.0, 1.0)
+                                    : params.uniform(0.0, 1e-2);
+        std::bernoulli_distribution bernoulli(p);
+        ASSERT_EQ(rng.chance(p), bernoulli(oracle)) << i;
+    }
+    for (int i = 0; i < draws; ++i) {
+        std::discrete_distribution<std::size_t> discrete(weights.begin(),
+                                                         weights.end());
+        ASSERT_EQ(rng.weightedIndex(weights), discrete(oracle)) << i;
+    }
+    for (int i = 0; i < draws; ++i) {
+        Rng child = rng.fork();
+        std::mt19937_64 child_oracle(oracle());
+        ASSERT_EQ(child.next(), child_oracle()) << i;
+    }
+    EXPECT_EQ(rng.next(), oracle());
+}
+
+/** A generator that always returns the same output. */
+struct FixedOutput
+{
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() const { return x; }
+    result_type x;
+};
+
+bool
+bernoulliHits(double p, std::uint64_t x)
+{
+    std::bernoulli_distribution bernoulli(p);
+    FixedOutput output{x};
+    return bernoulli(output);
+}
+
+TEST(Rng, ChanceThresholdIsBernoulliCut)
+{
+    constexpr std::uint64_t all_ones =
+        std::numeric_limits<std::uint64_t>::max();
+    Rng probe(0x7E57);
+    for (double p : {0.0, 1e-300, 1e-12, 1e-4, 5e-4, 1e-3, 2e-3, 5e-3,
+                     1e-2, 0.5, 1.0 - 0x1p-53, 1.0}) {
+        const std::uint64_t cut = Rng::chanceThreshold(p);
+        if (cut > 0) {
+            EXPECT_TRUE(bernoulliHits(p, cut - 1)) << "p " << p;
+        }
+        if (cut < all_ones) {
+            EXPECT_FALSE(bernoulliHits(p, cut)) << "p " << p;
+        } else {
+            // All-ones: every output hits, all-ones included.
+            EXPECT_TRUE(bernoulliHits(p, cut)) << "p " << p;
+        }
+        for (int i = 0; i < 1000; ++i) {
+            const std::uint64_t x = probe.next();
+            ASSERT_EQ(bernoulliHits(p, x), x < cut || cut == all_ones)
+                << "p " << p << " x " << x;
+        }
+    }
+    EXPECT_EQ(Rng::chanceThreshold(0.0), 0u);
+    EXPECT_EQ(Rng::chanceThreshold(1e-300), 1u);
+    EXPECT_EQ(Rng::chanceThreshold(1.0), all_ones);
 }
 
 TEST(Logging, LevelGates)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Unit tests for the transport layer: CRC (the lookup table against
- * the bitwise definition), frame codec with fault injection and the
- * decoder's chunking invariance, message serialization, and UART
- * timing, corruption hook and receive views.
+ * Unit tests for the transport layer: CRC (the lookup table and the
+ * slicing-by-8 fold against the bitwise definition), frame codec
+ * with fault injection and the decoder's chunking invariance, message
+ * serialization, and UART timing, corruption hook and receive views.
  */
 
 #include <gtest/gtest.h>
@@ -68,17 +68,50 @@ TEST(Crc16, TableStepMatchesBitwiseDefinition)
 
 TEST(Crc16, UpdateFoldsBytesInOrder)
 {
+    auto fold = [](std::uint16_t crc, std::span<const std::uint8_t> span) {
+        for (std::uint8_t byte : span)
+            crc = bitwiseCrc16Step(crc, byte);
+        return crc;
+    };
     Rng rng(31);
     std::vector<std::uint8_t> data(1000);
     for (auto &byte : data)
         byte = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
-    std::uint16_t bitwise = 0xFFFF;
-    for (std::uint8_t byte : data)
-        bitwise = bitwiseCrc16Step(bitwise, byte);
+    const std::uint16_t bitwise = fold(0xFFFF, data);
     EXPECT_EQ(crc16(data), bitwise);
     const std::span<const std::uint8_t> all(data);
     EXPECT_EQ(crc16Update(crc16(all.first(377)), all.subspan(377)),
               bitwise);
+
+    // crc16Update folds eight bytes at a time, then byte by byte:
+    // every length around the eight-byte blocks, at every alignment,
+    // from many register states, then long random spans.
+    std::vector<std::uint8_t> buffer(4096 + 8);
+    for (auto &byte : buffer)
+        byte = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+    const std::span<const std::uint8_t> bytes(buffer);
+    for (int s = 0; s < 64; ++s) {
+        const auto state =
+            static_cast<std::uint16_t>(rng.uniformInt(0, 0xFFFF));
+        for (std::size_t offset = 0; offset < 8; ++offset)
+            for (std::size_t length = 0; length <= 64; ++length) {
+                const auto span = bytes.subspan(offset, length);
+                ASSERT_EQ(crc16Update(state, span), fold(state, span))
+                    << "state " << state << " offset " << offset
+                    << " length " << length;
+            }
+    }
+    for (int i = 0; i < 200; ++i) {
+        const auto state =
+            static_cast<std::uint16_t>(rng.uniformInt(0, 0xFFFF));
+        const auto offset = static_cast<std::size_t>(rng.uniformInt(0, 7));
+        const auto length =
+            static_cast<std::size_t>(rng.uniformInt(1, 4096));
+        const auto span = bytes.subspan(offset, length);
+        ASSERT_EQ(crc16Update(state, span), fold(state, span))
+            << "state " << state << " offset " << offset << " length "
+            << length;
+    }
 }
 
 TEST(FrameCodec, RoundTripsPayload)
