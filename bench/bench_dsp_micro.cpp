@@ -34,9 +34,11 @@
 #include "il/plan.h"
 #include "reference/legacy_engine.h"
 #include "sim/faults.h"
+#include "sim/simulator.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
 #include "trace/audio_gen.h"
+#include "trace/robot_gen.h"
 #include "transport/crc.h"
 #include "transport/frame.h"
 #include "transport/link.h"
@@ -846,6 +848,56 @@ BM_CorruptBytes(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CorruptBytes)->Arg(1230);
+
+/**
+ * The `faults` workload's trace at the default seed: one generated
+ * 600 s robot run, half of it idle.
+ */
+const trace::Trace &
+faultRun()
+{
+    static const trace::Trace run = [] {
+        trace::RobotRunConfig config;
+        config.idleFraction = 0.5;
+        config.durationSeconds = 600.0;
+        config.seed = 20160402;
+        return trace::generateRobotRun(config);
+    }();
+    return run;
+}
+
+/** The steps app's Sidewinder cell on faultRun(), fault-free: the
+    fast path, block replay with no link. */
+void
+BM_StepsCellFastPath(benchmark::State &state)
+{
+    const auto app = apps::makeStepsApp();
+    sim::SimConfig config;
+    config.strategy = sim::Strategy::Sidewinder;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            sim::simulate(faultRun(), *app, config).recall);
+}
+BENCHMARK(BM_StepsCellFastPath);
+
+/**
+ * The same cell through the supervised stack at a 5% frame drop
+ * rate, per-sample ingestion and both link polls on every wave. A
+ * byte, frame or timer is due on only a few percent of its waves, so
+ * against BM_StepsCellFastPath this prices an idle wave.
+ */
+void
+BM_StepsCellSupervisedDrop(benchmark::State &state)
+{
+    const auto app = apps::makeStepsApp();
+    sim::SimConfig config;
+    config.strategy = sim::Strategy::Sidewinder;
+    config.faults.frameDropRate = 0.05;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            sim::simulateSupervised(faultRun(), *app, config).recall);
+}
+BENCHMARK(BM_StepsCellSupervisedDrop);
 
 } // namespace
 

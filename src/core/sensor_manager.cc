@@ -262,9 +262,29 @@ SidewinderSensorManager::hubDownSeconds(double now) const
     return total;
 }
 
+bool
+SidewinderSensorManager::heartbeatsMissed(double now) const
+{
+    return supervising && !hubIsDown &&
+           now - lastBeatTime > supConfig.heartbeatIntervalSeconds *
+                                    supConfig.missedBeatsThreshold;
+}
+
+bool
+SidewinderSensorManager::pollDue(double now) const
+{
+    return link.hubToPhone().due(now) || decoder.due(now) ||
+           (reliable && reliable->due(now)) || heartbeatsMissed(now);
+}
+
 void
 SidewinderSensorManager::poll(double now)
 {
+    // The line is idle on almost every wave. With nothing due, every
+    // step below would be a no-op.
+    if (!pollDue(now))
+        return;
+
     decoder.feed(link.hubToPhone().receive(now));
     decoder.tickStall(now);
     while (auto frame = decoder.poll()) {
@@ -286,23 +306,18 @@ SidewinderSensorManager::poll(double now)
     if (reliable)
         reliable->tick(now);
 
-    if (supervising && !hubIsDown) {
-        const double silence = now - lastBeatTime;
-        if (silence > supConfig.heartbeatIntervalSeconds *
-                          supConfig.missedBeatsThreshold) {
-            hubIsDown = true;
-            downSince = now;
-            ++supStats.hubDeathsDetected;
-            // Heartbeat-driven rollback: a silent hub cannot finish
-            // the transfer. Its own stall timeout reclaims the shadow
-            // slot; we drop ours and tell it (best-effort) so a hub
-            // that is merely unreachable rolls back promptly too.
-            if (pendingUpdate) {
-                sendToHub(transport::encodeUpdateAbort(
-                              {pendingUpdate->epoch}),
-                          now);
-                discardUpdate("hub heartbeats vanished mid-update");
-            }
+    if (heartbeatsMissed(now)) {
+        hubIsDown = true;
+        downSince = now;
+        ++supStats.hubDeathsDetected;
+        // Heartbeat-driven rollback: a silent hub cannot finish the
+        // transfer. Its own stall timeout reclaims the shadow slot; we
+        // drop ours and tell it (best-effort) so a hub that is merely
+        // unreachable rolls back promptly too.
+        if (pendingUpdate) {
+            sendToHub(
+                transport::encodeUpdateAbort({pendingUpdate->epoch}), now);
+            discardUpdate("hub heartbeats vanished mid-update");
         }
     }
 }
@@ -330,7 +345,7 @@ SidewinderSensorManager::handleFrame(const transport::Frame &frame,
         break;
       }
       case transport::MessageType::WakeUp: {
-        const auto message = transport::decodeWakeUp(frame);
+        auto message = transport::decodeWakeUp(frame);
         auto it = entries.find(message.conditionId);
         if (it == entries.end() ||
             it->second.state == ConditionState::Removed)
@@ -339,7 +354,7 @@ SidewinderSensorManager::handleFrame(const transport::Frame &frame,
         data.conditionId = message.conditionId;
         data.timestamp = message.timestamp;
         data.triggerValue = message.triggerValue;
-        data.rawData = message.rawData;
+        data.rawData = std::move(message.rawData);
         it->second.listener->onSensorEvent(data);
         break;
       }

@@ -292,6 +292,15 @@ class SidewinderSensorManager
     };
 
     const Entry &entryOf(int condition_id) const;
+    /**
+     * True when poll(@p now) would change any state: a byte from the
+     * hub is due, the decoder or the reliable endpoint has work, or
+     * the supervisor has missed enough heartbeats. On all other waves
+     * poll() returns at once.
+     */
+    bool pollDue(double now) const;
+    /** Supervising a live hub that has been silent too long. */
+    bool heartbeatsMissed(double now) const;
     void handleFrame(const transport::Frame &frame, double now);
     void sendToHub(const transport::Frame &frame, double now);
     void recoverHub(double now);

@@ -92,9 +92,35 @@ HubRuntime::setUpdateStallTimeout(double seconds)
     updateStallTimeout = seconds;
 }
 
+bool
+HubRuntime::updateStalled(double now) const
+{
+    return txn && now - txn->lastFrameAt > updateStallTimeout;
+}
+
+bool
+HubRuntime::heartbeatDue(double now) const
+{
+    return heartbeatInterval > 0.0 &&
+           (!heartbeatSent || now >= lastHeartbeat + heartbeatInterval);
+}
+
+bool
+HubRuntime::linkDue(double now) const
+{
+    return link.phoneToHub().due(now) || decoder.due(now) ||
+           (reliable && reliable->due(now)) || updateStalled(now) ||
+           heartbeatDue(now);
+}
+
 void
 HubRuntime::pollLink(double now)
 {
+    // The line is idle on almost every wave. With nothing due, every
+    // step below would be a no-op.
+    if (!linkDue(now))
+        return;
+
     decoder.feed(link.phoneToHub().receive(now));
     decoder.tickStall(now);
     while (auto frame = decoder.poll()) {
@@ -120,11 +146,10 @@ HubRuntime::pollLink(double now)
     // Mid-update death of the phone (or of the link beyond what ARQ
     // recovers) must not park staged plans in the shadow slot
     // forever: when the update frames stop, roll back to the A copy.
-    if (txn && now - txn->lastFrameAt > updateStallTimeout)
+    if (updateStalled(now))
         rollbackUpdate(now, "update stalled mid-transfer");
 
-    if (heartbeatInterval > 0.0 &&
-        (!heartbeatSent || now >= lastHeartbeat + heartbeatInterval)) {
+    if (heartbeatDue(now)) {
         transport::HeartbeatMessage beat;
         beat.bootId = bootEpoch;
         beat.uptimeSeconds = now - bootTime;

@@ -203,6 +203,17 @@ class HubRuntime
         std::vector<double> pending;
     };
 
+    /**
+     * True when pollLink(@p now) would change any state: a byte from
+     * the phone is due, the decoder or the reliable endpoint has work,
+     * or the update-stall or heartbeat timer has expired. On all other
+     * waves pollLink() returns at once.
+     */
+    bool linkDue(double now) const;
+    /** An open transaction has heard nothing for updateStallTimeout. */
+    bool updateStalled(double now) const;
+    /** The next heartbeat beacon is due. */
+    bool heartbeatDue(double now) const;
     void handleFrame(const transport::Frame &frame, double now);
     void sendToPhone(const transport::Frame &frame, double now);
     /** Gate @p program and stage it in the shadow slot. @throws

@@ -177,20 +177,22 @@ FrameDecoder::resync()
 }
 
 void
-FrameDecoder::tickStall(double now, double timeout_seconds)
+FrameDecoder::tickStall(double now)
 {
-    if (state == State::Sync) {
-        stallSince = -1.0;
+    switch (stallStep(now)) {
+      case StallStep::None:
         return;
-    }
-    if (stallSince < 0.0 || stallObservedEpoch != candidateEpoch) {
+      case StallStep::Observe:
         stallObservedEpoch = candidateEpoch;
         stallSince = now;
         return;
-    }
-    if (now - stallSince > timeout_seconds) {
+      case StallStep::Resync:
         resync();
         stallSince = -1.0;
+        return;
+      case StallStep::Clear:
+        stallSince = -1.0;
+        return;
     }
 }
 

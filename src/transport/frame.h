@@ -170,16 +170,53 @@ class FrameDecoder
 
     /**
      * Stall watchdog: resync() a candidate that has been pending since
-     * before @p now - @p timeout_seconds. Receivers call this from
-     * their poll loop so a corrupted length field that promises more
-     * payload than will ever arrive cannot deafen the link for the
-     * rest of the run.
+     * before @p now - frameStallTimeoutSeconds. Receivers call this
+     * from their poll loop so a corrupted length field that promises
+     * more payload than will ever arrive cannot deafen the link for
+     * the rest of the run.
      */
-    void tickStall(double now,
-                   double timeout_seconds = frameStallTimeoutSeconds);
+    void tickStall(double now);
+
+    /**
+     * True when poll() has a frame waiting or tickStall(@p now) would
+     * change the decoder's state. When it is false and no bytes
+     * arrive, a receiver's feed, tickStall and poll calls are all
+     * no-ops, so it may skip them.
+     */
+    bool
+    due(double now) const
+    {
+        return !ready.empty() || stallStep(now) != StallStep::None;
+    }
 
   private:
     enum class State { Sync, Type, LenLo, LenHi, Payload, CrcHi, CrcLo };
+
+    /** The one change a tickStall() call makes, if any. */
+    enum class StallStep {
+        /** Nothing: no candidate, or one not yet timed out. */
+        None,
+        /** Forget the mark a finished candidate left behind. */
+        Clear,
+        /** Start timing a candidate not seen by tickStall() yet. */
+        Observe,
+        /** Abandon the timed-out candidate. */
+        Resync,
+    };
+
+    /** What tickStall(@p now) would do. */
+    StallStep
+    stallStep(double now) const
+    {
+        // A negative stallSince is no mark.
+        if (state == State::Sync)
+            return stallSince < 0.0 ? StallStep::None : StallStep::Clear;
+        if (stallSince < 0.0 || stallObservedEpoch != candidateEpoch)
+            return StallStep::Observe;
+        return now - stallSince > frameStallTimeoutSeconds
+                   ? StallStep::Resync
+                   : StallStep::None;
+    }
 
     std::size_t parse(std::span<const std::uint8_t> in, bool &failed);
     void fail();

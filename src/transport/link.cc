@@ -6,17 +6,6 @@
 
 namespace sidewinder::transport {
 
-namespace {
-
-/** A delivery time due by @p now (with a little float slack). */
-bool
-isDue(double delivery_time, double now)
-{
-    return delivery_time <= now + 1e-12;
-}
-
-} // namespace
-
 UartLink::UartLink(double baud_rate) : baudRate(baud_rate)
 {
     if (!(baud_rate > 0.0))
@@ -72,22 +61,32 @@ UartLink::sendFrame(const Frame &frame, double now)
     send(encodeFrame(frame), now);
 }
 
+std::size_t
+UartLink::dueEnd(double now) const
+{
+    // Delivery times never decrease: each send starts at
+    // max(now, lineBusyUntil) and adds a positive byte time per byte.
+    // So the due bytes are a prefix of the undelivered ones, and a
+    // binary search finds its end.
+    const auto end = std::partition_point(
+        deliveryTime.begin() + static_cast<std::ptrdiff_t>(head),
+        deliveryTime.end(),
+        [now](double delivery_time) { return isDue(delivery_time, now); });
+    return static_cast<std::size_t>(end - deliveryTime.begin());
+}
+
 std::span<const std::uint8_t>
 UartLink::receive(double now)
 {
     const std::size_t first = head;
-    while (head < wire.size() && isDue(deliveryTime[head], now))
-        ++head;
+    head = dueEnd(now);
     return {wire.data() + first, head - first};
 }
 
 std::size_t
 UartLink::pendingBytes(double now) const
 {
-    return static_cast<std::size_t>(std::count_if(
-        deliveryTime.begin() + static_cast<std::ptrdiff_t>(head),
-        deliveryTime.end(),
-        [now](double due) { return !isDue(due, now); }));
+    return deliveryTime.size() - dueEnd(now);
 }
 
 } // namespace sidewinder::transport

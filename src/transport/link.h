@@ -52,6 +52,17 @@ class UartLink
      */
     std::span<const std::uint8_t> receive(double now);
 
+    /**
+     * True when a byte is due by @p now, i.e. exactly when receive()
+     * would return a non-empty view. Pollers skip idle waves on it.
+     */
+    bool
+    due(double now) const
+    {
+        return head < deliveryTime.size() &&
+               isDue(deliveryTime[head], now);
+    }
+
     /** Seconds needed to serialize @p byte_count bytes. */
     double transferSeconds(std::size_t byte_count) const;
 
@@ -102,6 +113,16 @@ class UartLink
     double busyUntil() const { return lineBusyUntil; }
 
   private:
+    /** A delivery time due by @p now (with a little float slack). */
+    static bool
+    isDue(double delivery_time, double now)
+    {
+        return delivery_time <= now + 1e-12;
+    }
+
+    /** Index one past the last byte due by @p now. */
+    std::size_t dueEnd(double now) const;
+
     double baudRate;
     /** Time the transmitter becomes free again. */
     double lineBusyUntil = 0.0;

@@ -1,8 +1,10 @@
 #include "transport/messages.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <span>
 
 #include "support/error.h"
 
@@ -33,6 +35,21 @@ class Writer
         for (int i = 0; i < 8; ++i)
             bytes.push_back(
                 static_cast<std::uint8_t>((raw >> (8 * i)) & 0xFF));
+    }
+
+    /** A u32 count, then each value as f64() writes it, in bulk. */
+    void
+    f64s(std::span<const double> values)
+    {
+        u32(static_cast<std::uint32_t>(values.size()));
+        if constexpr (std::endian::native == std::endian::little) {
+            const auto *raw =
+                reinterpret_cast<const std::uint8_t *>(values.data());
+            bytes.insert(bytes.end(), raw, raw + values.size_bytes());
+        } else {
+            for (double v : values)
+                f64(v);
+        }
     }
 
     void
@@ -84,11 +101,42 @@ class Reader
         return value;
     }
 
+    /**
+     * A u32 count of items at least @p item_bytes long each. A count
+     * the rest of the payload cannot hold throws before the caller
+     * sizes anything by it.
+     */
+    std::uint32_t
+    count(std::size_t item_bytes)
+    {
+        const std::uint32_t n = u32();
+        if (static_cast<std::uint64_t>(n) * item_bytes >
+            bytes.size() - pos)
+            throw TransportError("message payload truncated");
+        return n;
+    }
+
+    /** A count, then that many values as f64() reads them, in bulk. */
+    std::vector<double>
+    f64s()
+    {
+        std::vector<double> values(count(sizeof(double)));
+        if constexpr (std::endian::native == std::endian::little) {
+            const std::size_t size = values.size() * sizeof(double);
+            if (size > 0)
+                std::memcpy(values.data(), bytes.data() + pos, size);
+            pos += size;
+        } else {
+            for (double &v : values)
+                v = f64();
+        }
+        return values;
+    }
+
     std::string
     text()
     {
-        const std::uint32_t length = u32();
-        need(length);
+        const std::uint32_t length = count(1);
         std::string value(bytes.begin() + static_cast<long>(pos),
                           bytes.begin() + static_cast<long>(pos + length));
         pos += length;
@@ -162,12 +210,11 @@ Frame
 encodeWakeUp(const WakeUpMessage &message)
 {
     Writer w;
+    w.bytes.reserve(4 + 8 + 8 + 4 + 8 * message.rawData.size());
     w.i32(message.conditionId);
     w.f64(message.timestamp);
     w.f64(message.triggerValue);
-    w.u32(static_cast<std::uint32_t>(message.rawData.size()));
-    for (double v : message.rawData)
-        w.f64(v);
+    w.f64s(message.rawData);
     return Frame{MessageType::WakeUp, std::move(w.bytes)};
 }
 
@@ -322,9 +369,7 @@ encodeDeltaPush(const DeltaPushMessage &message)
             continue;
         }
         w.text(entry.algorithm);
-        w.u32(static_cast<std::uint32_t>(entry.params.size()));
-        for (double p : entry.params)
-            w.f64(p);
+        w.f64s(entry.params);
         w.u32(static_cast<std::uint32_t>(entry.inputs.size()));
         for (std::int32_t ref : entry.inputs)
             w.i32(ref);
@@ -341,11 +386,13 @@ decodeDeltaPush(const Frame &frame)
     DeltaPushMessage message;
     message.epoch = r.u32();
     message.conditionId = r.i32();
-    const std::uint32_t channels = r.u32();
+    // Smallest wire items: a name is its 4-byte length; an entry is
+    // a flag and an 8-byte hash reference.
+    const std::uint32_t channels = r.count(4);
     message.channelNames.reserve(channels);
     for (std::uint32_t i = 0; i < channels; ++i)
         message.channelNames.push_back(r.text());
-    const std::uint32_t count = r.u32();
+    const std::uint32_t count = r.count(1 + 8);
     message.entries.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         DeltaNodeEntry entry;
@@ -356,11 +403,8 @@ decodeDeltaPush(const Frame &frame)
                                  << (8 * b);
         } else {
             entry.algorithm = r.text();
-            const std::uint32_t params = r.u32();
-            entry.params.reserve(params);
-            for (std::uint32_t p = 0; p < params; ++p)
-                entry.params.push_back(r.f64());
-            const std::uint32_t inputs = r.u32();
+            entry.params = r.f64s();
+            const std::uint32_t inputs = r.count(4);
             entry.inputs.reserve(inputs);
             for (std::uint32_t in = 0; in < inputs; ++in) {
                 const std::int32_t ref = r.i32();
@@ -409,7 +453,7 @@ decodeSensorBatch(const Frame &frame)
     message.firstTimestamp = r.f64();
     message.sampleRateHz = r.f64();
     message.scale = r.f64();
-    const std::uint32_t count = r.u32();
+    const std::uint32_t count = r.count(2);
     message.samples.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         const auto lo = static_cast<std::uint16_t>(r.u8());
@@ -501,10 +545,7 @@ decodeWakeUp(const Frame &frame)
     message.conditionId = r.i32();
     message.timestamp = r.f64();
     message.triggerValue = r.f64();
-    const std::uint32_t count = r.u32();
-    message.rawData.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i)
-        message.rawData.push_back(r.f64());
+    message.rawData = r.f64s();
     r.expectEnd();
     return message;
 }

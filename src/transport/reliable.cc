@@ -179,7 +179,7 @@ ReliableEndpoint::onFrame(const Frame &frame, double now,
 void
 ReliableEndpoint::tick(double now)
 {
-    if (!inFlight || now < deadline)
+    if (!due(now))
         return;
     if (attempts >= config.maxAttempts) {
         // Give up on this frame: drop it, surface the verdict, and

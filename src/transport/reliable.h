@@ -183,6 +183,16 @@ class ReliableEndpoint
     void tick(double now);
 
     /**
+     * True when tick(@p now) would act: a frame is in flight and its
+     * ack deadline has passed.
+     */
+    bool
+    due(double now) const
+    {
+        return inFlight && !(now < deadline);
+    }
+
+    /**
      * True once a frame exhausted maxAttempts — the link-down verdict.
      * Latched until reset(); the endpoint keeps best-effort delivering
      * subsequent frames meanwhile.

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/algorithm.h"
 #include "core/pipeline.h"
 #include "core/sensor_manager.h"
@@ -290,6 +293,45 @@ TEST(HubSupervision, WakeUpsFlowThroughReliableTransport)
     EXPECT_GE(hub.reliableStats()->framesSent, 1u);
     EXPECT_GE(hub.reliableStats()->acksReceived, 1u);
     EXPECT_EQ(hub.reliableStats()->framesLost, 0u);
+}
+
+TEST(HubSupervision, HostileCountsAreDroppedWithoutThrowing)
+{
+    // A CRC-valid frame can still carry garbage, here a count of
+    // 0xFFFFFFFF items. Each poller drops it as undecodable, without
+    // an exception, and still handles the frame behind it.
+    transport::LinkPair link(115200.0);
+    HubRuntime hub(link, core::accelerometerChannels(), msp430());
+    core::SidewinderSensorManager manager(
+        link, core::accelerometerChannels());
+    Recorder listener;
+    const int id = manager.push(motionPipeline(), &listener, 0.0);
+    driveBoth(hub, manager, 0.05, 1.0);
+    ASSERT_EQ(manager.state(id), core::ConditionState::Active);
+    ASSERT_TRUE(hub.engine().hasCondition(id));
+
+    auto wake = transport::encodeWakeUp({id, 1.5, 20.0, {}});
+    // The sample count follows the id, timestamp and trigger value.
+    std::fill(wake.payload.begin() + 4 + 8 + 8, wake.payload.end(), 0xFF);
+    link.hubToPhone().sendFrame(wake, 1.1);
+    link.hubToPhone().sendFrame(
+        transport::encodeWakeUp({id, 1.6, 21.0, {1.0, 2.0}}), 1.1);
+    EXPECT_NO_THROW(manager.poll(1.2));
+    ASSERT_EQ(listener.events.size(), 1u);
+    EXPECT_EQ(listener.events[0].timestamp, 1.6);
+    EXPECT_EQ(listener.events[0].rawData,
+              (std::vector<double>{1.0, 2.0}));
+
+    // A DeltaPush (epoch 1, this condition) whose channel count no
+    // payload could hold, then a removal the hub must still carry out.
+    transport::Frame delta{transport::MessageType::DeltaPush,
+                           {1, 0, 0, 0, static_cast<std::uint8_t>(id), 0,
+                            0, 0, 0xFF, 0xFF, 0xFF, 0xFF}};
+    link.phoneToHub().sendFrame(delta, 1.1);
+    link.phoneToHub().sendFrame(transport::encodeConfigRemove({id}), 1.1);
+    EXPECT_NO_THROW(hub.pollLink(1.2));
+    EXPECT_FALSE(hub.updateInProgress());
+    EXPECT_FALSE(hub.engine().hasCondition(id));
 }
 
 } // namespace

@@ -290,8 +290,8 @@ TEST(ReplayGoldens, SupervisedFaultPlansOnRobotApps)
     // Every fault axis the supervised stack models, each at the rates
     // the sweeps use: byte corruption up to the 1e-2 recall-cliff
     // column, frame drops, brownouts, a stuck sensor, a mix of all
-    // three link faults, and a live reconfiguration whose traffic
-    // meets extra corruption.
+    // three link faults, a live reconfiguration whose traffic meets
+    // extra corruption, and every axis at once.
     std::vector<std::pair<std::string, FaultPlan>> plans;
     for (double rate : {1e-4, 1e-3, 5e-3, 1e-2}) {
         FaultPlan plan;
@@ -320,6 +320,22 @@ TEST(ReplayGoldens, SupervisedFaultPlansOnRobotApps)
     reconfig.reconfigUpdates = {{60.0, 0.8}};
     reconfig.updateCorruptionRate = 5e-3;
     plans.emplace_back("reconfig", reconfig);
+    // Every axis at once. The first brownout lands two waves into the
+    // first update's transaction, before the hub can answer its
+    // commit, so that update rolls back and is retried. These rows
+    // also pin a defect in simulateSupervised's update schedule:
+    // after a commit it retires the next scheduled update without
+    // attempting it, so the second update never ships (deltaBytes
+    // is two deltas, both the first update's).
+    FaultPlan mix_all;
+    mix_all.byteCorruptionRate = 1e-3;
+    mix_all.frameDropRate = 0.05;
+    mix_all.stuckSensors = {{0, 30.0, 90.0}};
+    mix_all.reconfigUpdates = {{60.0, 0.8}, {120.0, 1.1}};
+    mix_all.updateCorruptionRate = 5e-3;
+    mix_all.hubResetTimes = {60.04, 150.0};
+    mix_all.hubResetDowntimeSeconds = 8.0;
+    plans.emplace_back("mix-all", mix_all);
 
     std::vector<std::unique_ptr<apps::Application>> robot_apps;
     robot_apps.push_back(apps::makeStepsApp());

@@ -157,6 +157,27 @@ TEST(ReliableEndpoint, RetransmitsAfterFrameLoss)
     EXPECT_FALSE(sender.linkDown());
 }
 
+TEST(ReliableEndpoint, DueOnlyOnceTheAckDeadlinePasses)
+{
+    // due() is tick()'s own guard: false while nothing is in flight
+    // or the deadline is ahead, and a tick then sends nothing.
+    LinkPair link(115200.0);
+    link.phoneToHub().setFrameDropper([] { return true; });
+    ReliableEndpoint sender(link.phoneToHub());
+    EXPECT_FALSE(sender.due(100.0));
+    sender.sendFrame(configFrame(1), 0.0);
+    double t = 0.0;
+    while (!sender.due(t)) {
+        sender.tick(t);
+        ASSERT_EQ(sender.stats().retransmits, 0u) << "t=" << t;
+        t += 0.001;
+    }
+    EXPECT_GT(t, 0.05); // at least the ack timeout
+    sender.tick(t);
+    EXPECT_EQ(sender.stats().retransmits, 1u);
+    EXPECT_FALSE(sender.due(t)); // the retransmit set a new deadline
+}
+
 TEST(ReliableEndpoint, SuppressesDuplicateAfterLostAck)
 {
     LinkPair link(115200.0);

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "support/error.h"
@@ -251,11 +254,62 @@ TEST(Messages, TypeMismatchThrows)
     EXPECT_THROW(decodeWakeUp(frame), TransportError);
 }
 
+/** Append @p value to @p bytes as a little-endian u32. */
+void
+appendU32(std::vector<std::uint8_t> &bytes, std::uint32_t value)
+{
+    for (int i = 0; i < 4; ++i)
+        bytes.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+}
+
 TEST(Messages, TruncatedPayloadThrows)
 {
     auto frame = encodeWakeUp({1, 0.0, 0.0, {1.0, 2.0}});
     frame.payload.resize(frame.payload.size() - 4);
     EXPECT_THROW(decodeWakeUp(frame), TransportError);
+
+    // A count no payload could hold is refused before anything is
+    // sized by it: a CRC collision must not end the run in bad_alloc.
+    constexpr std::uint32_t huge = 0xFFFFFFFF;
+    auto wake = encodeWakeUp({1, 0.0, 0.0, {}});
+    // The count follows the id, timestamp and trigger value.
+    std::fill(wake.payload.begin() + 4 + 8 + 8, wake.payload.end(), 0xFF);
+    EXPECT_THROW(decodeWakeUp(wake), TransportError);
+
+    SensorBatchMessage batch_message;
+    batch_message.sampleRateHz = 50.0;
+    auto batch = encodeSensorBatch(batch_message);
+    // The count follows the channel, first timestamp, rate and scale.
+    std::fill(batch.payload.begin() + 4 + 3 * 8, batch.payload.end(), 0xFF);
+    EXPECT_THROW(decodeSensorBatch(batch), TransportError);
+
+    // DeltaPush payloads cut off at each of its four counts.
+    const auto text = [](std::vector<std::uint8_t> &bytes,
+                         const std::string &value) {
+        appendU32(bytes, static_cast<std::uint32_t>(value.size()));
+        bytes.insert(bytes.end(), value.begin(), value.end());
+    };
+    std::vector<std::uint8_t> head; // epoch, condition id
+    appendU32(head, 1);
+    appendU32(head, 1);
+    std::vector<std::uint8_t> channels = head;
+    appendU32(channels, huge);
+    std::vector<std::uint8_t> entries = head;
+    appendU32(entries, 0);
+    appendU32(entries, huge);
+    std::vector<std::uint8_t> params = head;
+    appendU32(params, 1);
+    text(params, "ACC_X");
+    appendU32(params, 1);
+    params.push_back(0); // shipped, not a hash reference
+    text(params, "movingAvg");
+    std::vector<std::uint8_t> inputs = params;
+    appendU32(params, huge);
+    appendU32(inputs, 0);
+    appendU32(inputs, huge);
+    for (const auto &payload : {channels, entries, params, inputs})
+        EXPECT_THROW(decodeDeltaPush(Frame{MessageType::DeltaPush, payload}),
+                     TransportError);
 }
 
 TEST(UartLink, RejectsBadBaud)
@@ -377,6 +431,35 @@ TEST(UartLink, CorruptorSeesEachSendOnceInOrder)
     for (std::size_t i = 0; i < wire.size(); ++i)
         differing += wire[i] != all_sent[i];
     EXPECT_EQ(differing, changed);
+}
+
+TEST(UartLink, DueExactlyWhenReceiveWouldDeliver)
+{
+    UartLink link(115200.0);
+    Rng rng(0xD0E);
+    double now = 0.0;
+    double first_due = 0.0; // the latest send's first delivery time
+    EXPECT_FALSE(link.due(now));
+    for (int step = 0; step < 4000; ++step) {
+        if (rng.chance(0.2)) {
+            first_due =
+                std::max(now, link.busyUntil()) + link.transferSeconds(1);
+            link.send(std::vector<std::uint8_t>(static_cast<std::size_t>(
+                          rng.uniformInt(1, 40))),
+                      now);
+            continue;
+        }
+        // Sometimes land exactly on a delivery time.
+        if (rng.chance(0.2))
+            now = std::max(now, first_due);
+        else if (rng.chance(0.2))
+            now = std::max(now, link.busyUntil());
+        else
+            now += rng.uniform(0.0, 0.002);
+        const bool due = link.due(now);
+        ASSERT_EQ(due, !link.receive(now).empty()) << "step " << step;
+        ASSERT_FALSE(link.due(now)) << "step " << step;
+    }
 }
 
 TEST(UartLink, ReceiveViewsMatchANaivePerByteModel)
@@ -565,6 +648,104 @@ TEST(FrameDecoderChunking, AnySplitYieldsTheSameFramesAndDrops)
         EXPECT_EQ(frames, whole_frames) << "trial " << trial;
         EXPECT_EQ(dropped, whole_dropped) << "trial " << trial;
     }
+}
+
+/** Feed @p rest to @p decoder, flush its last candidate, and return
+    every frame it then yields with its final drop count. */
+std::pair<std::vector<Frame>, std::size_t>
+finish(FrameDecoder decoder, std::span<const std::uint8_t> rest)
+{
+    decoder.feed(rest);
+    while (decoder.midFrame())
+        decoder.resync();
+    std::vector<Frame> frames;
+    while (auto frame = decoder.poll())
+        frames.push_back(std::move(*frame));
+    return {frames, decoder.droppedBytes()};
+}
+
+TEST(FrameDecoderChunking, StallPredicateNeverHidesAStateChange)
+{
+    // Receivers skip tickStall() whenever due() is false, so a tick
+    // then must be a no-op: a copy that ticks stays equal to the
+    // original, now and through the rest of the stream.
+    Rng rng(0x57A11);
+    std::vector<std::uint8_t> stream;
+    for (int round = 0; round < 40; ++round) {
+        const auto gap =
+            noise(rng, static_cast<std::size_t>(rng.uniformInt(0, 40)));
+        stream.insert(stream.end(), gap.begin(), gap.end());
+        auto wire = encodeFrame(randomFrame(rng));
+        if (rng.chance(0.4)) {
+            // A length that promises more than follows: the candidate
+            // waits for bytes and, with the feed paused, stalls.
+            wire[2] = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+            wire[3] = static_cast<std::uint8_t>(rng.uniformInt(2, 0x0F));
+        }
+        stream.insert(stream.end(), wire.begin(), wire.end());
+    }
+
+    const double timeout = frameStallTimeoutSeconds;
+    const std::span<const std::uint8_t> all(stream);
+    FrameDecoder decoder;
+    std::size_t at = 0;
+    double now = 0.0;
+    // The latest tick that found work: a candidate's stall mark when
+    // that tick observed it.
+    double mark = -1.0;
+    std::size_t idle = 0;
+    std::size_t idle_on_deadline = 0;
+    std::size_t stalls = 0;
+    while (at < stream.size()) {
+        if (rng.chance(0.3)) {
+            const auto n = std::min(
+                static_cast<std::size_t>(rng.uniformInt(1, 64)),
+                stream.size() - at);
+            decoder.feed(all.subspan(at, n));
+            at += n;
+            while (decoder.poll()) {
+            }
+            continue;
+        }
+        // Usually a short step; sometimes exactly the mark's deadline
+        // or the next double after it.
+        double next = now + rng.uniform(0.0, 0.3);
+        const bool deadline = mark >= 0.0 && rng.chance(0.3);
+        if (deadline) {
+            next = mark + timeout;
+            if (rng.chance(0.5))
+                next = std::nextafter(next, next + 1.0);
+        }
+        now = std::max(now, next);
+        if (decoder.due(now)) {
+            const std::size_t dropped = decoder.droppedBytes();
+            decoder.tickStall(now);
+            stalls += decoder.droppedBytes() > dropped;
+            mark = now;
+            while (decoder.poll()) {
+            }
+            continue;
+        }
+
+        ++idle;
+        idle_on_deadline += deadline && now == next;
+        FrameDecoder ticked = decoder;
+        ticked.tickStall(now);
+        ASSERT_EQ(ticked.midFrame(), decoder.midFrame()) << "byte " << at;
+        ASSERT_EQ(ticked.droppedBytes(), decoder.droppedBytes())
+            << "byte " << at;
+        for (double later : {now, now + 0.5 * timeout, now + timeout,
+                             std::nextafter(now + timeout, now + 2.0),
+                             now + 2.0 * timeout})
+            ASSERT_EQ(ticked.due(later), decoder.due(later))
+                << "byte " << at;
+        ASSERT_EQ(finish(ticked, all.subspan(at)),
+                  finish(decoder, all.subspan(at)))
+            << "byte " << at;
+    }
+    EXPECT_GT(idle, 100u);
+    EXPECT_GT(idle_on_deadline, 0u);
+    EXPECT_GT(stalls, 0u);
 }
 
 TEST(SensorBatch, RoundTripsWithQuantization)
