@@ -12,6 +12,7 @@
 
 #include "hub/autotune.h"
 #include "hub/engine.h"
+#include "il/lower.h"
 #include "il/parser.h"
 #include "support/rng.h"
 
@@ -94,7 +95,9 @@ main()
                 "scale");
 
     hub::Engine static_engine({{"ACC_X", 50.0}});
-    static_engine.addCondition(1, il::parse(program_text));
+    static_engine.addCondition(
+        1, il::lower(il::parse(program_text), static_engine.channels(),
+                     static_engine.lowerOptions()));
 
     hub::Engine tuned_engine({{"ACC_X", 50.0}});
     hub::AutoTuneConfig config;

@@ -13,6 +13,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -276,12 +277,13 @@ BM_EngineSignificantMotion(benchmark::State &state)
     hub::Engine engine(
         {{"ACC_X", 50.0}, {"ACC_Y", 50.0}, {"ACC_Z", 50.0}});
     engine.addCondition(
-        1, il::parse("ACC_X -> movingAvg(id=1, params={10});\n"
-                     "ACC_Y -> movingAvg(id=2, params={10});\n"
-                     "ACC_Z -> movingAvg(id=3, params={10});\n"
-                     "1,2,3 -> vectorMagnitude(id=4);\n"
-                     "4 -> minThreshold(id=5, params={15});\n"
-                     "5 -> OUT;\n"));
+        1, il::lower(il::parse("ACC_X -> movingAvg(id=1, params={10});\n"
+                               "ACC_Y -> movingAvg(id=2, params={10});\n"
+                               "ACC_Z -> movingAvg(id=3, params={10});\n"
+                               "1,2,3 -> vectorMagnitude(id=4);\n"
+                               "4 -> minThreshold(id=5, params={15});\n"
+                               "5 -> OUT;\n"),
+                     engine.channels(), engine.lowerOptions()));
     const std::vector<double> sample{1.0, 1.0, 9.8};
     double t = 0.0;
     DspCounterScope counters(state);
@@ -308,12 +310,13 @@ BM_BlockDispatchSignificantMotion(benchmark::State &state)
     hub::Engine engine(
         {{"ACC_X", 50.0}, {"ACC_Y", 50.0}, {"ACC_Z", 50.0}});
     engine.addCondition(
-        1, il::parse("ACC_X -> movingAvg(id=1, params={10});\n"
-                     "ACC_Y -> movingAvg(id=2, params={10});\n"
-                     "ACC_Z -> movingAvg(id=3, params={10});\n"
-                     "1,2,3 -> vectorMagnitude(id=4);\n"
-                     "4 -> minThreshold(id=5, params={15});\n"
-                     "5 -> OUT;\n"));
+        1, il::lower(il::parse("ACC_X -> movingAvg(id=1, params={10});\n"
+                               "ACC_Y -> movingAvg(id=2, params={10});\n"
+                               "ACC_Z -> movingAvg(id=3, params={10});\n"
+                               "1,2,3 -> vectorMagnitude(id=4);\n"
+                               "4 -> minThreshold(id=5, params={15});\n"
+                               "5 -> OUT;\n"),
+                     engine.channels(), engine.lowerOptions()));
     // Channel-major lanes, same constant stimulus as the per-sample
     // benchmark.
     std::vector<double> samples(3 * block);
@@ -361,7 +364,9 @@ void
 BM_PlanDispatchScalarChain(benchmark::State &state)
 {
     hub::Engine engine({{"AUDIO", 4000.0}});
-    engine.addCondition(1, il::parse(kScalarChainIl));
+    engine.addCondition(1, il::lower(il::parse(kScalarChainIl),
+                                     engine.channels(),
+                                     engine.lowerOptions()));
     std::vector<double> sample{0.25};
     double t = 0.0;
     DspCounterScope counters(state);
@@ -384,7 +389,9 @@ BM_BlockDispatchScalarChain(benchmark::State &state)
 {
     const auto block = static_cast<std::size_t>(state.range(0));
     hub::Engine engine({{"AUDIO", 4000.0}});
-    engine.addCondition(1, il::parse(kScalarChainIl));
+    engine.addCondition(1, il::lower(il::parse(kScalarChainIl),
+                                     engine.channels(),
+                                     engine.lowerOptions()));
     std::vector<double> samples(block, 0.25);
     double t = 0.0;
     DspCounterScope counters(state);
@@ -409,21 +416,22 @@ BM_EngineSirenPipeline(benchmark::State &state)
     hub::Engine engine({{"AUDIO", 4000.0}});
     engine.addCondition(
         1,
-        il::parse("AUDIO -> window(id=1, params={256,1});\n"
-                  "1 -> highPass(id=2, params={750});\n"
-                  "2 -> fft(id=3);\n"
-                  "3 -> spectrum(id=4);\n"
-                  "4 -> peakToMeanRatio(id=5);\n"
-                  "5 -> minThreshold(id=6, params={4});\n"
-                  "AUDIO -> window(id=7, params={256,1});\n"
-                  "7 -> highPass(id=8, params={750});\n"
-                  "8 -> fft(id=9);\n"
-                  "9 -> spectrum(id=10);\n"
-                  "10 -> dominantFreqHz(id=11);\n"
-                  "11 -> bandThreshold(id=12, params={850,1800});\n"
-                  "6,12 -> and(id=13);\n"
-                  "13 -> consecutive(id=14, params={11});\n"
-                  "14 -> OUT;\n"));
+        il::lower(il::parse("AUDIO -> window(id=1, params={256,1});\n"
+                            "1 -> highPass(id=2, params={750});\n"
+                            "2 -> fft(id=3);\n"
+                            "3 -> spectrum(id=4);\n"
+                            "4 -> peakToMeanRatio(id=5);\n"
+                            "5 -> minThreshold(id=6, params={4});\n"
+                            "AUDIO -> window(id=7, params={256,1});\n"
+                            "7 -> highPass(id=8, params={750});\n"
+                            "8 -> fft(id=9);\n"
+                            "9 -> spectrum(id=10);\n"
+                            "10 -> dominantFreqHz(id=11);\n"
+                            "11 -> bandThreshold(id=12, params={850,1800});\n"
+                            "6,12 -> and(id=13);\n"
+                            "13 -> consecutive(id=14, params={11});\n"
+                            "14 -> OUT;\n"),
+                  engine.channels(), engine.lowerOptions()));
     // Warm up past the first frames so node result buffers are sized,
     // then show the steady-state allocation rate of the interpreter.
     std::vector<double> sample(1);
@@ -471,10 +479,18 @@ template <typename EngineT>
 void
 installSirenPhrase(EngineT &engine, double &t, double &phase)
 {
-    engine.addCondition(
-        1, apps::makeSirenApp()->wakeCondition().compile());
-    engine.addCondition(
-        2, apps::makePhraseApp()->wakeCondition().compile());
+    const il::Program conditions[] = {
+        apps::makeSirenApp()->wakeCondition().compile(),
+        apps::makePhraseApp()->wakeCondition().compile()};
+    for (int id = 1; id <= 2; ++id) {
+        const il::Program &program = conditions[id - 1];
+        // The engine installs plans; the frozen interpreter, IL.
+        if constexpr (std::is_same_v<EngineT, hub::Engine>)
+            engine.addCondition(id, il::lower(program, engine.channels(),
+                                              engine.lowerOptions()));
+        else
+            engine.addCondition(id, program);
+    }
     std::vector<double> sample(1);
     for (int i = 0; i < 1024; ++i) {
         phase += 2.0 * std::numbers::pi * 1200.0 / 4000.0;

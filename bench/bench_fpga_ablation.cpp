@@ -11,9 +11,9 @@
 
 #include "apps/apps.h"
 #include "bench_common.h"
-#include "hub/engine.h"
 #include "hub/fpga.h"
 #include "hub/mcu.h"
+#include "il/lower.h"
 
 using namespace sidewinder;
 
@@ -32,13 +32,16 @@ main()
     for (const auto &app : apps::allApps()) {
         const auto program = app->wakeCondition().compile();
         const auto channels = app->channels();
+        // The unshared upper bound: every statement as written.
         const double load =
-            hub::Engine::estimateProgramCycles(program, channels);
+            il::lower(program, channels, il::LowerOptions{false})
+                .cost()
+                .cyclesPerSecond;
 
         const bool msp_ok = hub::canRunInRealTime(hub::msp430(), load);
         const bool lm_ok = hub::canRunInRealTime(hub::lm4f120(), load);
         const auto placement =
-            hub::planFpgaPlacement(program, channels, fpga);
+            hub::planFpgaPlacement(il::lower(program, channels), fpga);
 
         std::printf("%-12s %12.0f | %8s %8s | %8.2f %8zu %7s\n",
                     app->name().c_str(), load,
@@ -54,7 +57,8 @@ main()
     // hub removes almost all of it.
     const auto siren = apps::makeSirenApp();
     const auto placement = hub::planFpgaPlacement(
-        siren->wakeCondition().compile(), siren->channels(), fpga);
+        il::lower(siren->wakeCondition().compile(), siren->channels()),
+        fpga);
     const double lm_hub = hub::lm4f120().activePowerMw;
     const double fpga_hub = placement.totalPowerMw(fpga);
     std::printf("\nsiren detector hub power: LM4F120 %.1f mW -> FPGA "

@@ -25,6 +25,7 @@
 #include "core/sensors.h"
 #include "hub/engine.h"
 #include "hub/mcu.h"
+#include "il/lower.h"
 #include "metrics/events.h"
 #include "sim/power_model.h"
 #include "sim/replay.h"
@@ -77,7 +78,8 @@ evaluate(const std::vector<trace::Trace> &traces,
 {
     Outcome outcome;
     const auto channels = app.channels();
-    const auto mcu = hub::selectMcu(program, channels);
+    const il::ExecutionPlan plan = il::lower(program, channels);
+    const auto mcu = hub::selectMcuForPlan(plan);
     outcome.mcu = mcu.name;
     outcome.hubMw = mcu.activePowerMw;
 
@@ -88,7 +90,7 @@ evaluate(const std::vector<trace::Trace> &traces,
             traces.size(), [&](std::size_t ti) {
                 const auto &t = traces[ti];
                 hub::Engine engine(channels);
-                engine.addCondition(1, program);
+                engine.addCondition(1, plan);
                 std::vector<double> triggers;
                 sim::detail::replayTrace(
                     engine, t, [&](const hub::WakeEvent &event) {

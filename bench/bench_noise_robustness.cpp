@@ -18,6 +18,7 @@
 #include "apps/apps.h"
 #include "bench_common.h"
 #include "hub/engine.h"
+#include "il/lower.h"
 #include "metrics/events.h"
 #include "sim/replay.h"
 #include "support/thread_pool.h"
@@ -33,7 +34,9 @@ wakeRecall(const apps::Application &app, const trace::Trace &trace,
            double pad)
 {
     hub::Engine engine(app.channels());
-    engine.addCondition(1, app.wakeCondition().compile());
+    engine.addCondition(1, il::lower(app.wakeCondition().compile(),
+                                     engine.channels(),
+                                     engine.lowerOptions()));
     std::vector<double> triggers;
     sim::detail::replayTrace(engine, trace,
                              [&](const hub::WakeEvent &event) {

@@ -19,6 +19,7 @@
 #include "core/sensors.h"
 #include "hub/engine.h"
 #include "il/ast.h"
+#include "il/lower.h"
 
 using namespace sidewinder;
 
@@ -38,8 +39,10 @@ report(const Workload &workload)
     hub::Engine unshared(workload.channels, false);
     int id = 1;
     for (const auto &program : workload.programs) {
-        shared.addCondition(id, program);
-        unshared.addCondition(id, program);
+        shared.addCondition(id, il::lower(program, shared.channels(),
+                                          shared.lowerOptions()));
+        unshared.addCondition(id, il::lower(program, unshared.channels(),
+                                            unshared.lowerOptions()));
         ++id;
     }
 

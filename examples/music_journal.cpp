@@ -19,6 +19,7 @@
 #include "apps/apps.h"
 #include "hub/engine.h"
 #include "core/sensors.h"
+#include "il/lower.h"
 #include "trace/audio_gen.h"
 
 using namespace sidewinder;
@@ -39,14 +40,23 @@ main(int argc, char **argv)
     const auto phrase = apps::makePhraseApp();
 
     // --- Node sharing across the two conditions ---------------------
+    // An engine installs lowered plans; lowerOptions() lowers each the
+    // way that engine instantiates it (a non-sharing one keeps every
+    // statement as its own node).
+    const il::Program music_il = music->wakeCondition().compile();
+    const il::Program phrase_il = phrase->wakeCondition().compile();
     hub::Engine shared(core::audioChannels(), /*share_nodes=*/true);
-    shared.addCondition(1, music->wakeCondition().compile());
+    shared.addCondition(1, il::lower(music_il, shared.channels(),
+                                     shared.lowerOptions()));
     const std::size_t music_only = shared.nodeCount();
-    shared.addCondition(2, phrase->wakeCondition().compile());
+    shared.addCondition(2, il::lower(phrase_il, shared.channels(),
+                                     shared.lowerOptions()));
 
     hub::Engine unshared(core::audioChannels(), /*share_nodes=*/false);
-    unshared.addCondition(1, music->wakeCondition().compile());
-    unshared.addCondition(2, phrase->wakeCondition().compile());
+    unshared.addCondition(1, il::lower(music_il, unshared.channels(),
+                                       unshared.lowerOptions()));
+    unshared.addCondition(2, il::lower(phrase_il, unshared.channels(),
+                                       unshared.lowerOptions()));
 
     std::printf("hub algorithm instances: music alone %zu, both apps "
                 "%zu shared vs %zu unshared (%.0f%% saved)\n",

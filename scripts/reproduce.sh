@@ -10,7 +10,9 @@
 #           SW_TSAN=1 enables the same.
 #   asan  — additionally build with
 #           -DSIDEWINDER_SANITIZE=address,undefined and run the tests
-#           labelled asan under ASan/UBSan. SW_ASAN=1 enables the same.
+#           labelled asan under strict ASan/UBSan (a UBSan report
+#           aborts its test; libstdc++ assertions are on). SW_ASAN=1
+#           enables the same.
 set -e
 cd "$(dirname "$0")/.."
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "il/lower.h"
 #include "support/error.h"
 
 namespace sidewinder::hub {
@@ -70,7 +71,9 @@ ThresholdAutoTuner::ThresholdAutoTuner(Engine &engine, int condition_id,
         throw ConfigError(
             "auto-tuning needs a threshold-family stage");
 
-    engine.addCondition(conditionId, current);
+    engine.addCondition(conditionId,
+                        il::lower(current, engine.channels(),
+                                  engine.lowerOptions()));
 }
 
 void
@@ -85,8 +88,12 @@ ThresholdAutoTuner::applyScale(double new_scale)
     rescale(current.statements[tunableIndex],
             original.statements[tunableIndex], scale);
 
+    // Lower before retiring the live copy: if lowering throws, the
+    // live copy keeps running.
+    const il::ExecutionPlan plan =
+        il::lower(current, engine.channels(), engine.lowerOptions());
     engine.removeCondition(conditionId);
-    engine.addCondition(conditionId, current);
+    engine.addCondition(conditionId, plan);
     ++retunes;
 }
 

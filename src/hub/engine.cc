@@ -6,7 +6,6 @@
 
 #include "dsp/q15.h"
 #include "il/delta.h"
-#include "il/lower.h"
 #include "support/error.h"
 
 namespace sidewinder::hub {
@@ -63,17 +62,6 @@ Engine::channelIndexOf(const std::string &name) const
     if (it == channelIndexByName.end())
         throw ConfigError("engine has no channel '" + name + "'");
     return it->second;
-}
-
-void
-Engine::addCondition(int condition_id, const il::Program &program)
-{
-    // Re-validate and lower on the hub side: a condition that arrives
-    // over the link is untrusted input. A non-sharing hub preserves
-    // every statement as its own node, duplicates included.
-    addCondition(condition_id,
-                 il::lower(program, channelInfos,
-                           il::LowerOptions{shareNodes}));
 }
 
 void
@@ -842,17 +830,6 @@ Engine::marginalCost(const il::ExecutionPlan &plan) const
         cost.ramBytes += plan.ramBytes[i];
     }
     return cost;
-}
-
-double
-Engine::estimateProgramCycles(const il::Program &program,
-                              const std::vector<il::ChannelInfo> &channels)
-{
-    // dedupe=false: charge the program as written (the historical
-    // unshared upper bound this estimate has always reported).
-    return il::lower(program, channels, il::LowerOptions{false})
-        .cost()
-        .cyclesPerSecond;
 }
 
 void

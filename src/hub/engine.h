@@ -12,8 +12,8 @@
  * result to the next algorithm."
  *
  * Unlike the paper's interpreter, the engine does not re-discover the
- * graph per install or per sample: conditions arrive as (or are
- * lowered to) an il::ExecutionPlan — indices resolved, costs
+ * graph per install or per sample: conditions arrive as an
+ * il::ExecutionPlan — indices resolved, costs
  * precomputed, canonical sharing keys assigned — and the wave loop
  * runs over a dense schedule of live nodes with firing policies
  * cached at install time (no per-wave virtual dispatch just to ask a
@@ -39,6 +39,7 @@
 
 #include "hub/kernel.h"
 #include "il/ast.h"
+#include "il/lower.h"
 #include "il/plan.h"
 #include "il/validate.h"
 #include "support/ring_buffer.h"
@@ -81,16 +82,10 @@ class Engine
                     KernelMode kernel_mode = KernelMode::Float64);
 
     /**
-     * Validate, lower, and install a wake-up condition.
-     * @throws ParseError on invalid programs, ConfigError on duplicate
-     *     condition ids.
-     */
-    void addCondition(int condition_id, const il::Program &program);
-
-    /**
-     * Install a pre-lowered wake-up condition (the hub runtime lowers
+     * Install a lowered wake-up condition (the hub runtime lowers
      * once at admission and installs the same plan). The plan must
-     * have been lowered against this engine's channels.
+     * have been lowered against this engine's channels, with
+     * lowerOptions() when it should instantiate as this engine would.
      * @throws ConfigError on duplicate ids or unknown channels.
      */
     void addCondition(int condition_id, const il::ExecutionPlan &plan);
@@ -314,14 +309,10 @@ class Engine
     }
 
     /**
-     * Static compute-demand estimate for @p program on @p channels
-     * without building an engine (used for MCU selection on push).
-     * Charges every statement — the unshared upper bound, matching a
-     * hub that instantiates the program as written.
+     * How to lower a program for this engine: a non-sharing engine
+     * keeps every statement as its own node, duplicates included.
      */
-    static double estimateProgramCycles(
-        const il::Program &program,
-        const std::vector<il::ChannelInfo> &channels);
+    il::LowerOptions lowerOptions() const { return {shareNodes}; }
 
   private:
     struct Node

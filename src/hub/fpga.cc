@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "il/lower.h"
 #include "support/error.h"
 
 namespace sidewinder::hub {
@@ -102,17 +101,6 @@ planFpgaPlacement(const il::ExecutionPlan &plan, const FpgaModel &fpga)
     placement.dynamicPowerMw = dynamic_mw;
     placement.fits = placement.cellsUsed <= fpga.logicCells;
     return placement;
-}
-
-FpgaPlacement
-planFpgaPlacement(const il::Program &program,
-                  const std::vector<il::ChannelInfo> &channels,
-                  const FpgaModel &fpga)
-{
-    // lower() re-validates the program and hash-conses structurally
-    // identical nodes — the sealed plan is the sole representation
-    // the fabric sizer reads.
-    return planFpgaPlacement(il::lower(program, channels), fpga);
 }
 
 } // namespace sidewinder::hub

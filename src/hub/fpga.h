@@ -28,7 +28,6 @@
 
 #include "il/ast.h"
 #include "il/plan.h"
-#include "il/validate.h"
 
 namespace sidewinder::hub {
 
@@ -94,16 +93,6 @@ std::size_t fpgaCellCost(const std::string &algorithm,
  * datapath is placed once.
  */
 FpgaPlacement planFpgaPlacement(const il::ExecutionPlan &plan,
-                                const FpgaModel &fpga);
-
-/**
- * Convenience overload: lower @p program against @p channels, then
- * plan the sealed result.
- *
- * @throws ParseError when the program is invalid.
- */
-FpgaPlacement planFpgaPlacement(const il::Program &program,
-                                const std::vector<il::ChannelInfo> &channels,
                                 const FpgaModel &fpga);
 
 } // namespace sidewinder::hub

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "hub/value.h"
-#include "il/ast.h"
 #include "il/validate.h"
 
 namespace sidewinder::hub {
@@ -199,12 +198,6 @@ class Kernel
 std::unique_ptr<Kernel>
 makeKernel(const std::string &algorithm,
            const std::vector<double> &params,
-           const std::vector<il::NodeStream> &inputStreams,
-           KernelMode mode = KernelMode::Float64);
-
-/** Convenience overload for AST statements. */
-std::unique_ptr<Kernel>
-makeKernel(const il::Statement &stmt,
            const std::vector<il::NodeStream> &inputStreams,
            KernelMode mode = KernelMode::Float64);
 

@@ -1319,14 +1319,6 @@ makeQ15Kernel(const std::string &name, const std::vector<double> &p,
 } // namespace
 
 std::unique_ptr<Kernel>
-makeKernel(const il::Statement &stmt,
-           const std::vector<il::NodeStream> &inputStreams,
-           KernelMode mode)
-{
-    return makeKernel(stmt.algorithm, stmt.params, inputStreams, mode);
-}
-
-std::unique_ptr<Kernel>
 makeKernel(const std::string &name, const std::vector<double> &p,
            const std::vector<il::NodeStream> &inputStreams,
            KernelMode mode)

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "hub/placer.h"
-#include "il/lower.h"
 #include "support/error.h"
 
 namespace sidewinder::hub {
@@ -58,16 +57,6 @@ selectMcuForCost(const il::ProgramCost &cost)
         << cost.cyclesPerSecond << " cycle units/s, " << cost.ramBytes
         << " bytes of state)";
     throw CapabilityError(msg.str());
-}
-
-McuModel
-selectMcu(const il::Program &program,
-          const std::vector<il::ChannelInfo> &channels)
-{
-    // Cost the lowered plan — the deduplicated node set the hub
-    // actually instantiates. lower() re-validates, surfacing invalid
-    // programs with validate()'s exact error.
-    return selectMcuForPlan(il::lower(program, channels));
 }
 
 McuModel

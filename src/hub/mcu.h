@@ -23,9 +23,7 @@
 #include <vector>
 
 #include "il/analyze.h"
-#include "il/ast.h"
 #include "il/plan.h"
-#include "il/validate.h"
 
 namespace sidewinder::hub {
 
@@ -75,24 +73,14 @@ bool canRunInRealTime(const McuModel &mcu, double cycles_per_second);
 bool fitsBudget(const McuModel &mcu, const il::ProgramCost &cost);
 
 /**
- * Pick the lowest-power MCU able to run @p program on @p channels in
- * real time ("Sizing", Section 3.8).
+ * Pick the lowest-power MCU able to run @p plan in real time
+ * ("Sizing", Section 3.8).
  *
- * The verdict comes from the static analyzer's cost model — compute
- * *and* RAM — applied to the deduplicated program the hub actually
- * instantiates (il::optimize(), matching what the sensor manager
- * ships and what the engine hash-conses at install time).
- *
- * @throws ParseError when the program is invalid.
- * @throws CapabilityError when no available MCU suffices.
- */
-McuModel selectMcu(const il::Program &program,
-                   const std::vector<il::ChannelInfo> &channels);
-
-/**
- * As selectMcu, for an already-lowered plan. Implemented as
- * single-executor placement over the MCU ladder (hub/placer.h) —
- * selectMcu is a thin wrapper over the fleet placer restricted to
+ * The verdict comes from the plan's static costs — compute *and*
+ * RAM — so a deduplicated plan (il::lower's default, what a sharing
+ * engine hash-conses at install time) is priced as the hub
+ * instantiates it. Implemented as single-executor placement over the
+ * MCU ladder: the fleet placer (hub/placer.h) restricted to
  * microcontrollers.
  * @throws CapabilityError when no available MCU suffices.
  */

@@ -15,7 +15,7 @@ HubRuntime::HubRuntime(transport::LinkPair &link,
                        std::vector<il::ChannelInfo> channels,
                        McuModel mcu, bool share_nodes)
     : link(link), dataflow(std::move(channels), share_nodes),
-      mcuModel(std::move(mcu)), shareNodes(share_nodes)
+      mcuModel(std::move(mcu))
 {
 }
 
@@ -58,7 +58,7 @@ HubRuntime::reboot(double now)
     // (which lives in ROM on a real hub) and forget every condition,
     // stream and half-received frame.
     dataflow = Engine(std::vector<il::ChannelInfo>(dataflow.channels()),
-                      shareNodes);
+                      dataflow.lowerOptions().dedupe);
     batchStreams.clear();
     lastWakeSent.clear();
     decoderDropsBeforeReboot += decoder.droppedBytes();
@@ -177,50 +177,8 @@ HubRuntime::handleFrame(const transport::Frame &frame, double now)
             // idempotent.
             if (dataflow.hasCondition(message.conditionId))
                 dataflow.removeCondition(message.conditionId);
-
-            // Pre-instantiation check: run the static analyzer once
-            // and reject on its verdict before any kernel is built —
-            // with every error, not just the first.
-            const il::AnalysisResult analysis =
-                il::analyze(program, dataflow.channels());
-            if (!analysis.ok()) {
-                std::string reason = "static analysis rejected the "
-                                     "condition:";
-                for (const auto &d : analysis.diagnostics) {
-                    if (d.severity != il::Severity::Error)
-                        continue;
-                    reason += " [" + d.code + "] " + d.message + ";";
-                }
-                throw ParseError(reason);
-            }
-
-            // Lower once; the same plan prices admission and gets
-            // installed, so the gate's verdict and the runtime's
-            // account can never diverge.
-            const il::ExecutionPlan plan = il::lower(
-                program, dataflow.channels(),
-                il::LowerOptions{shareNodes});
-
-            // Capability gate: the engine's existing load plus this
-            // plan's *marginal* cost (nodes the engine already shares
-            // are free) must fit the MCU's real-time and RAM budgets.
-            const il::ProgramCost marginal = dataflow.marginalCost(plan);
-            const double load = dataflow.estimatedCyclesPerSecond() +
-                                marginal.cyclesPerSecond;
-            if (!canRunInRealTime(mcuModel, load))
-                throw CapabilityError(
-                    "condition needs " + std::to_string(load) +
-                    " cycle units/s; " + mcuModel.name + " sustains " +
-                    std::to_string(mcuModel.cyclesPerSecond));
-            const std::size_t ram =
-                dataflow.estimatedRamBytes() + marginal.ramBytes;
-            if (mcuModel.ramBytes > 0 && ram > mcuModel.ramBytes)
-                throw CapabilityError(
-                    "condition needs " + std::to_string(ram) +
-                    " bytes of hub RAM; " + mcuModel.name + " has " +
-                    std::to_string(mcuModel.ramBytes));
-
-            dataflow.addCondition(message.conditionId, plan);
+            dataflow.addCondition(message.conditionId,
+                                  admit(program, "condition", ""));
             sendToPhone(
                 transport::encodeConfigAck({message.conditionId}), now);
         } catch (const SidewinderError &error) {
@@ -273,8 +231,10 @@ HubRuntime::handleFrame(const transport::Frame &frame, double now)
             // commit will carry the first failure back to the phone.
             return;
         try {
-            gateAndStage(message.conditionId,
-                         spliceDeltaProgram(message, dataflow));
+            dataflow.stageCondition(
+                message.conditionId,
+                admit(spliceDeltaProgram(message, dataflow), "update",
+                      " during the A/B window"));
         } catch (const SidewinderError &error) {
             txn->failed = true;
             txn->failReason = error.what();
@@ -365,66 +325,71 @@ HubRuntime::handleFrame(const transport::Frame &frame, double now)
     }
 }
 
+namespace {
+
+/** Throw ParseError listing every error in @p diagnostics, if any. */
 void
-HubRuntime::gateAndStage(int condition_id, const il::Program &program)
+rejectOnErrors(const std::vector<il::Diagnostic> &diagnostics,
+               std::string reason)
 {
-    // The full ConfigPush gauntlet, aimed at the shadow slot: a
-    // delta-installed plan gets no weaker validation than a full push.
-    const il::AnalysisResult analysis =
-        il::analyze(program, dataflow.channels());
-    if (!analysis.ok()) {
-        std::string reason = "static analysis rejected the update:";
-        for (const auto &d : analysis.diagnostics) {
-            if (d.severity != il::Severity::Error)
-                continue;
-            reason += " [" + d.code + "] " + d.message + ";";
-        }
-        throw ParseError(reason);
-    }
-
-    const il::ExecutionPlan plan = il::lower(
-        program, dataflow.channels(), il::LowerOptions{shareNodes});
-
-    // Value-range gate: the interval interpreter must not flag the
-    // staged plan (Q15 saturation proofs when the engine runs
-    // fixed-point kernels). A plan that is unsound for the active
-    // numeric mode must never reach commit.
-    il::RangeOptions range_options;
-    range_options.q15 = dataflow.kernelMode() == KernelMode::FixedQ15;
-    const il::RangeAnalysis ranges =
-        il::analyzeRanges(plan, range_options);
-    std::string range_reason = "range analysis rejected the update:";
-    bool range_error = false;
-    for (const auto &d : ranges.diagnostics) {
+    bool rejected = false;
+    for (const auto &d : diagnostics) {
         if (d.severity != il::Severity::Error)
             continue;
-        range_error = true;
-        range_reason += " [" + d.code + "] " + d.message + ";";
+        rejected = true;
+        reason += " [" + d.code + "] " + d.message + ";";
     }
-    if (range_error)
-        throw ParseError(range_reason);
+    if (rejected)
+        throw ParseError(reason);
+}
 
-    // Admission: the engine's current load already charges both the
-    // live copies and anything staged so far, so adding this plan's
-    // marginal cost prices the worst instant of the update window —
-    // A and B running side by side.
+} // namespace
+
+il::ExecutionPlan
+HubRuntime::admit(const il::Program &program, const std::string &what,
+                  const std::string &window) const
+{
+    // Pre-instantiation check: run the static analyzer once and
+    // reject on its verdict before any kernel is built — with every
+    // error, not just the first.
+    rejectOnErrors(il::analyze(program, dataflow.channels()).diagnostics,
+                   "static analysis rejected the " + what + ":");
+
+    // Lower once; the same plan prices admission and gets installed,
+    // so the gate's verdict and the runtime's account can never
+    // diverge.
+    il::ExecutionPlan plan =
+        il::lower(program, dataflow.channels(), dataflow.lowerOptions());
+
+    // Value-range gate: the interval interpreter must not flag the
+    // plan (Q15 saturation proofs when the engine runs fixed-point
+    // kernels). A plan unsound for the active numeric mode must never
+    // run, whether it arrives whole or as a delta.
+    il::RangeOptions range_options;
+    range_options.q15 = dataflow.kernelMode() == KernelMode::FixedQ15;
+    rejectOnErrors(il::analyzeRanges(plan, range_options).diagnostics,
+                   "range analysis rejected the " + what + ":");
+
+    // Capability gate: the engine's load plus this plan's *marginal*
+    // cost (nodes the engine already shares are free) must fit the
+    // MCU's real-time and RAM budgets. During an update the load
+    // already charges the live copies and anything staged so far, so
+    // this prices the worst instant of the A/B window.
     const il::ProgramCost marginal = dataflow.marginalCost(plan);
-    const double load = dataflow.estimatedCyclesPerSecond() +
-                        marginal.cyclesPerSecond;
+    const double load =
+        dataflow.estimatedCyclesPerSecond() + marginal.cyclesPerSecond;
     if (!canRunInRealTime(mcuModel, load))
         throw CapabilityError(
-            "update needs " + std::to_string(load) +
-            " cycle units/s during the A/B window; " + mcuModel.name +
-            " sustains " + std::to_string(mcuModel.cyclesPerSecond));
-    const std::size_t ram =
-        dataflow.estimatedRamBytes() + marginal.ramBytes;
+            what + " needs " + std::to_string(load) + " cycle units/s" +
+            window + "; " + mcuModel.name + " sustains " +
+            std::to_string(mcuModel.cyclesPerSecond));
+    const std::size_t ram = dataflow.estimatedRamBytes() + marginal.ramBytes;
     if (mcuModel.ramBytes > 0 && ram > mcuModel.ramBytes)
         throw CapabilityError(
-            "update needs " + std::to_string(ram) +
-            " bytes of hub RAM during the A/B window; " + mcuModel.name +
-            " has " + std::to_string(mcuModel.ramBytes));
-
-    dataflow.stageCondition(condition_id, plan);
+            what + " needs " + std::to_string(ram) + " bytes of hub RAM" +
+            window + "; " + mcuModel.name + " has " +
+            std::to_string(mcuModel.ramBytes));
+    return plan;
 }
 
 void

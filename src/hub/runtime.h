@@ -216,9 +216,20 @@ class HubRuntime
     bool heartbeatDue(double now) const;
     void handleFrame(const transport::Frame &frame, double now);
     void sendToPhone(const transport::Frame &frame, double now);
-    /** Gate @p program and stage it in the shadow slot. @throws
-        SidewinderError with the rejection reason. */
-    void gateAndStage(int condition_id, const il::Program &program);
+    /**
+     * The admission gauntlet for a program from the phone, shared by
+     * full pushes and delta updates: static analysis (listing every
+     * error), lowering with the engine's options, the value-range
+     * gate for the engine's numeric mode, and the MCU's cycle and RAM
+     * budgets charged with the engine's load plus the plan's marginal
+     * cost. Rejection reasons name @p what ("condition" or "update")
+     * and append @p window to the budget they exceed.
+     * @returns the plan to install or stage.
+     * @throws SidewinderError with the rejection reason.
+     */
+    il::ExecutionPlan admit(const il::Program &program,
+                            const std::string &what,
+                            const std::string &window) const;
     /** Abort the shadow slot and notify the phone. */
     void rollbackUpdate(double now, const std::string &reason);
     /** Ship a full batch-stream buffer as a SensorBatch frame. */
@@ -230,7 +241,6 @@ class HubRuntime
     transport::LinkPair &link;
     Engine dataflow;
     McuModel mcuModel;
-    bool shareNodes;
     transport::FrameDecoder decoder;
     std::map<std::size_t, BatchStream> batchStreams;
 

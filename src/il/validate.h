@@ -29,6 +29,8 @@ struct ChannelInfo
     std::string name;
     /** Delivery rate of raw samples in Hz. */
     double sampleRateHz;
+
+    bool operator==(const ChannelInfo &) const = default;
 };
 
 /** Derived properties of the stream produced by one node. */

@@ -122,7 +122,8 @@ LegacyEngine::addCondition(int condition_id, const il::Program &program)
             auto node = std::make_unique<Node>();
             node->key = std::move(key);
             node->algorithm = stmt.algorithm;
-            node->kernel = hub::makeKernel(stmt, input_streams);
+            node->kernel = hub::makeKernel(stmt.algorithm, stmt.params,
+                                           input_streams);
             node->inputs = inputs;
             node->stream = streams.at(stmt.id);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "hub/mcu.h"
+#include "il/lower.h"
 #include "sim/replay.h"
 #include "support/error.h"
 
@@ -53,14 +54,17 @@ simulateDevice(const std::vector<DeviceDomain> &domains,
     std::vector<detail::HubDomain> hubs;
     for (const auto &domain : domains) {
         std::vector<const apps::Application *> apps;
-        std::vector<il::Program> conditions;
-        for (const auto &app : *domain.apps) {
+        for (const auto &app : *domain.apps)
             apps.push_back(app.get());
-            conditions.push_back(app->wakeCondition().compile());
-        }
+        detail::HubDomain &hub_domain =
+            hubs.emplace_back(*domain.trace, std::move(apps), config);
+        std::vector<il::ExecutionPlan> conditions;
+        for (const apps::Application *app : hub_domain.apps)
+            conditions.push_back(il::lower(
+                app->wakeCondition().compile(), hub_domain.channels,
+                il::LowerOptions{config.shareHubNodes}));
         result.domains.push_back(detail::replayEngineHub(
-            hubs.emplace_back(*domain.trace, std::move(apps), config),
-            conditions, config.shareHubNodes,
+            hub_domain, conditions, config.shareHubNodes,
             [](const il::ProgramCost &load) {
                 const hub::McuModel mcu = hub::selectMcuForCost(load);
                 return detail::HubChoice{mcu.name, mcu.activePowerMw};

@@ -217,7 +217,8 @@ simulateSupervised(const trace::Trace &trace,
     const double trans = model.transitionSeconds;
 
     core::ProcessingPipeline pipeline = app.wakeCondition();
-    const auto channels = app.channels();
+    detail::HubDomain domain(trace, {&app}, config);
+    const std::vector<il::ChannelInfo> &channels = domain.channels;
     // The placement simulate() makes for this backend, so a supervised
     // run with no active faults stays bit-identical.
     const hub::PlacementDecision home = detail::placeOnBackend(
@@ -276,7 +277,6 @@ simulateSupervised(const trace::Trace &trace,
         {heartbeatIntervalSeconds, missedBeatsThreshold}, 0.0);
 
     // The phone records every delivered wake-up as the app's trigger.
-    detail::HubDomain domain(trace, {&app}, config);
     CollectingListener listener(domain.triggers.front());
     const int condition_id = manager.push(pipeline, &listener, 0.0);
 

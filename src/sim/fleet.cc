@@ -103,12 +103,7 @@ FleetRuntime::FleetRuntime(FleetConfig config_,
     // is interchangeable and the plan cache key space is shared.
     channels = mix.front().app->channels();
     for (std::size_t i = 1; i < mix.size(); ++i) {
-        const auto other = mix[i].app->channels();
-        bool same = other.size() == channels.size();
-        for (std::size_t c = 0; same && c < channels.size(); ++c)
-            same = other[c].name == channels[c].name &&
-                   other[c].sampleRateHz == channels[c].sampleRateHz;
-        if (!same)
+        if (mix[i].app->channels() != channels)
             throw ConfigError(
                 "fleet app mix spans different channel sets (app '" +
                 mix[i].app->name() + "' vs '" +
@@ -494,13 +489,7 @@ FleetRuntime::installCondition(std::size_t device_index,
         throw ConfigError("fleet not built yet");
     Device &device = devices.at(device_index);
 
-    const auto app_channels = app.channels();
-    bool same = app_channels.size() == channels.size();
-    for (std::size_t c = 0; same && c < channels.size(); ++c)
-        same = app_channels[c].name == channels[c].name &&
-               app_channels[c].sampleRateHz ==
-                   channels[c].sampleRateHz;
-    if (!same)
+    if (app.channels() != channels)
         throw ConfigError("app '" + app.name() +
                           "' does not match the fleet's channel set");
 

@@ -2,7 +2,6 @@
 
 #include "hub/fpga.h"
 #include "hub/mcu.h"
-#include "il/lower.h"
 #include "support/error.h"
 
 namespace sidewinder::sim::detail {
@@ -37,9 +36,19 @@ placeOnBackend(const il::ExecutionPlan &plan, HubBackend backend)
 HubDomain::HubDomain(const trace::Trace &trace,
                      std::vector<const apps::Application *> apps,
                      const SimConfig &config)
-    : trace(&trace), apps(std::move(apps)), triggers(this->apps.size())
+    : trace(&trace), apps(std::move(apps)),
+      channels(this->apps.front()->channels()),
+      triggers(this->apps.size())
 {
+    // One hub samples one synchronous channel set, at its trace's
+    // rate.
+    for (const il::ChannelInfo &ch : channels)
+        if (ch.sampleRateHz != trace.sampleRateHz)
+            throw ConfigError("channel '" + ch.name +
+                              "' rate differs from the hub's trace");
     for (const apps::Application *app : this->apps) {
+        if (app->channels() != channels)
+            throw ConfigError("apps on one hub must share channels");
         dwell = std::max(dwell, app->recommendedEventDwellSeconds());
         lookback = std::max(lookback, app->recommendedLookbackSeconds());
     }
@@ -51,32 +60,17 @@ HubDomain::HubDomain(const trace::Trace &trace,
 
 DeviceDomainResult
 replayEngineHub(
-    HubDomain &domain, std::span<const il::Program> conditions,
+    HubDomain &domain, std::span<const il::ExecutionPlan> conditions,
     bool share_nodes,
     const std::function<HubChoice(const il::ProgramCost &)> &choose)
 {
-    // One hub samples one synchronous channel set.
-    const auto channels = domain.apps.front()->channels();
-    for (const apps::Application *app : domain.apps) {
-        const auto other = app->channels();
-        if (!std::equal(other.begin(), other.end(), channels.begin(),
-                        channels.end(),
-                        [](const il::ChannelInfo &a,
-                           const il::ChannelInfo &b) {
-                            return a.name == b.name;
-                        }))
-            throw ConfigError("apps on one hub must share channels");
-    }
-
     // Size the hub against the full budget set: a node mix that fits
     // the MSP430's cycle budget can still blow its 16 KB of SRAM.
-    hub::Engine engine(channels, share_nodes);
+    hub::Engine engine(domain.channels, share_nodes);
     il::ProgramCost load;
     for (std::size_t c = 0; c < conditions.size(); ++c) {
-        const il::ExecutionPlan plan = il::lower(
-            conditions[c], channels, il::LowerOptions{share_nodes});
-        load.wakeRateBoundHz += plan.wakeRateBoundHz;
-        engine.addCondition(static_cast<int>(c + 1), plan);
+        load.wakeRateBoundHz += conditions[c].wakeRateBoundHz;
+        engine.addCondition(static_cast<int>(c + 1), conditions[c]);
     }
     load.cyclesPerSecond = engine.estimatedCyclesPerSecond();
     load.ramBytes = engine.estimatedRamBytes();

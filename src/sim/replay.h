@@ -184,6 +184,9 @@ struct HubDomain
     const trace::Trace *trace = nullptr;
     /** Apps on this hub; condition id i + 1 is apps[i]'s. */
     std::vector<const apps::Application *> apps;
+    /** The one synchronous channel set the hub samples, which every
+        condition on it is lowered against. */
+    std::vector<il::ChannelInfo> channels;
     /** Trigger times of each app's condition, by app index. */
     std::vector<std::vector<double>> triggers;
     /**
@@ -196,6 +199,11 @@ struct HubDomain
     double dwell = 0.0;
     double lookback = 0.0;
 
+    /**
+     * @param apps At least one app.
+     * @throws ConfigError unless every app reads the first app's
+     *     channels (names and rates) and each rate is the trace's.
+     */
     HubDomain(const trace::Trace &trace,
               std::vector<const apps::Application *> apps,
               const SimConfig &config);
@@ -209,19 +217,18 @@ struct HubChoice
 };
 
 /**
- * The direct-engine trigger source: lower @p conditions (one per app
- * of @p domain) and install them as ids 1..N on a fresh hub::Engine,
- * the path the hub runtime takes at admission; let @p choose pick the
- * hub from their combined load (engine cycles and RAM, summed wake
- * bounds); then replay the domain's trace and record every
- * condition's triggers on @p domain.
+ * The direct-engine trigger source: install @p conditions (one plan
+ * per app of @p domain, lowered against domain.channels) as ids 1..N
+ * on a fresh hub::Engine, the path the hub runtime takes at
+ * admission; let @p choose pick the hub from their combined load
+ * (engine cycles and RAM, summed wake bounds); then replay the
+ * domain's trace and record every condition's triggers on @p domain.
  *
  * @returns the hub's name, power, node count and cycle demand (apps
  *     left empty for scoreApp).
- * @throws ConfigError when the apps do not share one channel set.
  */
 DeviceDomainResult replayEngineHub(
-    HubDomain &domain, std::span<const il::Program> conditions,
+    HubDomain &domain, std::span<const il::ExecutionPlan> conditions,
     bool share_nodes,
     const std::function<HubChoice(const il::ProgramCost &)> &choose);
 

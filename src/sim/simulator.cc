@@ -169,17 +169,26 @@ simulate(const trace::Trace &trace, const apps::Application &app,
                         : predefinedConditionFor(
                               app, config.predefinedThreshold))
                 .compile();
+        detail::HubDomain domain(trace, {&app}, config);
+        const il::ExecutionPlan plan =
+            il::lower(program, domain.channels,
+                      il::LowerOptions{config.shareHubNodes});
         detail::HubChoice home{hub::msp430().name,
                                hub::msp430().activePowerMw};
         if (sidewinder) {
-            result.placement = detail::placeOnBackend(
-                il::lower(program, app.channels()), config.hubBackend);
+            // Placement prices the deduplicated plan, the form a
+            // sharing hub runs, even when this engine does not share.
+            result.placement =
+                config.shareHubNodes
+                    ? detail::placeOnBackend(plan, config.hubBackend)
+                    : detail::placeOnBackend(
+                          il::lower(program, domain.channels),
+                          config.hubBackend);
             home = {result.placement.executorName,
                     result.placement.marginalPowerMw};
         }
-        detail::HubDomain domain(trace, {&app}, config);
         detail::replayEngineHub(
-            domain, {&program, 1}, config.shareHubNodes,
+            domain, {&plan, 1}, config.shareHubNodes,
             [&](const il::ProgramCost &) { return home; });
         result.mcuName = home.name;
         model.hubMw = home.powerMw;

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "hub/mcu.h"
+#include "il/lower.h"
 #include "metrics/events.h"
 #include "sim/simulator.h"
 #include "support/error.h"
@@ -33,7 +35,8 @@ std::vector<double>
 hubTriggers(const Application &app, const trace::Trace &trace)
 {
     hub::Engine engine(app.channels());
-    engine.addCondition(1, app.wakeCondition().compile());
+    engine.addCondition(
+        1, test::planFor(engine, app.wakeCondition().compile()));
     std::vector<double> triggers;
     for (std::size_t i = 0; i < trace.sampleCount(); ++i) {
         engine.pushSamples({trace.channels[0][i]}, trace.timeOf(i));
@@ -113,8 +116,8 @@ TEST(FloorsApp, QuietDayNeverWakes)
 TEST(FloorsApp, FitsTheMsp430)
 {
     const auto app = makeFloorsApp();
-    EXPECT_EQ(hub::selectMcu(app->wakeCondition().compile(),
-                             app->channels())
+    EXPECT_EQ(hub::selectMcuForPlan(il::lower(app->wakeCondition().compile(),
+                                              app->channels()))
                   .name,
               "MSP430");
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "metrics/events.h"
 #include "sim/simulator.h"
@@ -33,7 +34,8 @@ std::vector<double>
 hubTriggers(const Application &app, const trace::Trace &trace)
 {
     hub::Engine engine(app.channels());
-    engine.addCondition(1, app.wakeCondition().compile());
+    engine.addCondition(
+        1, test::planFor(engine, app.wakeCondition().compile()));
     std::vector<double> triggers;
     for (std::size_t i = 0; i < trace.sampleCount(); ++i) {
         engine.pushSamples({trace.channels[0][i], trace.channels[1][i],

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "metrics/events.h"
 #include "trace/audio_gen.h"
@@ -24,7 +25,8 @@ std::vector<double>
 hubTriggers(const Application &app, const trace::Trace &trace)
 {
     hub::Engine engine(app.channels());
-    engine.addCondition(1, app.wakeCondition().compile());
+    engine.addCondition(
+        1, test::planFor(engine, app.wakeCondition().compile()));
 
     std::vector<std::size_t> mapping;
     for (const auto &ch : app.channels())

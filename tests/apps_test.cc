@@ -11,6 +11,7 @@
 #include "apps/apps.h"
 #include "apps/predefined.h"
 #include "dsp/fft_plan.h"
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "metrics/events.h"
 #include "trace/audio_gen.h"
@@ -47,7 +48,8 @@ std::vector<double>
 hubTriggers(const Application &app, const trace::Trace &trace)
 {
     hub::Engine engine(app.channels());
-    engine.addCondition(1, app.wakeCondition().compile());
+    engine.addCondition(
+        1, test::planFor(engine, app.wakeCondition().compile()));
 
     std::vector<std::size_t> mapping;
     for (const auto &ch : app.channels())
@@ -284,7 +286,8 @@ TEST(Predefined, MotionConditionFiresOnAllRobotActivity)
     const auto trace = robotTrace(0.5, 17);
     const auto app = makeStepsApp(); // for channels only
     hub::Engine engine(app->channels());
-    engine.addCondition(1, significantMotionCondition().compile());
+    engine.addCondition(
+        1, test::planFor(engine, significantMotionCondition().compile()));
 
     std::vector<double> triggers;
     for (std::size_t i = 0; i < trace.sampleCount(); ++i) {

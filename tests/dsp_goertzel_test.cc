@@ -11,6 +11,7 @@
 
 #include "dsp/fft.h"
 #include "dsp/goertzel.h"
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "il/parser.h"
 #include "support/error.h"
@@ -99,10 +100,11 @@ TEST(GoertzelKernel, RunsOnTheHub)
 {
     hub::Engine engine({{"AUDIO", 4000.0}});
     engine.addCondition(
-        1, il::parse("AUDIO -> window(id=1, params={64});\n"
-                     "1 -> goertzelRel(id=2, params={1000});\n"
-                     "2 -> minThreshold(id=3, params={0.5});\n"
-                     "3 -> OUT;\n"));
+        1, test::planFor(engine,
+                         il::parse("AUDIO -> window(id=1, params={64});\n"
+                                   "1 -> goertzelRel(id=2, params={1000});\n"
+                                   "2 -> minThreshold(id=3, params={0.5});\n"
+                                   "3 -> OUT;\n")));
 
     // Quiet noise: no wake.
     Rng rng(2);
@@ -124,10 +126,11 @@ TEST(GoertzelKernel, ValidatorEnforcesNyquist)
     hub::Engine engine({{"AUDIO", 4000.0}});
     EXPECT_THROW(
         engine.addCondition(
-            1, il::parse("AUDIO -> window(id=1, params={64});\n"
-                         "1 -> goertzel(id=2, params={2500});\n"
-                         "2 -> minThreshold(id=3, params={1});\n"
-                         "3 -> OUT;\n")),
+            1, test::planFor(engine,
+                             il::parse("AUDIO -> window(id=1, params={64});\n"
+                                       "1 -> goertzel(id=2, params={2500});\n"
+                                       "2 -> minThreshold(id=3, params={1});\n"
+                                       "3 -> OUT;\n"))),
         ParseError);
 }
 

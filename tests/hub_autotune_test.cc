@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
+#include "engine_plan.h"
 #include "hub/autotune.h"
 #include "hub/engine.h"
 #include "il/parser.h"
@@ -147,7 +152,7 @@ TEST(AutoTune, BandThresholdShrinksAroundCenter)
 TEST(AutoTune, OtherConditionsUnaffectedByRetuning)
 {
     Engine engine(oneChannel());
-    engine.addCondition(7, minThresholdProgram(10.0));
+    engine.addCondition(7, test::planFor(engine, minThresholdProgram(10.0)));
     AutoTuneConfig config;
     config.falsePositiveStreak = 1;
     config.tightenFactor = 2.0;
@@ -162,6 +167,26 @@ TEST(AutoTune, OtherConditionsUnaffectedByRetuning)
     for (const auto &event : engine.drainWakeEvents())
         condition7_fired |= event.conditionId == 7;
     EXPECT_TRUE(condition7_fired);
+}
+
+TEST(AutoTune, NonSharingEngineKeepsDuplicateStatements)
+{
+    // Two identical movingAvg statements: a sharing engine holds 4
+    // nodes, a non-sharing one 5, before and after a retune.
+    std::ifstream in(std::string(SW_TEST_DATA_DIR) +
+                     "/sw101_duplicate_subtree.il");
+    ASSERT_TRUE(in);
+    std::ostringstream text;
+    text << in.rdbuf();
+
+    Engine engine(oneChannel(), /*share_nodes=*/false);
+    AutoTuneConfig config;
+    config.falsePositiveStreak = 1;
+    ThresholdAutoTuner tuner(engine, 1, il::parse(text.str()), config);
+    EXPECT_EQ(engine.nodeCount(), 5u);
+    tuner.reportFalsePositive();
+    EXPECT_EQ(tuner.retuneCount(), 1u);
+    EXPECT_EQ(engine.nodeCount(), 5u);
 }
 
 } // namespace

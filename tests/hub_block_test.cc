@@ -13,6 +13,7 @@
 
 #include "apps/apps.h"
 #include "dsp/q15.h"
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "il/lower.h"
 #include "il/parser.h"
@@ -53,9 +54,9 @@ TEST(HubBlock, BlocksAndSingleWavesInterleaveBitIdentically)
     Engine block_engine(kChannels, true);
     Engine lane_engine(kChannels, true);
     Engine ref(kChannels, true);
-    block_engine.addCondition(1, program);
-    lane_engine.addCondition(1, program);
-    ref.addCondition(1, program);
+    block_engine.addCondition(1, test::planFor(block_engine, program));
+    lane_engine.addCondition(1, test::planFor(lane_engine, program));
+    ref.addCondition(1, test::planFor(ref, program));
 
     Rng rng(21);
     Rng pattern(22);
@@ -138,8 +139,8 @@ TEST(HubBlock, EvenlySpacedOverloadMatchesExplicitTimestamps)
     const il::Program program = il::parse(kMotionIl);
     Engine a(kChannels, true);
     Engine b(kChannels, true);
-    a.addCondition(1, program);
-    b.addCondition(1, program);
+    a.addCondition(1, test::planFor(a, program));
+    b.addCondition(1, test::planFor(b, program));
 
     Rng rng(31);
     const std::size_t nch = kChannels.size();
@@ -216,8 +217,8 @@ TEST(HubBlock, Q15WakeEventsTrackDoublePipelineOnShippedAudioApps)
         Engine floating(app->channels(), true);
         Engine fixed(app->channels(), true, 200,
                      KernelMode::FixedQ15);
-        floating.addCondition(1, p);
-        fixed.addCondition(1, p);
+        floating.addCondition(1, test::planFor(floating, p));
+        fixed.addCondition(1, test::planFor(fixed, p));
 
         const std::size_t channel =
             audio.channelIndex(app->channels().front().name);

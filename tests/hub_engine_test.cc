@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "il/parser.h"
 #include "support/error.h"
@@ -36,17 +37,19 @@ TEST(Engine, RequiresChannels)
 TEST(Engine, RejectsDuplicateConditionIds)
 {
     Engine engine(accelChannels());
-    engine.addCondition(1, il::parse(significantMotionIl));
-    EXPECT_THROW(engine.addCondition(1, il::parse(significantMotionIl)),
-                 ConfigError);
+    const il::ExecutionPlan plan =
+        test::planFor(engine, il::parse(significantMotionIl));
+    engine.addCondition(1, plan);
+    EXPECT_THROW(engine.addCondition(1, plan), ConfigError);
 }
 
 TEST(Engine, RejectsInvalidProgram)
 {
     Engine engine(accelChannels());
     EXPECT_THROW(
-        engine.addCondition(1, il::parse("ACC_X -> bogus(id=1);\n"
-                                         "1 -> OUT;\n")),
+        engine.addCondition(
+            1, test::planFor(engine, il::parse("ACC_X -> bogus(id=1);\n"
+                                               "1 -> OUT;\n"))),
         SidewinderError);
 }
 
@@ -59,7 +62,8 @@ TEST(Engine, RejectsWrongSampleArity)
 TEST(Engine, SignificantMotionFiresAboveThreshold)
 {
     Engine engine(accelChannels());
-    engine.addCondition(1, il::parse(significantMotionIl));
+    engine.addCondition(
+        1, test::planFor(engine, il::parse(significantMotionIl)));
 
     // Magnitude of (1,1,1)*10-sample average = sqrt(3) < 15: silent.
     for (int i = 0; i < 20; ++i)
@@ -81,7 +85,8 @@ TEST(Engine, MovingAverageWarmupSuppressesOutput)
     // Section 3.5: no result until the window has N points; OUT must
     // not fire during warmup even with large samples.
     Engine engine(accelChannels());
-    engine.addCondition(1, il::parse(significantMotionIl));
+    engine.addCondition(
+        1, test::planFor(engine, il::parse(significantMotionIl)));
     for (int i = 0; i < 9; ++i)
         engine.pushSamples({20.0, 20.0, 20.0}, i * 0.02);
     EXPECT_TRUE(engine.drainWakeEvents().empty());
@@ -92,11 +97,12 @@ TEST(Engine, MovingAverageWarmupSuppressesOutput)
 TEST(Engine, WindowedChainFiresAtFrameCadence)
 {
     Engine engine({{"AUDIO", 4000.0}});
-    engine.addCondition(1,
-                        il::parse("AUDIO -> window(id=1, params={8});\n"
-                                  "1 -> rms(id=2);\n"
-                                  "2 -> minThreshold(id=3, params={0});\n"
-                                  "3 -> OUT;\n"));
+    engine.addCondition(
+        1, test::planFor(engine,
+                         il::parse("AUDIO -> window(id=1, params={8});\n"
+                                   "1 -> rms(id=2);\n"
+                                   "2 -> minThreshold(id=3, params={0});\n"
+                                   "3 -> OUT;\n")));
     for (int i = 0; i < 24; ++i)
         engine.pushSamples({1.0}, i * 0.00025);
     // 24 samples / window 8 = 3 firings.
@@ -107,11 +113,12 @@ TEST(Engine, ConsecutiveCountsFramesAndResetsOnMiss)
 {
     Engine engine({{"AUDIO", 4000.0}});
     engine.addCondition(
-        1, il::parse("AUDIO -> window(id=1, params={4});\n"
-                     "1 -> rms(id=2);\n"
-                     "2 -> minThreshold(id=3, params={0.5});\n"
-                     "3 -> consecutive(id=4, params={3});\n"
-                     "4 -> OUT;\n"));
+        1, test::planFor(engine,
+                         il::parse("AUDIO -> window(id=1, params={4});\n"
+                                   "1 -> rms(id=2);\n"
+                                   "2 -> minThreshold(id=3, params={0.5});\n"
+                                   "3 -> consecutive(id=4, params={3});\n"
+                                   "4 -> OUT;\n")));
 
     auto push_frame = [&](double level) {
         for (int i = 0; i < 4; ++i)
@@ -147,14 +154,15 @@ TEST(Engine, AndRequiresBothBranches)
 {
     Engine engine({{"AUDIO", 4000.0}});
     engine.addCondition(
-        1, il::parse("AUDIO -> window(id=1, params={4});\n"
-                     "1 -> rms(id=2);\n"
-                     "2 -> minThreshold(id=3, params={0.5});\n"
-                     "AUDIO -> window(id=4, params={4});\n"
-                     "4 -> max(id=5);\n"
-                     "5 -> maxThreshold(id=6, params={2.0});\n"
-                     "3,6 -> and(id=7);\n"
-                     "7 -> OUT;\n"));
+        1, test::planFor(engine,
+                         il::parse("AUDIO -> window(id=1, params={4});\n"
+                                   "1 -> rms(id=2);\n"
+                                   "2 -> minThreshold(id=3, params={0.5});\n"
+                                   "AUDIO -> window(id=4, params={4});\n"
+                                   "4 -> max(id=5);\n"
+                                   "5 -> maxThreshold(id=6, params={2.0});\n"
+                                   "3,6 -> and(id=7);\n"
+                                   "7 -> OUT;\n")));
 
     auto push_frame = [&](double level) {
         for (int i = 0; i < 4; ++i)
@@ -173,10 +181,11 @@ TEST(Engine, OrFiresOnEitherBranch)
 {
     Engine engine(accelChannels());
     engine.addCondition(
-        1, il::parse("ACC_X -> minThreshold(id=1, params={5});\n"
-                     "ACC_Y -> minThreshold(id=2, params={5});\n"
-                     "1,2 -> or(id=3);\n"
-                     "3 -> OUT;\n"));
+        1, test::planFor(engine,
+                         il::parse("ACC_X -> minThreshold(id=1, params={5});\n"
+                                   "ACC_Y -> minThreshold(id=2, params={5});\n"
+                                   "1,2 -> or(id=3);\n"
+                                   "3 -> OUT;\n")));
 
     engine.pushSamples({0.0, 0.0, 0.0}, 0.0);
     EXPECT_TRUE(engine.drainWakeEvents().empty());
@@ -189,9 +198,11 @@ TEST(Engine, OrFiresOnEitherBranch)
 TEST(Engine, SharesIdenticalNodesAcrossConditions)
 {
     Engine engine(accelChannels(), /*share_nodes=*/true);
-    engine.addCondition(1, il::parse(significantMotionIl));
+    engine.addCondition(
+        1, test::planFor(engine, il::parse(significantMotionIl)));
     const std::size_t solo = engine.nodeCount();
-    engine.addCondition(2, il::parse(significantMotionIl));
+    engine.addCondition(
+        2, test::planFor(engine, il::parse(significantMotionIl)));
     // Identical program: every node is shared.
     EXPECT_EQ(engine.nodeCount(), solo);
 
@@ -206,34 +217,40 @@ TEST(Engine, SharesIdenticalNodesAcrossConditions)
 TEST(Engine, SharesCommonPrefixOnly)
 {
     Engine engine(accelChannels(), true);
-    engine.addCondition(1, il::parse(significantMotionIl));
+    engine.addCondition(
+        1, test::planFor(engine, il::parse(significantMotionIl)));
     const std::size_t solo = engine.nodeCount();
     // Same pipeline, different threshold: shares all but the last.
     engine.addCondition(
-        2, il::parse("ACC_X -> movingAvg(id=1, params={10});\n"
-                     "ACC_Y -> movingAvg(id=2, params={10});\n"
-                     "ACC_Z -> movingAvg(id=3, params={10});\n"
-                     "1,2,3 -> vectorMagnitude(id=4);\n"
-                     "4 -> minThreshold(id=5, params={25});\n"
-                     "5 -> OUT;\n"));
+        2, test::planFor(engine,
+                         il::parse("ACC_X -> movingAvg(id=1, params={10});\n"
+                                   "ACC_Y -> movingAvg(id=2, params={10});\n"
+                                   "ACC_Z -> movingAvg(id=3, params={10});\n"
+                                   "1,2,3 -> vectorMagnitude(id=4);\n"
+                                   "4 -> minThreshold(id=5, params={25});\n"
+                                   "5 -> OUT;\n")));
     EXPECT_EQ(engine.nodeCount(), solo + 1);
 }
 
 TEST(Engine, SharingDisabledDuplicatesNodes)
 {
     Engine engine(accelChannels(), /*share_nodes=*/false);
-    engine.addCondition(1, il::parse(significantMotionIl));
+    engine.addCondition(
+        1, test::planFor(engine, il::parse(significantMotionIl)));
     const std::size_t solo = engine.nodeCount();
-    engine.addCondition(2, il::parse(significantMotionIl));
+    engine.addCondition(
+        2, test::planFor(engine, il::parse(significantMotionIl)));
     EXPECT_EQ(engine.nodeCount(), 2 * solo);
 }
 
 TEST(Engine, RemoveFreesUnsharedNodes)
 {
     Engine engine(accelChannels(), true);
-    engine.addCondition(1, il::parse(significantMotionIl));
+    engine.addCondition(
+        1, test::planFor(engine, il::parse(significantMotionIl)));
     const std::size_t solo = engine.nodeCount();
-    engine.addCondition(2, il::parse(significantMotionIl));
+    engine.addCondition(
+        2, test::planFor(engine, il::parse(significantMotionIl)));
     engine.removeCondition(2);
     EXPECT_EQ(engine.nodeCount(), solo);
     engine.removeCondition(1);
@@ -244,7 +261,8 @@ TEST(Engine, RemoveFreesUnsharedNodes)
 TEST(Engine, RemovedConditionStopsFiring)
 {
     Engine engine(accelChannels());
-    engine.addCondition(1, il::parse(significantMotionIl));
+    engine.addCondition(
+        1, test::planFor(engine, il::parse(significantMotionIl)));
     engine.removeCondition(1);
     for (int i = 0; i < 20; ++i)
         engine.pushSamples({20.0, 20.0, 20.0}, i * 0.02);
@@ -254,8 +272,10 @@ TEST(Engine, RemovedConditionStopsFiring)
 TEST(Engine, SurvivingConditionUnaffectedByRemoval)
 {
     Engine engine(accelChannels(), true);
-    engine.addCondition(1, il::parse(significantMotionIl));
-    engine.addCondition(2, il::parse(significantMotionIl));
+    engine.addCondition(
+        1, test::planFor(engine, il::parse(significantMotionIl)));
+    engine.addCondition(
+        2, test::planFor(engine, il::parse(significantMotionIl)));
     engine.removeCondition(1);
     for (int i = 0; i < 10; ++i)
         engine.pushSamples({20.0, 20.0, 20.0}, i * 0.02);
@@ -269,8 +289,9 @@ TEST(Engine, RawSnapshotReturnsPrimaryChannelHistory)
 {
     Engine engine(accelChannels(), true, 4);
     engine.addCondition(
-        1, il::parse("ACC_Y -> minThreshold(id=1, params={100});\n"
-                     "1 -> OUT;\n"));
+        1, test::planFor(
+               engine, il::parse("ACC_Y -> minThreshold(id=1, params={100});\n"
+                                 "1 -> OUT;\n")));
     for (int i = 0; i < 6; ++i)
         engine.pushSamples({0.0, static_cast<double>(i), 0.0},
                            i * 0.02);
@@ -286,10 +307,10 @@ TEST(Engine, CycleEstimateGrowsWithConditionsAndSharing)
     Engine shared(accelChannels(), true);
     Engine unshared(accelChannels(), false);
     const auto program = il::parse(significantMotionIl);
-    shared.addCondition(1, program);
-    shared.addCondition(2, program);
-    unshared.addCondition(1, program);
-    unshared.addCondition(2, program);
+    shared.addCondition(1, test::planFor(shared, program));
+    shared.addCondition(2, test::planFor(shared, program));
+    unshared.addCondition(1, test::planFor(unshared, program));
+    unshared.addCondition(2, test::planFor(unshared, program));
     EXPECT_GT(shared.estimatedCyclesPerSecond(), 0.0);
     EXPECT_NEAR(unshared.estimatedCyclesPerSecond(),
                 2.0 * shared.estimatedCyclesPerSecond(), 1e-9);
@@ -298,7 +319,8 @@ TEST(Engine, CycleEstimateGrowsWithConditionsAndSharing)
 TEST(Engine, DynamicCyclesAccumulate)
 {
     Engine engine(accelChannels());
-    engine.addCondition(1, il::parse(significantMotionIl));
+    engine.addCondition(
+        1, test::planFor(engine, il::parse(significantMotionIl)));
     EXPECT_DOUBLE_EQ(engine.cyclesConsumed(), 0.0);
     engine.pushSamples({1.0, 1.0, 1.0}, 0.0);
     EXPECT_GT(engine.cyclesConsumed(), 0.0);
@@ -306,8 +328,12 @@ TEST(Engine, DynamicCyclesAccumulate)
 
 TEST(Engine, StaticEstimateMatchesValidateRates)
 {
-    const double estimate = Engine::estimateProgramCycles(
-        il::parse(significantMotionIl), accelChannels());
+    // The unshared plan charges every statement as written.
+    const double estimate =
+        il::lower(il::parse(significantMotionIl), accelChannels(),
+                  il::LowerOptions{false})
+            .cost()
+            .cyclesPerSecond;
     // 3 movingAvg (4 cycles) at 50 Hz + vectorMagnitude (6) at 50 Hz
     // + minThreshold (1) at 50 Hz.
     EXPECT_NEAR(estimate, 3 * 4 * 50.0 + 6 * 50.0 + 1 * 50.0, 1e-9);
@@ -317,7 +343,8 @@ TEST(Engine, StaticEstimateMatchesValidateRates)
 TEST(Engine, ResetStateDropsSignalHistoryButKeepsConditions)
 {
     Engine engine(accelChannels());
-    engine.addCondition(1, il::parse(significantMotionIl));
+    engine.addCondition(
+        1, test::planFor(engine, il::parse(significantMotionIl)));
 
     // Warm the windows nearly to firing, then reset.
     for (int i = 0; i < 9; ++i)

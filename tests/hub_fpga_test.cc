@@ -43,8 +43,8 @@ TEST(Fpga, EveryStandardAlgorithmHasABlock)
 TEST(Fpga, PlacesSignificantMotion)
 {
     const auto placement = planFpgaPlacement(
-        il::parse(motionIl),
-        {{"ACC_X", 50.0}, {"ACC_Y", 50.0}, {"ACC_Z", 50.0}},
+        il::lower(il::parse(motionIl),
+                  {{"ACC_X", 50.0}, {"ACC_Y", 50.0}, {"ACC_Z", 50.0}}),
         ice40Hub());
     EXPECT_TRUE(placement.fits);
     EXPECT_EQ(placement.entries.size(), 5u);
@@ -55,38 +55,21 @@ TEST(Fpga, PlacesSignificantMotion)
 TEST(Fpga, RejectsInvalidProgram)
 {
     EXPECT_THROW(planFpgaPlacement(
-                     il::parse("ACC_X -> bogus(id=1);\n1 -> OUT;\n"),
-                     {{"ACC_X", 50.0}}, ice40Hub()),
+                     il::lower(il::parse("ACC_X -> bogus(id=1);\n"
+                                         "1 -> OUT;\n"),
+                               {{"ACC_X", 50.0}}),
+                     ice40Hub()),
                  SidewinderError);
 }
 
 TEST(Fpga, AllSixAppConditionsFitTheFabric)
 {
     for (const auto &app : apps::allApps()) {
-        const auto placement =
-            planFpgaPlacement(app->wakeCondition().compile(),
-                              app->channels(), ice40Hub());
+        const auto placement = planFpgaPlacement(
+            il::lower(app->wakeCondition().compile(), app->channels()),
+            ice40Hub());
         EXPECT_TRUE(placement.fits)
             << app->name() << " uses " << placement.cellsUsed;
-    }
-}
-
-TEST(Fpga, PlanAndProgramOverloadsAgreeOnEveryApp)
-{
-    // The sealed-plan overload is the primary sizing path; the
-    // Program convenience overload must price the identical node set
-    // (lowering first, so shared subtrees are not double-counted).
-    for (const auto &app : apps::allApps()) {
-        const il::Program program = app->wakeCondition().compile();
-        const auto channels = app->channels();
-        const FpgaPlacement from_ast =
-            planFpgaPlacement(program, channels, ice40Hub());
-        const FpgaPlacement from_plan = planFpgaPlacement(
-            il::lower(program, channels), ice40Hub());
-        EXPECT_EQ(from_ast.cellsUsed, from_plan.cellsUsed)
-            << app->name();
-        EXPECT_EQ(from_ast.dynamicPowerMw, from_plan.dynamicPowerMw);
-        EXPECT_EQ(from_ast.fits, from_plan.fits);
     }
 }
 
@@ -96,7 +79,7 @@ TEST(Fpga, TinyFabricDoesNotFitTheSirenCondition)
     tiny.logicCells = 1000;
     const auto app = apps::makeSirenApp();
     const auto placement = planFpgaPlacement(
-        app->wakeCondition().compile(), app->channels(), tiny);
+        il::lower(app->wakeCondition().compile(), app->channels()), tiny);
     EXPECT_FALSE(placement.fits);
 }
 
@@ -107,7 +90,8 @@ TEST(Fpga, BeatsTheLm4f120OnTheSirenCondition)
     // planned FPGA prototype.
     const auto app = apps::makeSirenApp();
     const auto placement = planFpgaPlacement(
-        app->wakeCondition().compile(), app->channels(), ice40Hub());
+        il::lower(app->wakeCondition().compile(), app->channels()),
+        ice40Hub());
     EXPECT_TRUE(placement.fits);
     EXPECT_LT(placement.totalPowerMw(ice40Hub()),
               lm4f120().activePowerMw);
@@ -117,7 +101,8 @@ TEST(Fpga, AccelConditionsCostMoreThanIdleFabric)
 {
     const auto app = apps::makeStepsApp();
     const auto placement = planFpgaPlacement(
-        app->wakeCondition().compile(), app->channels(), ice40Hub());
+        il::lower(app->wakeCondition().compile(), app->channels()),
+        ice40Hub());
     EXPECT_GT(placement.totalPowerMw(ice40Hub()),
               ice40Hub().staticPowerMw);
 }

@@ -18,6 +18,7 @@
 #include "dsp/features.h"
 #include "dsp/fft.h"
 #include "dsp/filters.h"
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "hub/kernel.h"
 #include "il/algorithm_info.h"
@@ -69,10 +70,10 @@ TEST(KernelRegistry, EveryStandardAlgorithmInstantiates)
             info.inputKind == il::ValueKind::Scalar ? 0 : 32;
         input.fftSize = 32;
 
-        std::vector<il::NodeStream> inputs(
-            statementFor(info).inputs.size(), input);
+        const il::Statement stmt = statementFor(info);
+        std::vector<il::NodeStream> inputs(stmt.inputs.size(), input);
         EXPECT_NO_THROW({
-            auto kernel = makeKernel(statementFor(info), inputs);
+            auto kernel = makeKernel(stmt.algorithm, stmt.params, inputs);
             EXPECT_NE(kernel, nullptr);
         }) << info.name;
     }
@@ -88,9 +89,10 @@ TEST(KernelRegistry, ConditionalFlagsMatchSemantics)
     auto conditional_of = [&](const char *name) {
         const auto info = il::findAlgorithm(name);
         EXPECT_TRUE(info.has_value());
-        std::vector<il::NodeStream> inputs(
-            statementFor(*info).inputs.size(), scalar);
-        return makeKernel(statementFor(*info), inputs)->conditional();
+        const il::Statement stmt = statementFor(*info);
+        std::vector<il::NodeStream> inputs(stmt.inputs.size(), scalar);
+        return makeKernel(stmt.algorithm, stmt.params, inputs)
+            ->conditional();
     };
 
     EXPECT_TRUE(conditional_of("minThreshold"));
@@ -106,7 +108,7 @@ runEngine(const std::string &il_text,
           const std::vector<double> &samples, double rate = 100.0)
 {
     Engine engine({{"CH", rate}});
-    engine.addCondition(1, il::parse(il_text));
+    engine.addCondition(1, test::planFor(engine, il::parse(il_text)));
     std::vector<double> out;
     for (std::size_t i = 0; i < samples.size(); ++i) {
         engine.pushSamples({samples[i]},

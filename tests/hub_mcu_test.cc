@@ -12,6 +12,7 @@
 #include "apps/predefined.h"
 #include "core/sensors.h"
 #include "hub/mcu.h"
+#include "il/lower.h"
 #include "support/error.h"
 
 namespace sidewinder::hub {
@@ -58,8 +59,8 @@ TEST(Mcu, SelectForCostHonoursRamNotJustCycles)
 TEST(Mcu, AccelerometerAppsFitTheMsp430)
 {
     for (const auto &app : apps::accelerometerApps()) {
-        const auto mcu = selectMcu(app->wakeCondition().compile(),
-                                   app->channels());
+        const auto mcu = selectMcuForPlan(
+            il::lower(app->wakeCondition().compile(), app->channels()));
         EXPECT_EQ(mcu.name, "MSP430") << app->name();
     }
 }
@@ -67,8 +68,8 @@ TEST(Mcu, AccelerometerAppsFitTheMsp430)
 TEST(Mcu, SirenNeedsTheLm4f120)
 {
     const auto app = apps::makeSirenApp();
-    const auto mcu =
-        selectMcu(app->wakeCondition().compile(), app->channels());
+    const auto mcu = selectMcuForPlan(
+        il::lower(app->wakeCondition().compile(), app->channels()));
     EXPECT_EQ(mcu.name, "LM4F120");
 }
 
@@ -80,20 +81,22 @@ TEST(Mcu, MusicAndPhraseFitTheMsp430)
         const auto app = name == std::string("music")
                              ? apps::makeMusicJournalApp()
                              : apps::makePhraseApp();
-        const auto mcu = selectMcu(app->wakeCondition().compile(),
-                                   app->channels());
+        const auto mcu = selectMcuForPlan(
+            il::lower(app->wakeCondition().compile(), app->channels()));
         EXPECT_EQ(mcu.name, "MSP430") << name;
     }
 }
 
 TEST(Mcu, PredefinedActivitiesFitTheMsp430)
 {
-    EXPECT_EQ(selectMcu(apps::significantMotionCondition().compile(),
-                        core::accelerometerChannels())
+    EXPECT_EQ(selectMcuForPlan(
+                  il::lower(apps::significantMotionCondition().compile(),
+                            core::accelerometerChannels()))
                   .name,
               "MSP430");
-    EXPECT_EQ(selectMcu(apps::significantSoundCondition().compile(),
-                        core::audioChannels())
+    EXPECT_EQ(selectMcuForPlan(
+                  il::lower(apps::significantSoundCondition().compile(),
+                            core::audioChannels()))
                   .name,
               "MSP430");
 }

@@ -20,6 +20,7 @@
 #include "apps/apps.h"
 #include "apps/predefined.h"
 #include "core/sensors.h"
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "il/analyze.h"
 #include "il/lower.h"
@@ -88,7 +89,7 @@ TEST(PlanProperty, PredefinedAppsAreBitIdenticalToLegacy)
             const il::Program p = app->wakeCondition().compile();
             hub::Engine engine(app->channels(), share);
             reference::LegacyEngine legacy(app->channels(), share);
-            engine.addCondition(1, p);
+            engine.addCondition(1, test::planFor(engine, p));
             legacy.addCondition(1, p);
             expectBitIdentical(engine, legacy, app->channels(), {1},
                                7, 4000);
@@ -105,7 +106,7 @@ TEST(PlanProperty, ExtendedAppsAreBitIdenticalToLegacy)
             const il::Program p = app->wakeCondition().compile();
             hub::Engine engine(app->channels(), share);
             reference::LegacyEngine legacy(app->channels(), share);
-            engine.addCondition(1, p);
+            engine.addCondition(1, test::planFor(engine, p));
             legacy.addCondition(1, p);
             expectBitIdentical(engine, legacy, app->channels(), {1},
                                11, 4000);
@@ -131,7 +132,7 @@ TEST(PlanProperty, ConcurrentAudioConditionsShareAndStayIdentical)
         std::vector<int> ids;
         for (std::size_t i = 0; i < programs.size(); ++i) {
             const int id = static_cast<int>(i) + 1;
-            engine.addCondition(id, programs[i]);
+            engine.addCondition(id, test::planFor(engine, programs[i]));
             legacy.addCondition(id, programs[i]);
             ids.push_back(id);
         }
@@ -224,8 +225,8 @@ TEST(PlanProperty, BlockExecutionBitIdenticalOnAppsAcrossBlockSizes)
                                   std::size_t{16}, std::size_t{64}}) {
                 hub::Engine block_engine(app->channels(), share);
                 hub::Engine ref(app->channels(), share);
-                block_engine.addCondition(1, p);
-                ref.addCondition(1, p);
+                block_engine.addCondition(1, test::planFor(block_engine, p));
+                ref.addCondition(1, test::planFor(ref, p));
                 expectBlockIdentical(block_engine, ref,
                                      app->channels(), {1}, 7, 1500,
                                      k);
@@ -254,8 +255,8 @@ TEST(PlanProperty, BlockExecutionBitIdenticalOnConcurrentConditions)
     std::vector<int> ids;
     for (std::size_t i = 0; i < programs.size(); ++i) {
         const int id = static_cast<int>(i) + 1;
-        block_engine.addCondition(id, programs[i]);
-        ref.addCondition(id, programs[i]);
+        block_engine.addCondition(id, test::planFor(block_engine, programs[i]));
+        ref.addCondition(id, test::planFor(ref, programs[i]));
         ids.push_back(id);
     }
     expectBlockIdentical(block_engine, ref, channels, ids, 13, 6000,
@@ -364,7 +365,7 @@ TEST(PlanProperty, FuzzedProgramsAreBitIdenticalToLegacy)
         for (bool share : {true, false}) {
             hub::Engine engine(kChannels, share);
             reference::LegacyEngine legacy(kChannels, share);
-            engine.addCondition(1, program);
+            engine.addCondition(1, test::planFor(engine, program));
             legacy.addCondition(1, program);
             expectBitIdentical(engine, legacy, kChannels, {1},
                                100 + static_cast<std::uint64_t>(trial),
@@ -387,8 +388,8 @@ TEST(PlanProperty, FuzzedProgramsBlockBitIdenticalToPerSample)
         for (std::size_t k : {std::size_t{4}, std::size_t{64}}) {
             hub::Engine block_engine(kChannels, true);
             hub::Engine ref(kChannels, true);
-            block_engine.addCondition(1, program);
-            ref.addCondition(1, program);
+            block_engine.addCondition(1, test::planFor(block_engine, program));
+            ref.addCondition(1, test::planFor(ref, program));
             expectBlockIdentical(
                 block_engine, ref, kChannels, {1},
                 200 + static_cast<std::uint64_t>(trial), 1500, k);

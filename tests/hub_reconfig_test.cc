@@ -317,9 +317,67 @@ TEST(HubReconfig, AnalyzerRejectionRollsBackAtCommit)
     ASSERT_EQ(frames.size(), 1u);
     const auto ack = transport::decodeUpdateAck(frames[0]);
     EXPECT_EQ(ack.status, transport::UpdateStatus::RolledBack);
-    EXPECT_NE(ack.reason.find("static analysis"), std::string::npos);
+    EXPECT_TRUE(
+        ack.reason.starts_with("static analysis rejected the update: ["))
+        << ack.reason;
     EXPECT_EQ(hub.configEpoch(), 0u);
     EXPECT_EQ(hub.engine().stagedCount(), 0u);
+}
+
+/** ACC_X -> window(@p size) -> mean -> minThreshold(1) -> OUT. */
+core::ProcessingPipeline
+windowMeanPipeline(int size)
+{
+    core::ProcessingBranch branch(core::channel::accelerometerX);
+    branch.add(core::Window(size));
+    branch.add(core::Mean());
+    core::ProcessingPipeline pipeline;
+    pipeline.add(std::move(branch));
+    pipeline.add(core::MinThreshold(1.0));
+    return pipeline;
+}
+
+TEST(HubReconfig, RamOverflowDuringTheAbWindowRollsBackAtCommit)
+{
+    transport::LinkPair link(115200.0);
+    HubRuntime hub(link, core::accelerometerChannels(), msp430());
+    core::SidewinderSensorManager manager(
+        link, core::accelerometerChannels());
+
+    // A 2048-sample window fits the MSP430's RAM on its own...
+    Recorder listener;
+    const int id =
+        manager.push(windowMeanPipeline(2048), &listener, 0.0);
+    for (std::size_t i = 0; i < 50; ++i)
+        step(hub, manager, i);
+    ASSERT_EQ(manager.state(id), core::ConditionState::Active);
+    const std::size_t live = hub.engine().estimatedRamBytes();
+    EXPECT_EQ(live, 8312u);
+
+    // ...but a slightly larger one shares no node with it, and both
+    // copies hold their state until the swap.
+    manager.beginUpdate(1.0);
+    manager.updateCondition(id, windowMeanPipeline(2100), 1.0);
+    manager.commitUpdate(1.0);
+    for (std::size_t i = 50; i < 100; ++i)
+        step(hub, manager, i);
+
+    const std::size_t staged =
+        il::lower(windowMeanPipeline(2100).compile(),
+                  core::accelerometerChannels())
+            .cost()
+            .ramBytes;
+    ASSERT_LE(staged, msp430().ramBytes);
+    EXPECT_EQ(manager.lastUpdateError(),
+              "update needs " + std::to_string(live + staged) +
+                  " bytes of hub RAM during the A/B window; MSP430 "
+                  "has 16384");
+    EXPECT_EQ(hub.updatesRolledBack(), 1u);
+    EXPECT_EQ(hub.configEpoch(), 0u);
+    EXPECT_EQ(hub.engine().stagedCount(), 0u);
+    // The live plan keeps running.
+    EXPECT_TRUE(hub.engine().hasCondition(id));
+    EXPECT_EQ(hub.engine().estimatedRamBytes(), live);
 }
 
 TEST(HubReconfig, StalledTransferRollsBackAndFreesShadowSlot)

@@ -9,6 +9,8 @@
 #include "hub/mcu.h"
 #include "support/error.h"
 #include "hub/runtime.h"
+#include "il/lower.h"
+#include "il/parser.h"
 #include "transport/link.h"
 #include "transport/messages.h"
 
@@ -92,7 +94,36 @@ TEST(HubRuntime, RejectsBeyondMcuCapability)
     ASSERT_EQ(frames.size(), 1u);
     EXPECT_EQ(frames[0].type, transport::MessageType::ConfigReject);
     const auto reject = transport::decodeConfigReject(frames[0]);
-    EXPECT_NE(reject.reason.find("MSP430"), std::string::npos);
+    // An empty engine: the load is the plan's own cost.
+    const double needed =
+        il::lower(il::parse(siren_prefix), {{"AUDIO", 4000.0}})
+            .cost()
+            .cyclesPerSecond;
+    EXPECT_EQ(reject.reason,
+              "condition needs " + std::to_string(needed) +
+                  " cycle units/s; MSP430 sustains " +
+                  std::to_string(msp430().cyclesPerSecond));
+}
+
+TEST(HubRuntime, AnalyzerRejectionNamesTheCondition)
+{
+    transport::LinkPair link(115200.0);
+    HubRuntime hub(link, accelChannels(), msp430());
+
+    link.phoneToHub().sendFrame(
+        transport::encodeConfigPush(
+            {4, "ACC_X -> bogus(id=1);\n1 -> OUT;\n"}),
+        0.0);
+    hub.pollLink(1.0);
+
+    const auto frames = phoneSideFrames(link, 2.0);
+    ASSERT_EQ(frames.size(), 1u);
+    EXPECT_EQ(frames[0].type, transport::MessageType::ConfigReject);
+    const auto reject = transport::decodeConfigReject(frames[0]);
+    EXPECT_TRUE(reject.reason.starts_with(
+        "static analysis rejected the condition: [SW"))
+        << reject.reason;
+    EXPECT_FALSE(hub.engine().hasCondition(4));
 }
 
 TEST(HubRuntime, SameConfigAcceptedOnStrongerMcu)

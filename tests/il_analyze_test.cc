@@ -18,6 +18,7 @@
 #include "hub/mcu.h"
 #include "il/algorithm_info.h"
 #include "il/analyze.h"
+#include "il/lower.h"
 #include "il/optimize.h"
 #include "il/parser.h"
 #include "il/validate.h"
@@ -221,7 +222,8 @@ TEST(Analyze, SelectMcuRejectsRamHogThatValidatePasses)
         hub::canRunInRealTime(hub::msp430(),
                               result.cost.cyclesPerSecond));
     EXPECT_GT(result.cost.ramBytes, hub::lm4f120().ramBytes);
-    EXPECT_THROW(hub::selectMcu(program, kChannels), CapabilityError);
+    EXPECT_THROW(hub::selectMcuForPlan(lower(program, kChannels)),
+                 CapabilityError);
 
     const auto verdict = hub::admissionDiagnostics(result.cost);
     ASSERT_EQ(verdict.size(), 1u);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "il/optimize.h"
 #include "il/parser.h"
@@ -88,8 +89,8 @@ TEST(Optimize, SemanticsPreservedOnTheEngine)
 
     hub::Engine a(app->channels());
     hub::Engine b(app->channels());
-    a.addCondition(1, original);
-    b.addCondition(1, optimized);
+    a.addCondition(1, test::planFor(a, original));
+    b.addCondition(1, test::planFor(b, optimized));
 
     sidewinder::Rng rng(3);
     std::vector<double> wakes_a, wakes_b;

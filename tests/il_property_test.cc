@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "il/analyze.h"
 #include "il/parser.h"
@@ -114,7 +115,7 @@ TEST_P(IlRoundTrip, GeneratedProgramsValidateAndInstall)
         const Program program = randomProgram(rng);
         EXPECT_NO_THROW(validate(program, kChannels));
         hub::Engine engine(kChannels);
-        EXPECT_NO_THROW(engine.addCondition(1, program));
+        EXPECT_NO_THROW(engine.addCondition(1, test::planFor(engine, program)));
         // The engine accepts samples without raising.
         for (int s = 0; s < 25; ++s)
             engine.pushSamples({1.0, 2.0, 3.0}, s * 0.02);

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
+#include "core/algorithm.h"
+#include "core/sensors.h"
 #include "sim/concurrent.h"
 #include "sim/simulator.h"
 #include "support/error.h"
@@ -41,6 +43,50 @@ TEST(Concurrent, RejectsMixedChannelSets)
     mixed.push_back(apps::makeSirenApp());
     // The trace does not matter; channel validation comes first.
     EXPECT_THROW(simulateConcurrent(robotTrace(), mixed), ConfigError);
+}
+
+/** Thresholds ACC_X alone, sampled at a rate the test chooses. */
+class AccelXApp : public apps::Application
+{
+  public:
+    explicit AccelXApp(double rate_hz) : rateHz(rate_hz) {}
+
+    std::string name() const override { return "accel-x"; }
+    std::string eventType() const override { return "step"; }
+    std::vector<il::ChannelInfo>
+    channels() const override
+    {
+        return {{core::channel::accelerometerX, rateHz}};
+    }
+    core::ProcessingPipeline
+    wakeCondition() const override
+    {
+        core::ProcessingBranch branch(core::channel::accelerometerX);
+        branch.add(core::Window(50));
+        branch.add(core::Rms());
+        core::ProcessingPipeline pipeline;
+        pipeline.add(std::move(branch));
+        pipeline.add(core::MinThreshold(1.0));
+        return pipeline;
+    }
+    std::vector<double>
+    classify(const trace::Trace &, std::size_t, std::size_t) const override
+    {
+        return {};
+    }
+
+  private:
+    double rateHz;
+};
+
+TEST(Concurrent, RejectsOneChannelAtTwoRates)
+{
+    // Same channel names, different rates: one hub cannot sample
+    // ACC_X at 50 Hz and at 100 Hz.
+    std::vector<std::unique_ptr<apps::Application>> apps;
+    apps.push_back(std::make_unique<AccelXApp>(50.0));
+    apps.push_back(std::make_unique<AccelXApp>(100.0));
+    EXPECT_THROW(simulateConcurrent(robotTrace(), apps), ConfigError);
 }
 
 TEST(Concurrent, AllAccelAppsKeepFullRecall)

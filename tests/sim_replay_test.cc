@@ -30,6 +30,7 @@
 
 #include "apps/apps.h"
 #include "apps/predefined.h"
+#include "engine_plan.h"
 #include "sim/concurrent.h"
 #include "sim/faults.h"
 #include "sim/replay.h"
@@ -159,8 +160,8 @@ TEST(ReplayGoldens, BlockReplayKeepsTheRaggedTailWakes)
         apps::significantMotionCondition(1e-9).compile();
     hub::Engine block(channels);
     hub::Engine ref(channels);
-    block.addCondition(1, program);
-    ref.addCondition(1, program);
+    block.addCondition(1, test::planFor(block, program));
+    ref.addCondition(1, test::planFor(ref, program));
 
     std::vector<hub::WakeEvent> got;
     detail::replayTrace(block, trace, [&](const hub::WakeEvent &event) {

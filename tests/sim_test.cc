@@ -267,6 +267,19 @@ TEST_F(SimOrdering, MissingChannelThrows)
                  ConfigError);
 }
 
+TEST_F(SimOrdering, TraceAtAnotherRateThrows)
+{
+    // Steps reads the accelerometer at 50 Hz; its condition must not
+    // replay over a 100 Hz run, whose waves come twice as fast.
+    trace::RobotRunConfig config;
+    config.sampleRateHz = 100.0;
+    config.durationSeconds = 60.0;
+    const auto app = apps::makeStepsApp();
+    EXPECT_THROW(run(trace::generateRobotRun(config), *app,
+                     Strategy::Sidewinder),
+                 ConfigError);
+}
+
 
 TEST(Calibrate, ReportsWhenFullRecallUnattainable)
 {

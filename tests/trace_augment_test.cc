@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
+#include "engine_plan.h"
 #include "hub/engine.h"
 #include "metrics/events.h"
 #include "support/error.h"
@@ -81,7 +82,8 @@ TEST(Robustness, StepsWakeSurvivesModerateNoise)
         addGaussianNoise(smallRobotTrace(), 0.15, 3);
 
     hub::Engine engine(app->channels());
-    engine.addCondition(1, app->wakeCondition().compile());
+    engine.addCondition(
+        1, test::planFor(engine, app->wakeCondition().compile()));
     std::vector<double> triggers;
     for (std::size_t i = 0; i < noisy.sampleCount(); ++i) {
         engine.pushSamples({noisy.channels[0][i], noisy.channels[1][i],
@@ -110,7 +112,8 @@ TEST(Robustness, HeadbuttsWakeBreaksUnderLargeGainError)
         applyGain(generateRobotRun(config), 0.55);
 
     hub::Engine engine(app->channels());
-    engine.addCondition(1, app->wakeCondition().compile());
+    engine.addCondition(
+        1, test::planFor(engine, app->wakeCondition().compile()));
     std::vector<double> triggers;
     for (std::size_t i = 0; i < miscalibrated.sampleCount(); ++i) {
         engine.pushSamples({miscalibrated.channels[0][i],
