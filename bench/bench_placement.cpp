@@ -34,7 +34,6 @@
 #include "bench_common.h"
 #include "hub/placer.h"
 #include "il/lower.h"
-#include "il/optimize.h"
 #include "il/plan.h"
 #include "support/rng.h"
 
@@ -174,17 +173,16 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "BENCH_placement.json";
     const std::size_t devices = bench::fastMode() ? 2000 : 10000;
 
-    // The shipped-app corpus, hub-optimized form. The skew mirrors
-    // bench_fleet_scaling's accel mix, with an audio tail (siren /
-    // music / phrase) that does not fit the MSP430 — the conditions
-    // the greedy ladder over-provisions.
+    // The shipped-app corpus, lowered as the hub installs it. The
+    // skew mirrors bench_fleet_scaling's accel mix, with an audio tail
+    // (siren / music / phrase) that does not fit the MSP430 — the
+    // conditions the greedy ladder over-provisions.
     std::vector<il::ExecutionPlan> corpus;
     std::vector<double> weights;
     std::vector<std::string> names;
     auto add = [&](std::unique_ptr<apps::Application> app, double w) {
         corpus.push_back(
-            il::lower(il::optimize(app->wakeCondition().compile()),
-                      app->channels()));
+            il::lower(app->wakeCondition().compile(), app->channels()));
         weights.push_back(w);
         names.push_back(app->name());
     };

@@ -89,7 +89,7 @@ class MusicJournalApp : public Application
             .add(MaxThreshold(maxZcrVariance));
 
         // Shares the window/zcr/window prefix with the branch above
-        // (deduplicated by the IL optimizer and the hub engine).
+        // (merged by il::lower() and the hub engine).
         ProcessingBranch low_register(channel::audio);
         low_register.add(Window(zcrSubWindow))
             .add(ZeroCrossingRate())

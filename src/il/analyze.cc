@@ -8,15 +8,35 @@
 
 #include "il/lower.h"
 #include "il/plan.h"
+#include "support/error.h"
 
 namespace sidewinder::il {
 
 namespace {
 
+/** Largest count a kernel takes: 2^32 - 1 fits any std::size_t. */
+constexpr double kMaxCount = 4294967295.0;
+
 bool
 isPositiveInteger(double v)
 {
     return v >= 1.0 && v == std::floor(v);
+}
+
+/**
+ * True when parameter @p index of @p algorithm is a count, which the
+ * kernels and the RAM model cast to std::size_t: a movingAvg length,
+ * a window size or hop, a consecutive count, a peak refractory.
+ */
+bool
+isCountParameter(const std::string &algorithm, std::size_t index)
+{
+    if (algorithm == "movingAvg" || algorithm == "consecutive")
+        return index == 0;
+    if (algorithm == "window")
+        return index == 0 || index == 2;
+    return (algorithm == "localMaxima" || algorithm == "localMinima") &&
+           index == 2;
 }
 
 bool
@@ -107,7 +127,7 @@ escapeJson(const std::string &text)
     return out;
 }
 
-/** Everything the analyzer tracks about one defined node. */
+/** Everything the legality walk tracks about one defined node. */
 struct NodeRecord
 {
     const Statement *stmt = nullptr;
@@ -115,8 +135,18 @@ struct NodeRecord
     NodeStream stream;
     /** False when an error left the stream a placeholder. */
     bool streamKnown = false;
-    /** Node ids this node reads (channels omitted). */
-    std::vector<NodeId> nodeInputs;
+};
+
+/** What the legality walk learned besides its diagnostics. */
+struct Walk
+{
+    std::map<NodeId, NodeRecord> nodes;
+    /** Stream of every node whose algorithm is known. */
+    StreamMap streams;
+    bool seenOut = false;
+    /** Node feeding OUT; 0 when OUT is missing or malformed. */
+    NodeId outFeeder = 0;
+    SourceSpan outSpan{0, 0};
 };
 
 /** Appends diagnostics with shared bookkeeping. */
@@ -145,10 +175,11 @@ class Emitter
 };
 
 /**
- * Tolerant version of validate()'s deriveStream: emits diagnostics
- * instead of throwing, clamps bad parameters to keep the derived
- * stream usable, and guards every parameter access (arity violations
- * have already been reported, not enforced).
+ * Check the algorithm-specific parameter rules of @p stmt given the
+ * streams on its inputs, and derive the stream it produces. Emits
+ * diagnostics instead of throwing, clamps bad parameters to keep the
+ * derived stream usable, and guards every parameter access (arity
+ * violations have already been reported, not enforced).
  */
 NodeStream
 deriveStreamChecked(const Statement &stmt, const AlgorithmInfo &info,
@@ -173,6 +204,17 @@ deriveStreamChecked(const Statement &stmt, const AlgorithmInfo &info,
     auto param = [&](std::size_t i, double fallback) {
         return i < p.size() ? p[i] : fallback;
     };
+
+    // The IL text cannot spell a non-finite number, and a count past
+    // kMaxCount has no std::size_t the kernels could hold it in.
+    for (std::size_t i = 0; i < p.size(); ++i)
+        if (!std::isfinite(p[i]) ||
+            (p[i] > kMaxCount && isCountParameter(name, i)))
+            diags.emit(SW009_BAD_PARAMETER, Severity::Error, span, id,
+                       name + " parameter " + std::to_string(i + 1) +
+                           " is out of range, got " + formatNumber(p[i]),
+                       "parameters must be finite, and counts at most "
+                       "4294967295");
 
     if (name == "movingAvg") {
         if (!p.empty() && !isPositiveInteger(p[0]))
@@ -200,13 +242,15 @@ deriveStreamChecked(const Statement &stmt, const AlgorithmInfo &info,
                        "remove the stage or lower alpha");
     } else if (name == "window") {
         double size_param = param(0, 1.0);
-        if (!isPositiveInteger(size_param)) {
+        if (!isPositiveInteger(size_param))
             diags.emit(SW009_BAD_PARAMETER, Severity::Error, span, id,
                        "window size must be a positive integer, got " +
                            formatNumber(size_param),
                        "use an integer window length >= 1");
-            size_param = std::max(1.0, std::floor(size_param));
-        }
+        // Clamped, so the derived stream stays usable and the cast
+        // below stays in range.
+        size_param =
+            std::min(std::max(1.0, std::floor(size_param)), kMaxCount);
         const double hamming = param(1, 0.0);
         if (hamming != 0.0 && hamming != 1.0)
             diags.emit(SW009_BAD_PARAMETER, Severity::Error, span, id,
@@ -370,7 +414,253 @@ subtreeKey(const Statement &stmt,
     return canonicalNodeKey(stmt.algorithm, stmt.params, input_keys);
 }
 
+/**
+ * The one home of IL legality. Checks @p program against @p channels
+ * statement by statement, emits every SW0xx finding (and the warnings
+ * stream derivation raises) to @p diags, and records each node and
+ * its derived stream in @p walk. Every node it registers with a known
+ * algorithm then goes to @p onNode as (statement, span, algorithm,
+ * input streams, node inputs, stream); validate() passes a no-op.
+ */
+template <typename OnNode>
+void
+walkProgram(const Program &program,
+            const std::vector<ChannelInfo> &channels, Emitter &diags,
+            Walk &walk, OnNode &&onNode)
+{
+    if (program.statements.empty()) {
+        diags.emit(SW001_EMPTY_PROGRAM, Severity::Error,
+                   SourceSpan{1, 1}, 0, "program is empty",
+                   "a program needs at least one statement and an OUT");
+        return;
+    }
+
+    std::map<std::string, const ChannelInfo *> channel_by_name;
+    for (const auto &ch : channels)
+        channel_by_name[ch.name] = &ch;
+
+    // Lowering runs this walk too, so a statement allocates only its
+    // two map entries: consumed ids go in a vector sorted once at the
+    // end, and the per-statement scratch is reused.
+    std::vector<NodeId> consumed;
+    std::vector<NodeStream> input_streams;
+    std::vector<bool> input_known;
+    std::vector<NodeId> node_inputs;
+
+    for (std::size_t index = 0; index < program.statements.size();
+         ++index) {
+        const Statement &stmt = program.statements[index];
+        const SourceSpan span = statementSpan(stmt, index);
+
+        if (walk.seenOut) {
+            diags.emit(SW013_OUT_STATEMENT, Severity::Error, span,
+                       stmt.id,
+                       "statement after OUT; OUT must be the final "
+                       "statement",
+                       "move the OUT statement to the end");
+            continue;
+        }
+        if (stmt.inputs.empty()) {
+            diags.emit(SW015_NO_INPUTS, Severity::Error, span, stmt.id,
+                       "statement has no inputs");
+            continue;
+        }
+
+        // Resolve input streams, tolerating unknown references.
+        input_streams.clear();
+        input_known.clear();
+        node_inputs.clear();
+        for (const auto &src : stmt.inputs) {
+            if (src.kind == SourceRef::Kind::Channel) {
+                auto it = channel_by_name.find(src.channel);
+                if (it == channel_by_name.end()) {
+                    diags.emit(SW002_UNKNOWN_CHANNEL, Severity::Error,
+                               span, stmt.id,
+                               "unknown sensor channel '" +
+                                   src.channel + "'",
+                               "available channels are fixed by the "
+                               "hub configuration");
+                    input_streams.emplace_back();
+                    input_known.push_back(false);
+                    continue;
+                }
+                NodeStream s;
+                s.kind = ValueKind::Scalar;
+                s.fireRateHz = it->second->sampleRateHz;
+                s.baseRateHz = it->second->sampleRateHz;
+                input_streams.push_back(s);
+                input_known.push_back(true);
+            } else {
+                auto it = walk.nodes.find(src.node);
+                if (it == walk.nodes.end()) {
+                    diags.emit(SW004_UNDEFINED_NODE, Severity::Error,
+                               span, stmt.id,
+                               "node " + std::to_string(src.node) +
+                                   " referenced before definition",
+                               "programs must be in topological "
+                               "order");
+                    input_streams.emplace_back();
+                    input_known.push_back(false);
+                } else {
+                    input_streams.push_back(it->second.stream);
+                    input_known.push_back(it->second.streamKnown);
+                }
+                consumed.push_back(src.node);
+                node_inputs.push_back(src.node);
+            }
+        }
+
+        if (stmt.isOut) {
+            walk.seenOut = true;
+            walk.outSpan = span;
+            if (stmt.inputs.size() != 1 ||
+                stmt.inputs[0].kind != SourceRef::Kind::Node) {
+                diags.emit(SW013_OUT_STATEMENT, Severity::Error, span,
+                           0, "OUT must be fed by exactly one node",
+                           "aggregate branches (vectorMagnitude, "
+                           "and/or) before OUT");
+            } else {
+                walk.outFeeder = stmt.inputs[0].node;
+                if (input_known[0] &&
+                    input_streams[0].kind != ValueKind::Scalar)
+                    diags.emit(SW013_OUT_STATEMENT, Severity::Error,
+                               span, walk.outFeeder,
+                               "OUT must be fed a scalar stream, got "
+                               "a " + std::string(kindName(
+                                          input_streams[0].kind)),
+                               "reduce the frame (mean, rms, ...) "
+                               "before OUT");
+            }
+            continue;
+        }
+
+        bool register_node = true;
+        if (stmt.id <= 0) {
+            diags.emit(SW005_BAD_NODE_ID, Severity::Error, span,
+                       stmt.id,
+                       "node ids must be positive, got " +
+                           std::to_string(stmt.id));
+            register_node = false;
+        } else if (walk.nodes.count(stmt.id)) {
+            diags.emit(SW005_BAD_NODE_ID, Severity::Error, span,
+                       stmt.id,
+                       "duplicate node id " + std::to_string(stmt.id),
+                       "ids must be unique within a program");
+            register_node = false;
+        }
+
+        const auto info = findAlgorithm(stmt.algorithm);
+        if (!info) {
+            diags.emit(SW003_UNKNOWN_ALGORITHM, Severity::Error, span,
+                       stmt.id,
+                       "unknown algorithm '" + stmt.algorithm + "'",
+                       "see il::standardAlgorithms() for the "
+                       "platform's standardized set");
+            if (register_node) {
+                // Register a placeholder so downstream statements can
+                // still be checked without cascading SW004 noise.
+                NodeRecord &rec = walk.nodes[stmt.id];
+                rec.stmt = &stmt;
+                rec.span = span;
+                rec.stream.fireRateHz = input_streams.front().fireRateHz;
+            }
+            continue;
+        }
+
+        if (stmt.inputs.size() < info->minInputs ||
+            stmt.inputs.size() > info->maxInputs) {
+            std::ostringstream msg;
+            msg << stmt.algorithm << " takes " << info->minInputs;
+            if (info->maxInputs != info->minInputs)
+                msg << ".." << info->maxInputs;
+            msg << " inputs, got " << stmt.inputs.size();
+            diags.emit(SW006_INPUT_ARITY, Severity::Error, span,
+                       stmt.id, msg.str());
+        }
+        if (stmt.params.size() < info->minParams ||
+            stmt.params.size() > info->maxParams) {
+            std::ostringstream msg;
+            msg << stmt.algorithm << " takes " << info->minParams;
+            if (info->maxParams != info->minParams)
+                msg << ".." << info->maxParams;
+            msg << " params, got " << stmt.params.size();
+            diags.emit(SW007_PARAM_ARITY, Severity::Error, span,
+                       stmt.id, msg.str());
+        }
+
+        for (std::size_t i = 0; i < input_streams.size(); ++i) {
+            if (!input_known[i] ||
+                input_streams[i].kind == info->inputKind)
+                continue;
+            if (input_streams[i].kind == ValueKind::Scalar &&
+                info->inputKind == ValueKind::Frame)
+                diags.emit(SW016_SCALAR_INTO_FRAME, Severity::Error,
+                           span, stmt.id,
+                           "scalar stream feeds frame-only algorithm " +
+                               stmt.algorithm,
+                           "insert a window(size) stage to assemble "
+                           "frames");
+            else
+                diags.emit(SW008_INPUT_KIND, Severity::Error, span,
+                           stmt.id,
+                           stmt.algorithm + " expects " +
+                               kindName(info->inputKind) +
+                               " inputs, got " +
+                               kindName(input_streams[i].kind));
+            break; // one kind finding per statement is enough
+        }
+
+        const NodeStream stream = deriveStreamChecked(
+            stmt, *info, input_streams, span, diags);
+
+        if (register_node) {
+            walk.nodes[stmt.id] = NodeRecord{&stmt, span, stream, true};
+            walk.streams[stmt.id] = stream;
+            onNode(stmt, span, *info, input_streams, node_inputs, stream);
+        }
+    }
+
+    if (!walk.seenOut)
+        diags.emit(SW013_OUT_STATEMENT, Severity::Error,
+                   statementSpan(program.statements.back(),
+                                 program.statements.size() - 1),
+                   0, "program has no OUT statement",
+                   "terminate the pipeline with 'n -> OUT;'");
+
+    // Dead nodes: defined but never consumed.
+    std::sort(consumed.begin(), consumed.end());
+    for (const auto &[id, rec] : walk.nodes) {
+        if (!std::binary_search(consumed.begin(), consumed.end(), id))
+            diags.emit(SW014_DEAD_NODE, Severity::Error, rec.span, id,
+                       "node " + std::to_string(id) +
+                           " is never consumed; pipelines must "
+                           "converge to OUT",
+                       "feed it into the remaining chain or delete "
+                       "it");
+    }
+}
+
 } // namespace
+
+StreamMap
+validate(const Program &program, const std::vector<ChannelInfo> &channels)
+{
+    std::vector<Diagnostic> diagnostics;
+    Emitter diags(diagnostics);
+    Walk walk;
+    walkProgram(program, channels, diags, walk, [](auto &&...) {});
+    for (const auto &d : diagnostics) {
+        if (d.severity != Severity::Error)
+            continue;
+        std::ostringstream out;
+        out << "IL validation error at " << d.line << ":" << d.column
+            << ": [" << d.code << "] " << d.message;
+        if (d.node != 0)
+            out << " (node " << d.node << ")";
+        throw ParseError(out.str());
+    }
+    return std::move(walk.streams);
+}
 
 const char *
 severityName(Severity severity)
@@ -467,7 +757,8 @@ nodeRamBytes(const AlgorithmInfo &info,
     };
 
     if (name == "movingAvg") {
-        const double w = std::max(1.0, std::floor(param(0, 1.0)));
+        const double w =
+            std::min(std::max(1.0, std::floor(param(0, 1.0))), kMaxCount);
         bytes += kSampleBytes * static_cast<std::size_t>(w) + 8;
     } else if (name == "window") {
         // Sample ring plus the Hamming coefficient table when enabled.
@@ -502,223 +793,36 @@ analyze(const Program &program,
 {
     AnalysisResult result;
     Emitter diags(result.diagnostics);
-
-    if (program.statements.empty()) {
-        diags.emit(SW001_EMPTY_PROGRAM, Severity::Error,
-                   SourceSpan{1, 1}, 0, "program is empty",
-                   "a program needs at least one statement and an OUT");
-        return result;
-    }
-
-    std::map<std::string, const ChannelInfo *> channel_by_name;
-    for (const auto &ch : channels)
-        channel_by_name[ch.name] = &ch;
-
-    std::map<NodeId, NodeRecord> nodes;
-    std::set<NodeId> consumed;
-    bool seen_out = false;
-    NodeId out_feeder = 0;
-    SourceSpan out_span{0, 0};
     /** Duplicate-subtree detection state. */
     std::map<std::string, NodeId> subtree_owner;
     std::map<NodeId, std::string> node_keys;
 
-    for (std::size_t index = 0; index < program.statements.size();
-         ++index) {
-        const Statement &stmt = program.statements[index];
-        const SourceSpan span = statementSpan(stmt, index);
-
-        if (seen_out) {
-            diags.emit(SW013_OUT_STATEMENT, Severity::Error, span,
-                       stmt.id,
-                       "statement after OUT; OUT must be the final "
-                       "statement",
-                       "move the OUT statement to the end");
-            continue;
-        }
-        if (stmt.inputs.empty()) {
-            diags.emit(SW015_NO_INPUTS, Severity::Error, span, stmt.id,
-                       "statement has no inputs");
-            continue;
-        }
-
-        // Resolve input streams, tolerating unknown references.
-        std::vector<NodeStream> input_streams;
-        std::vector<bool> input_known;
-        std::vector<NodeId> node_inputs;
-        for (const auto &src : stmt.inputs) {
-            if (src.kind == SourceRef::Kind::Channel) {
-                auto it = channel_by_name.find(src.channel);
-                if (it == channel_by_name.end()) {
-                    diags.emit(SW002_UNKNOWN_CHANNEL, Severity::Error,
-                               span, stmt.id,
-                               "unknown sensor channel '" +
-                                   src.channel + "'",
-                               "available channels are fixed by the "
-                               "hub configuration");
-                    input_streams.emplace_back();
-                    input_known.push_back(false);
-                    continue;
-                }
-                NodeStream s;
-                s.kind = ValueKind::Scalar;
-                s.fireRateHz = it->second->sampleRateHz;
-                s.baseRateHz = it->second->sampleRateHz;
-                input_streams.push_back(s);
-                input_known.push_back(true);
-            } else {
-                auto it = nodes.find(src.node);
-                if (it == nodes.end()) {
-                    diags.emit(SW004_UNDEFINED_NODE, Severity::Error,
-                               span, stmt.id,
-                               "node " + std::to_string(src.node) +
-                                   " referenced before definition",
-                               "programs must be in topological "
-                               "order");
-                    input_streams.emplace_back();
-                    input_known.push_back(false);
-                } else {
-                    input_streams.push_back(it->second.stream);
-                    input_known.push_back(it->second.streamKnown);
-                }
-                consumed.insert(src.node);
-                node_inputs.push_back(src.node);
-            }
-        }
-
-        if (stmt.isOut) {
-            seen_out = true;
-            out_span = span;
-            if (stmt.inputs.size() != 1 ||
-                stmt.inputs[0].kind != SourceRef::Kind::Node) {
-                diags.emit(SW013_OUT_STATEMENT, Severity::Error, span,
-                           0, "OUT must be fed by exactly one node",
-                           "aggregate branches (vectorMagnitude, "
-                           "and/or) before OUT");
-            } else {
-                out_feeder = stmt.inputs[0].node;
-                if (input_known[0] &&
-                    input_streams[0].kind != ValueKind::Scalar)
-                    diags.emit(SW013_OUT_STATEMENT, Severity::Error,
-                               span, out_feeder,
-                               "OUT must be fed a scalar stream, got "
-                               "a " + std::string(kindName(
-                                          input_streams[0].kind)),
-                               "reduce the frame (mean, rms, ...) "
-                               "before OUT");
-            }
-            continue;
-        }
-
-        bool register_node = true;
-        if (stmt.id <= 0) {
-            diags.emit(SW005_BAD_NODE_ID, Severity::Error, span,
-                       stmt.id,
-                       "node ids must be positive, got " +
-                           std::to_string(stmt.id));
-            register_node = false;
-        } else if (nodes.count(stmt.id)) {
-            diags.emit(SW005_BAD_NODE_ID, Severity::Error, span,
-                       stmt.id,
-                       "duplicate node id " + std::to_string(stmt.id),
-                       "ids must be unique within a program");
-            register_node = false;
-        }
-
-        const auto info = findAlgorithm(stmt.algorithm);
-        if (!info) {
-            diags.emit(SW003_UNKNOWN_ALGORITHM, Severity::Error, span,
-                       stmt.id,
-                       "unknown algorithm '" + stmt.algorithm + "'",
-                       "see il::standardAlgorithms() for the "
-                       "platform's standardized set");
-            if (register_node) {
-                // Register a placeholder so downstream statements can
-                // still be checked without cascading SW004 noise.
-                NodeRecord rec;
-                rec.stmt = &stmt;
-                rec.span = span;
-                rec.stream.fireRateHz = input_streams.front().fireRateHz;
-                rec.streamKnown = false;
-                rec.nodeInputs = node_inputs;
-                nodes[stmt.id] = std::move(rec);
-            }
-            continue;
-        }
-
-        if (stmt.inputs.size() < info->minInputs ||
-            stmt.inputs.size() > info->maxInputs) {
-            std::ostringstream msg;
-            msg << stmt.algorithm << " takes " << info->minInputs;
-            if (info->maxInputs != info->minInputs)
-                msg << ".." << info->maxInputs;
-            msg << " inputs, got " << stmt.inputs.size();
-            diags.emit(SW006_INPUT_ARITY, Severity::Error, span,
-                       stmt.id, msg.str());
-        }
-        if (stmt.params.size() < info->minParams ||
-            stmt.params.size() > info->maxParams) {
-            std::ostringstream msg;
-            msg << stmt.algorithm << " takes " << info->minParams;
-            if (info->maxParams != info->minParams)
-                msg << ".." << info->maxParams;
-            msg << " params, got " << stmt.params.size();
-            diags.emit(SW007_PARAM_ARITY, Severity::Error, span,
-                       stmt.id, msg.str());
-        }
-
-        for (std::size_t i = 0; i < input_streams.size(); ++i) {
-            if (!input_known[i] ||
-                input_streams[i].kind == info->inputKind)
-                continue;
-            if (input_streams[i].kind == ValueKind::Scalar &&
-                info->inputKind == ValueKind::Frame)
-                diags.emit(SW016_SCALAR_INTO_FRAME, Severity::Error,
-                           span, stmt.id,
-                           "scalar stream feeds frame-only algorithm " +
-                               stmt.algorithm,
-                           "insert a window(size) stage to assemble "
-                           "frames");
-            else
-                diags.emit(SW008_INPUT_KIND, Severity::Error, span,
-                           stmt.id,
-                           stmt.algorithm + " expects " +
-                               kindName(info->inputKind) +
-                               " inputs, got " +
-                               kindName(input_streams[i].kind));
-            break; // one kind finding per statement is enough
-        }
-
-        const NodeStream stream = deriveStreamChecked(
-            stmt, *info, input_streams, span, diags);
-
-        // Static cost: per-invocation cycles at the nominal firing
-        // rate, plus the node's RAM footprint.
-        NodeCost cost;
-        cost.cyclesPerInvoke = invokeCost(*info, input_streams.front());
-        double rate = input_streams.front().fireRateHz;
-        for (const auto &s : input_streams)
-            rate = std::min(rate, s.fireRateHz);
-        cost.invokeRateHz = rate;
-        cost.cyclesPerSecond = cost.cyclesPerInvoke * cost.invokeRateHz;
-        cost.ramBytes = nodeRamBytes(*info, stmt.params,
-                                     input_streams.front(), stream);
-
-        if (register_node) {
-            NodeRecord rec;
-            rec.stmt = &stmt;
-            rec.span = span;
-            rec.stream = stream;
-            rec.streamKnown = true;
-            rec.nodeInputs = node_inputs;
-            nodes[stmt.id] = std::move(rec);
-            result.streams[stmt.id] = stream;
+    Walk walk;
+    walkProgram(
+        program, channels, diags, walk,
+        [&](const Statement &stmt, SourceSpan span,
+            const AlgorithmInfo &info,
+            const std::vector<NodeStream> &inputs,
+            const std::vector<NodeId> &node_inputs,
+            const NodeStream &stream) {
+            // Static cost: per-invocation cycles at the nominal firing
+            // rate, plus the node's RAM footprint.
+            NodeCost cost;
+            cost.cyclesPerInvoke = invokeCost(info, inputs.front());
+            double rate = inputs.front().fireRateHz;
+            for (const auto &s : inputs)
+                rate = std::min(rate, s.fireRateHz);
+            cost.invokeRateHz = rate;
+            cost.cyclesPerSecond =
+                cost.cyclesPerInvoke * cost.invokeRateHz;
+            cost.ramBytes =
+                nodeRamBytes(info, stmt.params, inputs.front(), stream);
             result.cost.nodes[stmt.id] = cost;
             result.cost.cyclesPerSecond += cost.cyclesPerSecond;
             result.cost.ramBytes += cost.ramBytes;
 
-            // Duplicate-subtree detection (what il::optimize() and
-            // il::lower() share): duplicates inherit the owner's key.
+            // Duplicate-subtree detection (what il::lower() merges):
+            // duplicates inherit the owner's key.
             const std::string key = subtreeKey(stmt, node_keys);
             node_keys[stmt.id] = key;
             auto owner = subtree_owner.find(key);
@@ -730,7 +834,7 @@ analyze(const Program &program,
                                std::to_string(owner->second) +
                                " (same algorithm, parameters, and "
                                "inputs)",
-                           "il::optimize() merges these; reference "
+                           "il::lower() merges these; reference "
                            "node " + std::to_string(owner->second) +
                                " directly to shrink the program");
             } else {
@@ -742,8 +846,8 @@ analyze(const Program &program,
             if (isConditionalAlgorithm(stmt.algorithm) &&
                 stmt.algorithm != "consecutive" &&
                 node_inputs.size() == 1) {
-                auto parent = nodes.find(node_inputs[0]);
-                if (parent != nodes.end() && parent->second.stmt &&
+                auto parent = walk.nodes.find(node_inputs[0]);
+                if (parent != walk.nodes.end() && parent->second.stmt &&
                     parent->second.stmt->algorithm == stmt.algorithm)
                     diags.emit(SW103_SUBSUMED_THRESHOLD,
                                Severity::Warning, span, stmt.id,
@@ -756,57 +860,40 @@ analyze(const Program &program,
                                "merge the two limits into one "
                                "stage");
             }
-        }
-    }
-
-    if (!seen_out)
-        diags.emit(SW013_OUT_STATEMENT, Severity::Error,
-                   statementSpan(program.statements.back(),
-                                 program.statements.size() - 1),
-                   0, "program has no OUT statement",
-                   "terminate the pipeline with 'n -> OUT;'");
-
-    // Dead nodes: defined but never consumed.
-    for (const auto &[id, rec] : nodes) {
-        if (!consumed.count(id))
-            diags.emit(SW014_DEAD_NODE, Severity::Error, rec.span, id,
-                       "node " + std::to_string(id) +
-                           " is never consumed; pipelines must "
-                           "converge to OUT",
-                       "feed it into the remaining chain or delete "
-                       "it");
-    }
+        });
+    result.streams = std::move(walk.streams);
 
     // Wake-rate bound and the unconditional-wake check: walk the
     // ancestry of the node feeding OUT.
-    if (seen_out && out_feeder != 0) {
-        auto feeder = nodes.find(out_feeder);
-        if (feeder != nodes.end() && feeder->second.streamKnown) {
+    if (walk.seenOut && walk.outFeeder != 0) {
+        auto feeder = walk.nodes.find(walk.outFeeder);
+        if (feeder != walk.nodes.end() && feeder->second.streamKnown) {
             result.cost.wakeRateBoundHz =
                 feeder->second.stream.fireRateHz;
 
             bool guarded = false;
             std::set<NodeId> visited;
-            std::vector<NodeId> frontier = {out_feeder};
+            std::vector<NodeId> frontier = {walk.outFeeder};
             while (!frontier.empty() && !guarded) {
                 const NodeId id = frontier.back();
                 frontier.pop_back();
                 if (!visited.insert(id).second)
                     continue;
-                auto it = nodes.find(id);
-                if (it == nodes.end() || it->second.stmt == nullptr)
+                auto it = walk.nodes.find(id);
+                if (it == walk.nodes.end() || it->second.stmt == nullptr)
                     continue;
                 if (isConditionalAlgorithm(
                         it->second.stmt->algorithm)) {
                     guarded = true;
                     break;
                 }
-                for (NodeId input : it->second.nodeInputs)
-                    frontier.push_back(input);
+                for (const auto &src : it->second.stmt->inputs)
+                    if (src.kind == SourceRef::Kind::Node)
+                        frontier.push_back(src.node);
             }
             if (!guarded)
                 diags.emit(SW104_UNCONDITIONAL_WAKE, Severity::Warning,
-                           out_span, out_feeder,
+                           walk.outSpan, walk.outFeeder,
                            "wake-up condition has no threshold or "
                            "conditional stage; OUT fires at up to " +
                                formatNumber(

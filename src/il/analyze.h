@@ -7,8 +7,9 @@
  * restricted dataflow IL lets the hub reject bad programs before they
  * execute, and Section 3.6's admission control assumes the platform
  * can decide *statically* whether a wake-up condition fits a given
- * microcontroller. il::validate() enforces legality and throws on the
- * first violation; analyze() goes further:
+ * microcontroller. The IL's legality rules live in one place, the
+ * legality walk in analyze.cc: il::validate() runs it and throws its
+ * first Error, and analyze() goes further:
  *
  *  - it never throws on any program the parser accepts — every
  *    violation becomes a structured Diagnostic with a stable SWxxx
@@ -17,13 +18,15 @@
  *    must be closed by tooling, not runtime failure);
  *  - it derives a per-node static cost model — abstract cycles/second
  *    from firing rates x per-algorithm cost, state-block + frame RAM
- *    bytes, and the worst-case wake-rate bound at OUT — which
- *    hub::selectMcu() and the hub runtime check against McuModel
- *    budgets for a provable admission-control verdict;
- *  - beyond legality it reports warnings the optimizer and the
- *    developer can act on: duplicate subtrees, identity stages,
- *    subsumed threshold chains, unconditional wake-ups, near-Nyquist
- *    cutoffs, and degenerate bands.
+ *    bytes, and the worst-case wake-rate bound at OUT — whose totals
+ *    come from the lowered plan, the same numbers
+ *    hub::admissionDiagnostics(), hub::selectMcuForPlan() and the hub
+ *    runtime check against McuModel budgets for a provable
+ *    admission-control verdict;
+ *  - beyond legality it reports warnings the developer can act on:
+ *    duplicate subtrees, identity stages, subsumed threshold chains,
+ *    unconditional wake-ups, near-Nyquist cutoffs, and degenerate
+ *    bands.
  *
  * The full diagnostic catalogue lives in docs/diagnostics.md; the
  * tools/swlint CLI renders analyses for humans and CI.
@@ -178,11 +181,12 @@ struct AnalysisResult
 /**
  * Statically analyze @p program against @p channels.
  *
- * Unlike validate(), this never throws and always terminates on any
- * program the parser accepts: every rule violation is reported as an
- * Error diagnostic (a program with no Error diagnostics passes
- * validate(), and vice versa), and analysis continues past errors so
- * one run reports everything it can.
+ * Never throws and always terminates on any program the parser
+ * accepts: every rule violation is reported as an Error diagnostic,
+ * and analysis continues past errors so one run reports everything
+ * it can. validate() runs the same legality walk and throws its first
+ * Error, so a program passes validate() exactly when this reports no
+ * Error.
  */
 AnalysisResult analyze(const Program &program,
                        const std::vector<ChannelInfo> &channels);

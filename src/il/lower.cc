@@ -14,8 +14,9 @@ ExecutionPlan
 lower(const Program &program, const std::vector<ChannelInfo> &channels,
       const LowerOptions &options)
 {
-    // validate() throws on any illegal program and hands back the
-    // per-node stream properties; lowering itself cannot fail.
+    // validate() runs the analyzer's legality walk, throws on any
+    // illegal program and hands back the per-node stream properties;
+    // lowering itself cannot fail.
     const StreamMap stream_map = validate(program, channels);
 
     ExecutionPlan plan;

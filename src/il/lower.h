@@ -24,7 +24,8 @@ struct LowerOptions
 {
     /**
      * Merge structurally identical nodes (same canonical key) into
-     * one plan node — the form a sharing hub instantiates. false
+     * one plan node — the form a sharing hub instantiates and the
+     * sensor manager ships, and the IL's only merge pass. false
      * preserves every statement as its own node, matching an engine
      * built with node sharing disabled (the sharing-ablation
      * baseline duplicates nodes even within one condition).
@@ -37,8 +38,9 @@ struct LowerOptions
  * topologically scheduled ExecutionPlan with resolved indices,
  * canonical sharing keys, and precomputed per-node costs.
  *
- * @throws ParseError when the program is invalid (validate()'s
- *     verdict; lowering adds no rules of its own).
+ * @throws ParseError carrying the legality walk's first Error
+ *     diagnostic (validate()'s verdict; lowering adds no rules of
+ *     its own).
  */
 ExecutionPlan lower(const Program &program,
                     const std::vector<ChannelInfo> &channels,

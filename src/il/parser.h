@@ -27,7 +27,8 @@ namespace sidewinder::il {
  *     numlist   := NUMBER ("," NUMBER)*
  *
  * Parsing is purely syntactic; semantic checks (known algorithms,
- * reference ordering, single OUT) live in validate().
+ * reference ordering, single OUT) live in the analyzer's legality
+ * walk, which validate() and analyze() run.
  *
  * @throws ParseError with line:column context on malformed input.
  */

@@ -2,14 +2,14 @@
  * @file
  * ExecutionPlan: the lowered, index-addressed form of an IL program.
  *
- * parse/validate/optimize operate on the AST; everything downstream —
+ * parse/analyze/validate operate on the AST; everything downstream —
  * the hub engine's wave loop, admission control, MCU selection, FPGA
  * placement, and the swlint/dot tooling — consumes this flat
  * structure-of-arrays plan instead of re-walking statements. One
  * lowering pass (il::lower) resolves every name to an index, computes
  * every static cost once, and assigns each node the canonical sharing
- * key that optimize-time CSE, engine-time hash-consing, and the
- * analyzer's duplicate detection all agree on.
+ * key that lowering's own merge pass, engine-time hash-consing, and
+ * the analyzer's duplicate detection all agree on.
  *
  * This is the compile-don't-interpret move of Reflex-style
  * heterogeneous runtimes: the paper's interpreter (Section 3.5)
@@ -157,7 +157,7 @@ struct ExecutionPlan
 /**
  * Canonical structural key of a node: algorithm, %.17g-rendered
  * parameters, and the canonical keys of its inputs. The single source
- * of truth for optimize-time CSE, engine hash-consing, analyzer
+ * of truth for lowering's merge pass, engine hash-consing, analyzer
  * duplicate detection, and FPGA block sharing — two nodes share
  * exactly when their keys compare equal.
  */

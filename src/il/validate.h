@@ -1,13 +1,14 @@
 /**
  * @file
- * Semantic validation and stream analysis of IL programs.
+ * The IL's legality verdict and the stream types it derives.
  *
- * Validation runs on the phone side before a wake-up condition is
- * shipped (so developer mistakes surface as ConfigError at push() time)
- * and again on the hub side before instantiating kernels (so a
- * corrupted or hostile program can never execute — the security
- * advantage Section 2.2 of the paper claims over fully programmable
- * offloading).
+ * The rules live in one place, the analyzer's legality walk
+ * (il/analyze.cc); validate() is its verdict. The phone runs it when
+ * a wake-up condition is lowered for shipping (push() surfaces a bad
+ * pipeline as ParseError), and the hub runs it again before
+ * instantiating kernels, so a corrupted or hostile program can never
+ * execute — the security advantage Section 2.2 of the paper claims
+ * over fully programmable offloading.
  */
 
 #ifndef SIDEWINDER_IL_VALIDATE_H
@@ -55,8 +56,10 @@ struct NodeStream
 using StreamMap = std::map<NodeId, NodeStream>;
 
 /**
- * Validate @p program against the standardized algorithm table and
- * @p channels, and derive per-node stream properties.
+ * The analyzer's verdict on @p program against the standardized
+ * algorithm table and @p channels: runs the legality walk analyze()
+ * runs (each rule below is an SW0xx code in docs/diagnostics.md) and
+ * returns the per-node stream properties it derives.
  *
  * Enforced rules:
  *  - statements define nodes before use, with unique positive ids;
@@ -64,12 +67,16 @@ using StreamMap = std::map<NodeId, NodeStream>;
  *  - input/parameter arity and value kinds match the algorithm table;
  *  - algorithm-specific parameter constraints hold (window sizes
  *    positive, FFT frames power-of-two, cutoffs below Nyquist, ...);
+ *  - every parameter is finite, and every count (window sizes and
+ *    hops, run lengths, refractories) is at most 2^32 - 1;
  *  - exactly one statement targets OUT, fed by exactly one node;
  *  - every node is consumed ("at the end of the pipeline, there must
  *    be only one branch remaining", Section 3.2).
  *
  * @return per-node stream properties for downstream consumers.
- * @throws ParseError when any rule is violated.
+ * @throws ParseError carrying the walk's first Error diagnostic:
+ *     "IL validation error at L:C: [SWxxx] message (node N)", the
+ *     node part left out for program-level findings.
  */
 StreamMap validate(const Program &program,
                    const std::vector<ChannelInfo> &channels);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/apps.h"
 #include "core/algorithm.h"
 #include "core/pipeline.h"
 #include "core/sensor_manager.h"
@@ -248,6 +249,18 @@ TEST_F(EndToEnd, IlTextIsInspectable)
     EXPECT_NE(manager.ilTextOf(id).find("vectorMagnitude"),
               std::string::npos);
     EXPECT_THROW(manager.ilTextOf(id + 1), ConfigError);
+
+    // The manager ships the lowered plan's IL, so siren's three
+    // branches arrive sharing one window statement.
+    transport::LinkPair audio_link(1e6);
+    SidewinderSensorManager audio_manager(audio_link, audioChannels());
+    const std::string siren = audio_manager.ilTextOf(audio_manager.push(
+        apps::makeSirenApp()->wakeCondition(), &listener, 0.0));
+    std::size_t windows = 0;
+    for (auto at = siren.find("window("); at != std::string::npos;
+         at = siren.find("window(", at + 1))
+        ++windows;
+    EXPECT_EQ(windows, 1u) << siren;
 }
 
 } // namespace

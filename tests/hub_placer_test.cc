@@ -28,7 +28,6 @@
 #include "hub/placer.h"
 #include "il/analyze.h"
 #include "il/lower.h"
-#include "il/optimize.h"
 #include "il/parser.h"
 #include "il/plan.h"
 #include "support/error.h"
@@ -41,12 +40,11 @@ namespace apps = sidewinder::apps;
 namespace core = sidewinder::core;
 namespace il = sidewinder::il;
 
-/** Lowered wake condition of one shipped app, hub-optimized form. */
+/** Lowered wake condition of one shipped app. */
 il::ExecutionPlan
 appPlan(const apps::Application &app)
 {
-    return il::lower(il::optimize(app.wakeCondition().compile()),
-                     app.channels());
+    return il::lower(app.wakeCondition().compile(), app.channels());
 }
 
 /** Every shipped app's lowered wake condition (incl. gesture/floors). */

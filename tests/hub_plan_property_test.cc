@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <memory>
+#include <numbers>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,7 +25,6 @@
 #include "hub/engine.h"
 #include "il/analyze.h"
 #include "il/lower.h"
-#include "il/optimize.h"
 #include "il/parser.h"
 #include "il/plan.h"
 #include "reference/legacy_engine.h"
@@ -112,6 +112,39 @@ TEST(PlanProperty, ExtendedAppsAreBitIdenticalToLegacy)
                                11, 4000);
         }
     }
+}
+
+TEST(PlanProperty, SirenWakesAlikeOnSharingAndNonSharingEngines)
+{
+    // Siren's three branches share a window/high-pass/FFT prefix: the
+    // sharing engine merges it, and not one wake may move.
+    const auto app = apps::makeSirenApp();
+    const il::Program p = app->wakeCondition().compile();
+    hub::Engine shared(app->channels(), true);
+    hub::Engine unshared(app->channels(), false);
+    shared.addCondition(1, test::planFor(shared, p));
+    unshared.addCondition(1, test::planFor(unshared, p));
+    EXPECT_LT(shared.nodeCount(), unshared.nodeCount());
+
+    // 3 s at 4 kHz: a 1200 Hz tone in noise, silent from 1.5 s to 2 s.
+    Rng rng(3);
+    std::vector<double> wakes_shared, wakes_unshared;
+    for (int i = 0; i < 12000; ++i) {
+        const double t = i * 0.00025;
+        const double tone =
+            t < 1.5 || t >= 2.0
+                ? std::sin(2.0 * std::numbers::pi * 1200.0 * t)
+                : 0.0;
+        const double v = tone + rng.gaussian(0.0, 0.2);
+        shared.pushSamples({v}, t);
+        unshared.pushSamples({v}, t);
+        for (const auto &e : shared.drainWakeEvents())
+            wakes_shared.push_back(e.timestamp);
+        for (const auto &e : unshared.drainWakeEvents())
+            wakes_unshared.push_back(e.timestamp);
+    }
+    EXPECT_FALSE(wakes_shared.empty());
+    EXPECT_EQ(wakes_shared, wakes_unshared);
 }
 
 TEST(PlanProperty, ConcurrentAudioConditionsShareAndStayIdentical)
@@ -407,9 +440,8 @@ TEST(PlanProperty, FuzzedPlanNodeCountMatchesAnalyzer)
         const il::AnalysisResult analysis =
             il::analyze(program, kChannels);
         ASSERT_TRUE(analysis.ok());
-        EXPECT_EQ(
-            il::lower(il::optimize(program), kChannels).nodeCount(),
-            analysis.cost.planNodeCount);
+        EXPECT_EQ(il::lower(program, kChannels).nodeCount(),
+                  analysis.cost.planNodeCount);
     }
 }
 

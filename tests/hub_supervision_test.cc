@@ -295,6 +295,33 @@ TEST(HubSupervision, WakeUpsFlowThroughReliableTransport)
     EXPECT_EQ(hub.reliableStats()->framesLost, 0u);
 }
 
+TEST(HubSupervision, HugeCountIsRejectedAndTheHubKeepsRunning)
+{
+    // A well-formed ConfigPush whose count no kernel can hold. The
+    // hub refuses it at admission and keeps ingesting.
+    transport::LinkPair link(115200.0);
+    HubRuntime hub(link, core::accelerometerChannels(), msp430());
+    link.phoneToHub().sendFrame(
+        transport::encodeConfigPush(
+            {3, "ACC_X -> consecutive(id=1, params={1e300});\n"
+                "1 -> OUT;\n"}),
+        0.0);
+    hub.pollLink(1.0);
+
+    const auto frames = phoneSideFrames(link, 2.0);
+    ASSERT_EQ(frames.size(), 1u);
+    ASSERT_EQ(frames[0].type, transport::MessageType::ConfigReject);
+    const auto reject = transport::decodeConfigReject(frames[0]);
+    EXPECT_NE(reject.reason.find("[SW009]"), std::string::npos)
+        << reject.reason;
+    EXPECT_FALSE(hub.engine().hasCondition(3));
+
+    for (int i = 0; i < 100; ++i)
+        hub.pushSamples({20.0, 20.0, 20.0}, 2.0 + i * 0.02);
+    hub.pollLink(5.0);
+    EXPECT_TRUE(phoneSideFrames(link, 6.0).empty());
+}
+
 TEST(HubSupervision, HostileCountsAreDroppedWithoutThrowing)
 {
     // A CRC-valid frame can still carry garbage, here a count of

@@ -6,8 +6,11 @@
  */
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,7 +22,6 @@
 #include "il/algorithm_info.h"
 #include "il/analyze.h"
 #include "il/lower.h"
-#include "il/optimize.h"
 #include "il/parser.h"
 #include "il/validate.h"
 #include "support/error.h"
@@ -73,6 +75,41 @@ TEST(Analyze, ReportsEveryErrorNotJustTheFirst)
     EXPECT_TRUE(codes.count(SW010_FRAME_NOT_POW2));
     EXPECT_TRUE(codes.count(SW013_OUT_STATEMENT));
     EXPECT_GE(result.errorCount(), 2u);
+}
+
+TEST(Analyze, HugeCountsAndNonFiniteParametersAreBadParameters)
+{
+    // Kernels and the RAM model hold counts in a std::size_t, and the
+    // wire form cannot spell a non-finite number: SW009 rejects both
+    // before anything casts them.
+    const char *const programs[] = {
+        "ACC_X -> movingAvg(id=1, params={1e300});\n"
+        "1 -> minThreshold(id=2, params={1});\n"
+        "2 -> OUT;\n",
+        "ACC_X -> window(id=1, params={1e300});\n"
+        "1 -> mean(id=2);\n"
+        "2 -> minThreshold(id=3, params={1});\n"
+        "3 -> OUT;\n",
+        "ACC_X -> consecutive(id=1, params={1e300});\n"
+        "1 -> OUT;\n",
+        "ACC_X -> localMaxima(id=1, params={0, 1, 1e300});\n"
+        "1 -> OUT;\n",
+        "ACC_X -> minThreshold(id=1, params={1e999});\n"
+        "1 -> OUT;\n",
+    };
+    for (const char *text : programs) {
+        const auto result = analyzeText(text);
+        const auto error = std::find_if(
+            result.diagnostics.begin(), result.diagnostics.end(),
+            [](const Diagnostic &d) {
+                return d.severity == Severity::Error;
+            });
+        ASSERT_NE(error, result.diagnostics.end()) << text;
+        EXPECT_EQ(error->code, SW009_BAD_PARAMETER)
+            << text << renderText(result, "<test>");
+        EXPECT_THROW(validate(parse(text), kChannels), ParseError)
+            << text;
+    }
 }
 
 TEST(Analyze, DiagnosticsCarryRealSpans)
@@ -280,6 +317,19 @@ dataDir()
     return std::filesystem::path(SW_TEST_DATA_DIR);
 }
 
+/** The .il corpus in tests/data, sorted by name. */
+std::vector<std::filesystem::path>
+corpusFiles()
+{
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dataDir()))
+        if (entry.path().extension() == ".il")
+            files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    return files;
+}
+
 std::set<std::string>
 parseExpectHeader(const std::string &source, const std::string &name)
 {
@@ -302,12 +352,7 @@ parseExpectHeader(const std::string &source, const std::string &name)
 
 TEST(AnalyzeCorpus, EveryFileTriggersExactlyItsExpectedCodes)
 {
-    std::vector<std::filesystem::path> files;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dataDir()))
-        if (entry.path().extension() == ".il")
-            files.push_back(entry.path());
-    std::sort(files.begin(), files.end());
+    const auto files = corpusFiles();
     ASSERT_GE(files.size(), 20u) << "corpus went missing";
 
     for (const auto &path : files) {
@@ -323,12 +368,9 @@ TEST(AnalyzeCorpus, EveryFileTriggersExactlyItsExpectedCodes)
         AnalysisResult result;
         ASSERT_NO_THROW(result = analyzeText(text.str())) << name;
         // Fold in the admission verdict exactly as swlint does.
-        if (result.ok()) {
-            const auto optimized =
-                analyze(optimize(parse(text.str())), kChannels);
-            for (auto &d : hub::admissionDiagnostics(optimized.cost))
+        if (result.ok())
+            for (auto &d : hub::admissionDiagnostics(result.cost))
                 result.diagnostics.push_back(std::move(d));
-        }
 
         EXPECT_EQ(codesOf(result), expected)
             << name << ":\n"
@@ -336,27 +378,103 @@ TEST(AnalyzeCorpus, EveryFileTriggersExactlyItsExpectedCodes)
     }
 }
 
-TEST(AnalyzeCorpus, ErrorFilesAgreeWithValidate)
+// ---------------------------------------------------------------------
+// Mutant verdicts: each tests/data/*.il program with each parameter in
+// turn set to each of kMutantValues, and each non-OUT statement's
+// algorithm in turn swapped for each standard algorithm. One line per
+// mutant pins validate()'s verdict, the analyzer's first Error code
+// and, for an accepted mutant, an FNV-1a digest of renderPlan(lower())
+// — so the one legality walk must keep every verdict, stream and cost
+// the rules have ever produced. Regenerate with SW_UPDATE_GOLDENS=1.
+
+const double kMutantValues[] = {0,   -1,  0.5,  1,    2,    3,
+                                64,  100, 128,  1999, 2000, 4096};
+
+std::uint64_t
+fnv1a(const std::string &text)
 {
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dataDir())) {
-        if (entry.path().extension() != ".il")
-            continue;
-        std::ifstream in(entry.path());
+    std::uint64_t hash = 0xcbf29ce484222325u;
+    for (unsigned char c : text) {
+        hash ^= c;
+        hash *= 0x100000001b3u;
+    }
+    return hash;
+}
+
+std::string
+verdictLine(const std::string &label, const Program &mutant)
+{
+    bool accepted = true;
+    try {
+        validate(mutant, kChannels);
+    } catch (const ParseError &) {
+        accepted = false;
+    }
+    const AnalysisResult result = analyze(mutant, kChannels);
+    const auto error = std::find_if(
+        result.diagnostics.begin(), result.diagnostics.end(),
+        [](const Diagnostic &d) { return d.severity == Severity::Error; });
+
+    std::ostringstream line;
+    line << label << (accepted ? " accept " : " reject ")
+         << (error != result.diagnostics.end() ? error->code : "-");
+    if (accepted)
+        line << ' ' << std::hex << std::setw(16) << std::setfill('0')
+             << fnv1a(renderPlan(lower(mutant, kChannels)));
+    line << '\n';
+    return line.str();
+}
+
+TEST(AnalyzeCorpus, MutantVerdictsArePinned)
+{
+    const auto files = corpusFiles();
+    ASSERT_GE(files.size(), 20u) << "corpus went missing";
+
+    std::string actual;
+    for (const auto &path : files) {
+        std::ifstream in(path);
+        ASSERT_TRUE(in) << path;
         std::ostringstream text;
         text << in.rdbuf();
         const Program program = parse(text.str());
-        const AnalysisResult result = analyze(program, kChannels);
-        bool validated = true;
-        try {
-            validate(program, kChannels);
-        } catch (const ParseError &) {
-            validated = false;
+        const std::string stem = path.stem().string();
+
+        for (std::size_t s = 0; s < program.statements.size(); ++s) {
+            const std::string at = stem + ":" + std::to_string(s + 1);
+            for (std::size_t p = 0;
+                 p < program.statements[s].params.size(); ++p) {
+                for (double value : kMutantValues) {
+                    Program mutant = program;
+                    mutant.statements[s].params[p] = value;
+                    std::ostringstream label;
+                    label << at << " p" << p << "=" << value;
+                    actual += verdictLine(label.str(), mutant);
+                }
+            }
+            if (program.statements[s].isOut)
+                continue;
+            for (const auto &info : standardAlgorithms()) {
+                Program mutant = program;
+                mutant.statements[s].algorithm = info.name;
+                actual += verdictLine(at + " alg=" + info.name, mutant);
+            }
         }
-        EXPECT_EQ(result.ok(), validated)
-            << entry.path().filename() << ":\n"
-            << renderText(result, entry.path().filename().string());
     }
+
+    const auto path = dataDir() / "verdicts" / "mutants.golden";
+    if (std::getenv("SW_UPDATE_GOLDENS") != nullptr) {
+        std::filesystem::create_directories(path.parent_path());
+        std::ofstream out(path);
+        ASSERT_TRUE(out) << path;
+        out << actual;
+        return;
+    }
+    std::ifstream golden(path);
+    ASSERT_TRUE(golden)
+        << path << " missing — regenerate with SW_UPDATE_GOLDENS=1";
+    std::ostringstream expected;
+    expected << golden.rdbuf();
+    EXPECT_EQ(actual, expected.str());
 }
 
 } // namespace

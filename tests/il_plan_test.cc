@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the IL lowering pass and the ExecutionPlan: dedupe
- * behavior, canonical-key agreement with the optimizer, cost agreement
- * with the analyzer, toProgram round-trips, and a renderPlan golden
- * corpus over tests/data/*.il (regenerate with SW_UPDATE_GOLDENS=1).
+ * behavior, cost agreement with the analyzer, toProgram round-trips,
+ * and a renderPlan golden corpus over tests/data/*.il (regenerate
+ * with SW_UPDATE_GOLDENS=1).
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "apps/apps.h"
 #include "il/analyze.h"
 #include "il/lower.h"
-#include "il/optimize.h"
 #include "il/parser.h"
 #include "il/plan.h"
 #include "il/validate.h"
@@ -50,6 +49,25 @@ TEST(Lower, DedupesDuplicateSubtreesByDefault)
     const ExecutionPlan plan = lower(p, kChannels);
     // The two identical movingAvg branches collapse to one node.
     EXPECT_EQ(plan.nodeCount(), 4u);
+
+    // Both stages of two identical chains merge, transitively.
+    EXPECT_EQ(lower(parse("AUDIO -> window(id=1, params={64});\n"
+                          "1 -> rms(id=2);\n"
+                          "AUDIO -> window(id=3, params={64});\n"
+                          "3 -> rms(id=4);\n"
+                          "2,4 -> or(id=5);\n"
+                          "5 -> OUT;\n"),
+                    kChannels)
+                  .nodeCount(),
+              3u);
+    // Stages that differ only in a parameter stay apart.
+    EXPECT_EQ(lower(parse("ACC_X -> movingAvg(id=1, params={10});\n"
+                          "ACC_X -> movingAvg(id=2, params={20});\n"
+                          "1,2 -> vectorMagnitude(id=3);\n"
+                          "3 -> OUT;\n"),
+                    kChannels)
+                  .nodeCount(),
+              3u);
 }
 
 TEST(Lower, PreservesDuplicatesWhenDedupeIsOff)
@@ -86,29 +104,13 @@ TEST(Lower, InputRefsResolveToChannelsAndNodes)
     EXPECT_EQ(plan.sourceIds[1], 2);
 }
 
-TEST(Lower, ShareKeysAgreeWithOptimizerDedupe)
-{
-    // The optimizer and the lowering pass build keys through the same
-    // canonicalNodeKey helper, so lowering the raw program and
-    // lowering the optimized program yield the same key multiset.
-    for (const auto &app : apps::allApps()) {
-        const Program p = app->wakeCondition().compile();
-        auto raw = lower(p, app->channels()).shareKeys;
-        auto optimized =
-            lower(optimize(p), app->channels()).shareKeys;
-        std::sort(raw.begin(), raw.end());
-        std::sort(optimized.begin(), optimized.end());
-        EXPECT_EQ(raw, optimized) << app->name();
-    }
-}
-
 TEST(Lower, NodeCountMatchesAnalyzerPlanNodeCount)
 {
     for (const auto &app : apps::allApps()) {
         const Program p = app->wakeCondition().compile();
         const AnalysisResult analysis = analyze(p, app->channels());
         ASSERT_TRUE(analysis.ok()) << app->name();
-        EXPECT_EQ(lower(optimize(p), app->channels()).nodeCount(),
+        EXPECT_EQ(lower(p, app->channels()).nodeCount(),
                   analysis.cost.planNodeCount)
             << app->name();
     }

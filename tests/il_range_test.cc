@@ -30,7 +30,6 @@
 #include "hub/engine.h"
 #include "il/analyze_range.h"
 #include "il/lower.h"
-#include "il/optimize.h"
 #include "il/parser.h"
 #include "il/plan.h"
 #include "support/rng.h"
@@ -335,8 +334,8 @@ TEST(RangeSoundness, BuiltinAppsObservedWithinProven)
 
     for (const auto &[name, app] : units) {
         const auto channels = app->channels();
-        const ExecutionPlan plan = lower(
-            optimize(app->wakeCondition().compile()), channels);
+        const ExecutionPlan plan =
+            lower(app->wakeCondition().compile(), channels);
         const auto facts = analyzeRanges(plan);
         // ~4 seconds of stream per app, at least a few thousand
         // waves so windowed nodes emit many frames.

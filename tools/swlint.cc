@@ -34,7 +34,6 @@
 #include "il/delta.h"
 #include "il/analyze_range.h"
 #include "il/lower.h"
-#include "il/optimize.h"
 #include "il/parser.h"
 #include "il/plan.h"
 #include "il/writer.h"
@@ -113,8 +112,8 @@ usage(std::ostream &out)
            "Statically analyze Sidewinder IL wake-up conditions.\n"
            "\n"
            "  --all-apps       lint the built-in application wake\n"
-           "                   conditions (hub-optimized form) instead\n"
-           "                   of files\n"
+           "                   conditions (the IL the phone ships)\n"
+           "                   instead of files\n"
            "  --Werror         treat warnings as errors\n"
            "  --json           machine-readable JSON report\n"
            "  --dump-plan      render each program's lowered\n"
@@ -180,7 +179,10 @@ parseChannelSpec(const std::string &spec)
     return channels;
 }
 
-/** The built-in programs, in the deduplicated form the hub installs. */
+/**
+ * The built-in programs in the form SidewinderSensorManager::push
+ * ships: the lowered plan's canonical IL.
+ */
 std::vector<LintUnit>
 builtinUnits()
 {
@@ -190,7 +192,7 @@ builtinUnits()
                    std::vector<il::ChannelInfo> channels) {
         LintUnit unit;
         unit.name = name;
-        unit.program = il::optimize(pipeline.compile());
+        unit.program = il::lower(pipeline.compile(), channels).toProgram();
         unit.channels = std::move(channels);
         units.push_back(std::move(unit));
     };
