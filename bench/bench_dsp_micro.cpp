@@ -11,6 +11,7 @@
 #include <numbers>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -26,6 +27,8 @@
 #include "dsp/fft.h"
 #include "dsp/fft_plan.h"
 #include "dsp/filters.h"
+#include "dsp/peaks.h"
+#include "dsp/threshold.h"
 #include "dsp/window.h"
 #include "hub/engine.h"
 #include "il/analyze.h"
@@ -35,6 +38,7 @@
 #include "il/plan.h"
 #include "reference/legacy_engine.h"
 #include "sim/faults.h"
+#include "sim/replay.h"
 #include "sim/simulator.h"
 #include "support/rng.h"
 #include "support/thread_pool.h"
@@ -914,6 +918,205 @@ BM_StepsCellSupervisedDrop(benchmark::State &state)
             sim::simulateSupervised(faultRun(), *app, config).recall);
 }
 BENCHMARK(BM_StepsCellSupervisedDrop);
+
+/** The four hub plans of the Figure 5 grid. */
+enum class RobotPlan { SignificantMotion, Steps, Transitions, Headbutts };
+
+/** @p which lowered against the accelerometer channels: the
+    manufacturer's detector at its default threshold, or an app's own
+    Sidewinder condition. */
+il::ExecutionPlan
+robotPlan(RobotPlan which)
+{
+    core::ProcessingPipeline pipeline;
+    switch (which) {
+      case RobotPlan::SignificantMotion:
+        pipeline = apps::significantMotionCondition();
+        break;
+      case RobotPlan::Steps:
+        pipeline = apps::makeStepsApp()->wakeCondition();
+        break;
+      case RobotPlan::Transitions:
+        pipeline = apps::makeTransitionsApp()->wakeCondition();
+        break;
+      case RobotPlan::Headbutts:
+        pipeline = apps::makeHeadbuttsApp()->wakeCondition();
+        break;
+    }
+    return il::lower(pipeline.compile(), core::accelerometerChannels());
+}
+
+/** Parameters of the plan node running @p algorithm. */
+const std::vector<double> &
+paramsOf(const il::ExecutionPlan &plan, const std::string &algorithm)
+{
+    for (std::size_t i = 0; i < plan.nodeCount(); ++i)
+        if (plan.algorithms[i] == algorithm)
+            return plan.params[i];
+    throw std::runtime_error("plan has no " + algorithm + " node");
+}
+
+/**
+ * The plan replayed without the engine: the same dsp objects, fed
+ * sample by sample by a hand-written loop over @p run, each wake's
+ * timestamp appended to @p wakes. The floor the engine is measured
+ * against.
+ */
+void
+handLoop(RobotPlan which, const il::ExecutionPlan &plan,
+         const trace::Trace &run, std::vector<double> &wakes)
+{
+    wakes.clear();
+    const std::size_t n = run.sampleCount();
+    if (which == RobotPlan::SignificantMotion) {
+        const auto &window = paramsOf(plan, "window");
+        const dsp::Threshold threshold(dsp::ThresholdKind::Min,
+                                       paramsOf(plan, "minThreshold")[0]);
+        const auto size = static_cast<std::size_t>(window[0]);
+        const auto hop = static_cast<std::size_t>(window[2]);
+        std::vector<dsp::WindowPartitioner> axes(
+            3, dsp::WindowPartitioner(size, dsp::WindowType::Rectangular,
+                                      hop));
+        std::vector<std::vector<double>> frames(3);
+        const double *lanes[3] = {run.channels[0].data(),
+                                  run.channels[1].data(),
+                                  run.channels[2].data()};
+        for (std::size_t i = 0; i < n; ++i) {
+            bool framed = true;
+            for (std::size_t a = 0; a < 3; ++a)
+                framed = axes[a].pushInto(lanes[a][i], frames[a]) && framed;
+            if (!framed)
+                continue;
+            double sum = 0.0;
+            for (std::size_t a = 0; a < 3; ++a) {
+                const double sd = dsp::stddev(frames[a]);
+                sum += sd * sd;
+            }
+            if (threshold.admits(std::sqrt(sum)))
+                wakes.push_back(run.timeOf(i));
+        }
+        return;
+    }
+
+    const double *lane =
+        run.channels[run.channelIndex(
+                         plan.channels[static_cast<std::size_t>(
+                                           plan.primaryChannel)]
+                             .name)]
+            .data();
+    dsp::MovingAverage smooth(
+        static_cast<std::size_t>(paramsOf(plan, "movingAvg")[0]));
+    if (which == RobotPlan::Transitions) {
+        const auto &band = paramsOf(plan, "bandThreshold");
+        const dsp::Threshold threshold(dsp::ThresholdKind::Band, band[0],
+                                       band[1]);
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto mean = smooth.push(lane[i]);
+            if (mean && threshold.admits(*mean))
+                wakes.push_back(run.timeOf(i));
+        }
+        return;
+    }
+    const bool maxima = which == RobotPlan::Steps;
+    const auto &band =
+        paramsOf(plan, maxima ? "localMaxima" : "localMinima");
+    dsp::PeakDetector peaks(
+        maxima ? dsp::PeakPolarity::Maxima : dsp::PeakPolarity::Minima,
+        band[0], band[1],
+        band.size() >= 3 ? static_cast<std::size_t>(band[2]) : 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto mean = smooth.push(lane[i]);
+        if (mean && peaks.push(*mean))
+            wakes.push_back(run.timeOf(i));
+    }
+}
+
+/**
+ * The plan replayed the way simulate() replays it: a fresh engine,
+ * one install, then sim::detail::replayTrace in 64-wave blocks.
+ *
+ * @return the heap allocations of the replay alone, install excluded.
+ */
+std::uint64_t
+engineReplay(const il::ExecutionPlan &plan, const trace::Trace &run,
+             std::vector<double> &wakes)
+{
+    wakes.clear();
+    hub::Engine engine(core::accelerometerChannels());
+    engine.addCondition(1, plan);
+    const std::uint64_t before = bench::allocCount();
+    sim::detail::replayTrace(engine, run, [&](const hub::WakeEvent &e) {
+        wakes.push_back(e.timestamp);
+    });
+    return bench::allocCount() - before;
+}
+
+/**
+ * Figure 5's hub plans on faultRun() through the engine. Each
+ * iteration builds an engine, installs the plan and replays the whole
+ * 600 s run; allocs/run counts the heap allocations of the replay
+ * (install excluded), allocs/block divides them by the run's 64-wave
+ * blocks. ns per wave is real_time over items.
+ */
+void
+BM_RobotPlan(benchmark::State &state, RobotPlan which)
+{
+    const trace::Trace &run = faultRun();
+    const il::ExecutionPlan plan = robotPlan(which);
+    std::vector<double> wakes;
+    std::vector<double> hand;
+    engineReplay(plan, run, wakes);
+    handLoop(which, plan, run, hand);
+    if (wakes != hand || wakes.empty()) {
+        state.SkipWithError("engine and hand loop raise different wakes");
+        return;
+    }
+    std::uint64_t allocs = 0;
+    for (auto _ : state) {
+        allocs += engineReplay(plan, run, wakes);
+        benchmark::DoNotOptimize(wakes.data());
+    }
+    const double iters = static_cast<double>(
+        std::max<std::int64_t>(state.iterations(), 1));
+    const double blocks = std::ceil(
+        static_cast<double>(run.sampleCount()) /
+        static_cast<double>(sim::detail::replayBlockWaves));
+    state.counters["allocs/run"] = static_cast<double>(allocs) / iters;
+    state.counters["allocs/block"] =
+        static_cast<double>(allocs) / iters / blocks;
+    state.counters["wakes"] = static_cast<double>(wakes.size());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(run.sampleCount()));
+}
+BENCHMARK_CAPTURE(BM_RobotPlan, significant_motion,
+                  RobotPlan::SignificantMotion);
+BENCHMARK_CAPTURE(BM_RobotPlan, steps, RobotPlan::Steps);
+BENCHMARK_CAPTURE(BM_RobotPlan, transitions, RobotPlan::Transitions);
+BENCHMARK_CAPTURE(BM_RobotPlan, headbutts, RobotPlan::Headbutts);
+
+/** BM_RobotPlan's within-run twin: the same wakes from a hand loop
+    over the same dsp objects. */
+void
+BM_RobotPlanHandLoop(benchmark::State &state, RobotPlan which)
+{
+    const trace::Trace &run = faultRun();
+    const il::ExecutionPlan plan = robotPlan(which);
+    std::vector<double> wakes;
+    DspCounterScope counters(state);
+    for (auto _ : state) {
+        handLoop(which, plan, run, wakes);
+        benchmark::DoNotOptimize(wakes.data());
+    }
+    state.counters["wakes"] = static_cast<double>(wakes.size());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(run.sampleCount()));
+}
+BENCHMARK_CAPTURE(BM_RobotPlanHandLoop, significant_motion,
+                  RobotPlan::SignificantMotion);
+BENCHMARK_CAPTURE(BM_RobotPlanHandLoop, steps, RobotPlan::Steps);
+BENCHMARK_CAPTURE(BM_RobotPlanHandLoop, transitions,
+                  RobotPlan::Transitions);
+BENCHMARK_CAPTURE(BM_RobotPlanHandLoop, headbutts, RobotPlan::Headbutts);
 
 } // namespace
 

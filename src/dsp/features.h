@@ -31,6 +31,32 @@ double variance(const std::vector<double> &frame);
 /** Population standard deviation. */
 double stddev(const std::vector<double> &frame);
 
+/**
+ * Most frames the batched reducers below interleave at once: each
+ * call splits its frames into groups of at most this many.
+ */
+inline constexpr std::size_t kFrameBatch = 4;
+
+/**
+ * Batched reducers: out[i] is the single-frame function of the @p n
+ * samples at frames[i], for @p k frames of equal length. Each frame's
+ * operations are exactly the single-frame function's, in its order —
+ * the single-frame functions are these with k = 1 — but the frames'
+ * independent add chains run interleaved, which one frame's
+ * dependent chain cannot.
+ */
+void meanOfFrames(const double *const *frames, std::size_t k,
+                  std::size_t n, double *out);
+/** Batched variance(); see meanOfFrames(). */
+void varianceOfFrames(const double *const *frames, std::size_t k,
+                      std::size_t n, double *out);
+/** Batched stddev(); see meanOfFrames(). */
+void stddevOfFrames(const double *const *frames, std::size_t k,
+                    std::size_t n, double *out);
+/** Batched rootMeanSquare(); see meanOfFrames(). */
+void rootMeanSquareOfFrames(const double *const *frames, std::size_t k,
+                            std::size_t n, double *out);
+
 /** Smallest element; throws ConfigError on an empty frame. */
 double minimum(const std::vector<double> &frame);
 

@@ -8,17 +8,35 @@
 namespace sidewinder::dsp {
 
 MovingAverage::MovingAverage(std::size_t window_size)
-    : history(window_size == 0 ? 1 : window_size), runningSum(0.0)
 {
     if (window_size == 0)
         throw ConfigError("moving average window must be positive");
+    storage.resize(window_size);
+    state.window = storage.data();
+    state.size = window_size;
+}
+
+MovingAverage::MovingAverage(const MovingAverage &other)
+    : storage(other.storage), state(other.state)
+{
+    state.window = storage.data();
+}
+
+MovingAverage &
+MovingAverage::operator=(const MovingAverage &other)
+{
+    storage = other.storage;
+    state = other.state;
+    state.window = storage.data();
+    return *this;
 }
 
 void
 MovingAverage::reset()
 {
-    history.clear();
-    runningSum = 0.0;
+    state.next = 0;
+    state.filled = 0;
+    state.sum = 0.0;
 }
 
 ExponentialMovingAverage::ExponentialMovingAverage(double alpha)

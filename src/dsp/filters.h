@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "dsp/fft_plan.h"
-#include "support/ring_buffer.h"
 
 namespace sidewinder::dsp {
 
@@ -31,6 +30,58 @@ class MovingAverage
     /** @param window_size Number of samples averaged; must be positive. */
     explicit MovingAverage(std::size_t window_size);
 
+    MovingAverage(const MovingAverage &other);
+    MovingAverage &operator=(const MovingAverage &other);
+    MovingAverage(MovingAverage &&) noexcept = default;
+    MovingAverage &operator=(MovingAverage &&) noexcept = default;
+
+    /**
+     * The running state over the window: trivially copyable, so the
+     * hub's block loop steps a register-held copy of it and stores it
+     * back once per block (cursor()), while push() steps it in place.
+     */
+    struct Cursor
+    {
+        /** The window's samples, size() of them, written circularly. */
+        double *window = nullptr;
+        std::size_t size = 0;
+        /** Slot the next sample overwrites: the oldest once full. */
+        std::size_t next = 0;
+        /** Samples held, up to size. */
+        std::size_t filled = 0;
+        /** Running sum of the held samples. */
+        double sum = 0.0;
+
+        /**
+         * Feed one sample: subtract the evicted oldest sample, then add
+         * the new one. Writes the window mean into @p mean and returns
+         * true once size samples have been seen, else returns false.
+         */
+        bool
+        step(double sample, double &mean)
+        {
+            // Fields are read once and written once: the window store
+            // may alias any double, so a field touched after it would
+            // be reloaded from memory.
+            const std::size_t slot = next;
+            std::size_t held = filled;
+            double running = sum;
+            if (held == size)
+                running -= window[slot];
+            else
+                ++held;
+            running += sample;
+            window[slot] = sample;
+            sum = running;
+            filled = held;
+            next = slot + 1 == size ? 0 : slot + 1;
+            if (held != size)
+                return false;
+            mean = running / static_cast<double>(size);
+            return true;
+        }
+    };
+
     /**
      * Feed one sample.
      * @return the window mean once at least window_size samples have
@@ -43,25 +94,24 @@ class MovingAverage
     std::optional<double>
     push(double sample)
     {
-        if (history.full())
-            runningSum -= history.front();
-        history.push(sample);
-        runningSum += sample;
-
-        if (!history.full())
+        double mean = 0.0;
+        if (!state.step(sample, mean))
             return std::nullopt;
-        return runningSum / static_cast<double>(history.capacity());
+        return mean;
     }
+
+    /** The running state, for a block loop to copy and store back. */
+    Cursor &cursor() { return state; }
 
     /** Forget all accumulated samples. */
     void reset();
 
     /** Configured window size. */
-    std::size_t windowSize() const { return history.capacity(); }
+    std::size_t windowSize() const { return state.size; }
 
   private:
-    RingBuffer<double> history;
-    double runningSum;
+    std::vector<double> storage;
+    Cursor state;
 };
 
 /**

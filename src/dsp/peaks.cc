@@ -12,39 +12,6 @@ PeakDetector::PeakDetector(PeakPolarity polarity, double low, double high,
         throw ConfigError("PeakDetector band is inverted");
 }
 
-std::optional<double>
-PeakDetector::push(double sample)
-{
-    ++sinceLastPeak;
-
-    std::optional<double> result;
-    if (havePrev && havePrev2) {
-        const bool rising = prev > prev2;
-        const bool falling = sample <= prev;
-        const bool dipping = prev < prev2;
-        const bool recovering = sample >= prev;
-
-        const bool is_peak = polarity == PeakPolarity::Maxima
-                                 ? (rising && falling)
-                                 : (dipping && recovering);
-        const bool in_band = prev >= low && prev <= high;
-        const bool debounced =
-            !peakEmitted || sinceLastPeak > refractory;
-
-        if (is_peak && in_band && debounced) {
-            result = prev;
-            peakEmitted = true;
-            sinceLastPeak = 0;
-        }
-    }
-
-    prev2 = prev;
-    havePrev2 = havePrev;
-    prev = sample;
-    havePrev = true;
-    return result;
-}
-
 void
 PeakDetector::reset()
 {

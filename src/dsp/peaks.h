@@ -11,6 +11,7 @@
 #ifndef SIDEWINDER_DSP_PEAKS_H
 #define SIDEWINDER_DSP_PEAKS_H
 
+#include <cstddef>
 #include <optional>
 
 namespace sidewinder::dsp {
@@ -45,7 +46,58 @@ class PeakDetector
      * @return the peak value when the previous sample is confirmed as a
      *     peak inside the band, otherwise nullopt.
      */
-    std::optional<double> push(double sample);
+    std::optional<double>
+    push(double sample)
+    {
+        double peak = 0.0;
+        if (!step(sample, peak))
+            return std::nullopt;
+        return peak;
+    }
+
+    /**
+     * push() without the optional: writes the confirmed peak into
+     * @p peak and returns true, or returns false. Defined inline, like
+     * MovingAverage::push, for the hub's block loop; the detector is
+     * trivially copyable, so that loop steps a register-held copy.
+     */
+    bool
+    step(double sample, double &peak)
+    {
+        // Fields are read once and written once, @p peak last: a store
+        // through @p peak may alias a field.
+        const double last = prev;
+        const double before = prev2;
+        const std::size_t since = sinceLastPeak + 1;
+
+        bool found = false;
+        if (havePrev && havePrev2) {
+            const bool rising = last > before;
+            const bool falling = sample <= last;
+            const bool dipping = last < before;
+            const bool recovering = sample >= last;
+
+            const bool is_peak = polarity == PeakPolarity::Maxima
+                                     ? (rising && falling)
+                                     : (dipping && recovering);
+            const bool in_band = last >= low && last <= high;
+            const bool debounced = !peakEmitted || since > refractory;
+            found = is_peak && in_band && debounced;
+        }
+
+        prev2 = last;
+        havePrev2 = havePrev;
+        prev = sample;
+        havePrev = true;
+        if (!found) {
+            sinceLastPeak = since;
+            return false;
+        }
+        peakEmitted = true;
+        sinceLastPeak = 0;
+        peak = last;
+        return true;
+    }
 
     /** Forget history; the next two samples rebuild context. */
     void reset();

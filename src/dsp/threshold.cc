@@ -22,22 +22,6 @@ Threshold::Threshold(ThresholdKind kind, double low, double high)
         throw ConfigError("Threshold band is inverted");
 }
 
-bool
-Threshold::admits(double value) const
-{
-    switch (mode) {
-      case ThresholdKind::Min:
-        return value >= low;
-      case ThresholdKind::Max:
-        return value <= high;
-      case ThresholdKind::Band:
-        return value >= low && value <= high;
-      case ThresholdKind::OutsideBand:
-        return value < low || value > high;
-    }
-    return false;
-}
-
 std::optional<double>
 Threshold::push(double value) const
 {

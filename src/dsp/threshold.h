@@ -44,8 +44,23 @@ class Threshold
      */
     std::optional<double> push(double value) const;
 
-    /** True when @p value satisfies the predicate. */
-    bool admits(double value) const;
+    /** True when @p value satisfies the predicate (inline: every
+        admission stage of the hub's block loop runs it per wave). */
+    bool
+    admits(double value) const
+    {
+        switch (mode) {
+          case ThresholdKind::Min:
+            return value >= low;
+          case ThresholdKind::Max:
+            return value <= high;
+          case ThresholdKind::Band:
+            return value >= low && value <= high;
+          case ThresholdKind::OutsideBand:
+            return value < low || value > high;
+        }
+        return false;
+    }
 
     /** Configured comparison mode. */
     ThresholdKind kind() const { return mode; }

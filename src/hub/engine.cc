@@ -478,27 +478,6 @@ Engine::prepareNodeBlock(Node *node, const Lanes &lanes,
     }
 }
 
-void
-Engine::invokeNodeWave(Node *node, const BlockOutput &out, std::size_t w)
-{
-    sliceInputs.resize(node->blockInputs.size());
-    for (std::size_t k = 0; k < node->blockInputs.size(); ++k) {
-        BlockInput view = node->blockInputs[k];
-        if (view.states != nullptr)
-            view.states += w;
-        if (view.scalars != nullptr)
-            view.scalars += w;
-        if (view.boxed != nullptr)
-            view.boxed += w;
-        sliceInputs[k] = view;
-    }
-    BlockOutput slice;
-    slice.states = out.states + w;
-    slice.scalars = out.scalars != nullptr ? out.scalars + w : nullptr;
-    slice.boxed = out.boxed != nullptr ? out.boxed + w : nullptr;
-    node->kernel->invokeBlock(sliceInputs, nullptr, 1, slice);
-}
-
 template <typename Lanes>
 void
 Engine::pushLanes(const Lanes &lanes, std::size_t count,
@@ -516,11 +495,10 @@ Engine::pushLanes(const Lanes &lanes, std::size_t count,
         return;
     }
 
-    for (std::size_t ch = 0; ch < channelInfos.size(); ++ch) {
-        const double *lane = lanes[ch];
-        for (std::size_t w = 0; w < count; ++w)
-            rawBuffers[ch].push(lane[w]);
-    }
+    // Raw history: each ring keeps only the block's last samples, so
+    // one bulk append writes its final state directly.
+    for (std::size_t ch = 0; ch < channelInfos.size(); ++ch)
+        rawBuffers[ch].append(lanes[ch], count);
 
     // Node-major block loop: for each node, settle all waves at once.
     // Valid because cross-wave state lives only inside kernel objects
@@ -573,23 +551,26 @@ Engine::pushLanes(const Lanes &lanes, std::size_t count,
                 // Sparse firing (decimating producer upstream, e.g. a
                 // window): prefill the miss states — Blocked
                 // propagates, Idle stays invisible, exactly
-                // `state & 1` on the {0,1,2} encoding — then run the
-                // kernel only on the firing waves, located by memchr.
+                // `state & 1` on the {0,1,2} encoding — then list the
+                // firing waves by memchr and hand the kernel that list
+                // in one call.
+                std::uint8_t *states = node->blockStates.data();
                 for (std::size_t w = 0; w < count; ++w)
-                    node->blockStates[w] = in[w] & kWaveBlocked;
+                    states[w] = in[w] & kWaveBlocked;
                 if (runs != 0) {
+                    sparseWaves.resize(runs);
                     const std::uint8_t *pos = in;
-                    const std::uint8_t *end = in + count;
-                    while ((pos = static_cast<const std::uint8_t *>(
-                                std::memchr(pos, kWaveEmitted,
-                                            static_cast<std::size_t>(
-                                                end - pos)))) !=
-                           nullptr) {
-                        invokeNodeWave(
-                            node, out,
-                            static_cast<std::size_t>(pos - in));
+                    for (std::uint32_t &wave : sparseWaves) {
+                        pos = static_cast<const std::uint8_t *>(
+                            std::memchr(pos, kWaveEmitted,
+                                        static_cast<std::size_t>(
+                                            in + count - pos)));
+                        wave = static_cast<std::uint32_t>(pos - in);
                         ++pos;
                     }
+                    node->kernel->invokeWaves(node->blockInputs,
+                                              sparseWaves.data(), runs,
+                                              out);
                 }
             } else {
                 // Dense-ish partial firing: hand the producer's state
@@ -777,6 +758,13 @@ Engine::drainWakeEvents()
     std::vector<WakeEvent> out;
     out.swap(pendingWakeEvents);
     return out;
+}
+
+void
+Engine::drainWakeEvents(std::vector<WakeEvent> &out)
+{
+    out.clear();
+    out.swap(pendingWakeEvents);
 }
 
 std::vector<double>

@@ -209,6 +209,14 @@ class Engine
     std::vector<WakeEvent> drainWakeEvents();
 
     /**
+     * As drainWakeEvents(), into @p out (its old contents dropped).
+     * The engine keeps @p out's storage for the next wake-ups, so a
+     * caller draining into the same vector every block allocates
+     * nothing once both have grown.
+     */
+    void drainWakeEvents(std::vector<WakeEvent> &out);
+
+    /**
      * Recent raw samples of the condition's primary (first-referenced)
      * channel, oldest first.
      */
@@ -400,14 +408,6 @@ class Engine
     template <typename Lanes>
     void prepareNodeBlock(Node *node, const Lanes &lanes,
                           std::size_t count);
-    /**
-     * Run @p node's kernel on the single wave @p w of a block: every
-     * block lane is sliced to that wave and the kernel sees a dense
-     * one-wave invocation. Used by the sparse-firing fast path, where
-     * scanning states is cheaper than a full-block kernel pass.
-     */
-    void invokeNodeWave(Node *node, const BlockOutput &out,
-                        std::size_t w);
 
     std::vector<il::ChannelInfo> channelInfos;
     /** Channel name -> index, built once in the constructor. */
@@ -436,8 +436,8 @@ class Engine
     std::vector<std::uint8_t> blockAllEmitted;
     std::vector<std::uint8_t> blockAnyEmitted;
     std::vector<std::uint8_t> blockAnyBlocked;
-    /** Reused one-wave input-slice scratch (sparse dispatch). */
-    std::vector<BlockInput> sliceInputs;
+    /** Reused firing-wave list scratch (sparse dispatch). */
+    std::vector<std::uint32_t> sparseWaves;
     /** Reused per-wave any-condition-fired scratch (wake scan). */
     std::vector<std::uint8_t> wakeScan;
     /** Reused timestamp scratch for the evenly-spaced overload. */

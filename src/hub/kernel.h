@@ -13,6 +13,7 @@
 #ifndef SIDEWINDER_HUB_KERNEL_H
 #define SIDEWINDER_HUB_KERNEL_H
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -159,6 +160,22 @@ class Kernel
      */
     virtual void invokeBlock(const std::vector<BlockInput> &inputs,
                              const BlockFire *fire, std::size_t count,
+                             const BlockOutput &out);
+
+    /**
+     * Execute only the @p n waves listed in @p waves (ascending wave
+     * indices into the block that @p inputs and @p out view) — the
+     * sparse path, for a node whose single producer emits on few waves
+     * of a block. Every listed wave is a RunAll firing; the engine has
+     * already written out.states for the waves that do not fire.
+     *
+     * The default runs one single-wave invokeBlock() per listed wave,
+     * every lane sliced to that wave. The scalar step kernels override
+     * it to step the listed waves directly, and the frame reducers to
+     * overlap their independent frames.
+     */
+    virtual void invokeWaves(const std::vector<BlockInput> &inputs,
+                             const std::uint32_t *waves, std::size_t n,
                              const BlockOutput &out);
 
     /** Discard accumulated state (window contents, counters, ...). */

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "dsp/features.h"
 #include "dsp/fft.h"
@@ -75,6 +76,42 @@ runScalarBlock(const BlockInput &in, const BlockFire *fire,
     }
 }
 
+/**
+ * True when @p fire holds a RunPartial wave, which only AnyInput and
+ * ObserveBlocks nodes produce: an AllInputs kernel meeting one is run
+ * by the reference fallback instead.
+ */
+inline bool
+hasPartialFiring(const BlockFire *fire, std::size_t count)
+{
+    return fire != nullptr &&
+           std::memchr(fire, static_cast<int>(BlockFire::RunPartial),
+                       count) != nullptr;
+}
+
+/**
+ * Block skeleton of an always-emitting AllInputs kernel: every wave
+ * that fires (all of them when @p fire is null) runs @p run(w), which
+ * writes the wave's result, and lands Emitted; a skipped wave lands in
+ * its decision's state (SkipIdle = Idle, SkipBlocked = Blocked). The
+ * lane must hold no RunPartial.
+ */
+template <typename Run>
+inline void
+runFiringWaves(const BlockFire *fire, std::size_t count,
+               const BlockOutput &out, Run run)
+{
+    for (std::size_t w = 0; w < count; ++w) {
+        const BlockFire decision = fire ? fire[w] : BlockFire::RunAll;
+        if (decision != BlockFire::RunAll) {
+            out.states[w] = static_cast<std::uint8_t>(decision);
+            continue;
+        }
+        run(w);
+        out.states[w] = kWaveEmitted;
+    }
+}
+
 /** As runScalarBlock, for frame-emitting kernels (window). */
 template <typename Step>
 inline void
@@ -112,9 +149,13 @@ Kernel::invokeBlock(const std::vector<BlockInput> &inputs,
     // Reference fallback: replay the per-sample invokeInto() path wave
     // by wave, boxing scalar lanes into temporary Values and patching
     // nulls for partial firings — bit-identical to the per-sample wave
-    // loop for any kernel, at per-sample cost.
-    std::vector<Value> boxed_scalars(inputs.size());
-    std::vector<const Value *> ptrs(inputs.size());
+    // loop for any kernel, at per-sample cost. The boxes are per-thread
+    // scratch (engines on different threads run kernels concurrently),
+    // so a steady-state call allocates nothing.
+    thread_local std::vector<Value> boxed_scalars;
+    thread_local std::vector<const Value *> ptrs;
+    boxed_scalars.resize(inputs.size());
+    ptrs.resize(inputs.size());
     const bool rejects = conditional();
     Value scalar_out;
     for (std::size_t w = 0; w < count; ++w) {
@@ -148,11 +189,39 @@ Kernel::invokeBlock(const std::vector<BlockInput> &inputs,
     }
 }
 
+void
+Kernel::invokeWaves(const std::vector<BlockInput> &inputs,
+                    const std::uint32_t *waves, std::size_t n,
+                    const BlockOutput &out)
+{
+    thread_local std::vector<BlockInput> slice;
+    slice.resize(inputs.size());
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t w = waves[i];
+        for (std::size_t k = 0; k < inputs.size(); ++k) {
+            BlockInput view = inputs[k];
+            if (view.states != nullptr)
+                view.states += w;
+            if (view.scalars != nullptr)
+                view.scalars += w;
+            if (view.boxed != nullptr)
+                view.boxed += w;
+            slice[k] = view;
+        }
+        BlockOutput one;
+        one.states = out.states + w;
+        one.scalars = out.scalars != nullptr ? out.scalars + w : nullptr;
+        one.boxed = out.boxed != nullptr ? out.boxed + w : nullptr;
+        invokeBlock(slice, nullptr, 1, one);
+    }
+}
+
 namespace {
 
 /**
- * Base of the single-input scalar-to-scalar streaming kernels:
- * @p Derived supplies `bool step(double x, double &y)`, which consumes
+ * Base of the single-input scalar-to-scalar streaming kernels.
+ * @p Derived supplies its whole scalar state through `State &state()`
+ * and `static bool step(State &, double x, double &y)`, which consumes
  * one sample and either writes the output (true) or produces nothing,
  * landing the wave in @p MissState — Idle for accumulators, Blocked for
  * admission control. The per-sample and block paths run the same step,
@@ -167,7 +236,7 @@ class ScalarStepKernel : public Kernel
                Value &out) override
     {
         double y = 0.0;
-        if (!self().step(inputs[0]->scalar(), y))
+        if (!Derived::step(self().state(), inputs[0]->scalar(), y))
             return false;
         out = Value(y);
         return true;
@@ -177,10 +246,39 @@ class ScalarStepKernel : public Kernel
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
     {
-        runScalarBlock(inputs[0], fire, count, out, MissState,
-                       [this](double x, double &y) {
-                           return self().step(x, y);
-                       });
+        auto &state = self().state();
+        using State = std::remove_reference_t<decltype(state)>;
+        if constexpr (std::is_trivially_copyable_v<State>) {
+            // Step a local copy and store it back once: out.states is
+            // a byte lane, and a byte store may alias any field reached
+            // through `this`, so stepping the member in place would
+            // reload and re-store every field of it on every wave.
+            State local = state;
+            runScalarBlock(inputs[0], fire, count, out, MissState,
+                           [&local](double x, double &y) {
+                               return Derived::step(local, x, y);
+                           });
+            state = local;
+        } else {
+            runScalarBlock(inputs[0], fire, count, out, MissState,
+                           [&state](double x, double &y) {
+                               return Derived::step(state, x, y);
+                           });
+        }
+    }
+
+    void invokeWaves(const std::vector<BlockInput> &inputs,
+                     const std::uint32_t *waves, std::size_t n,
+                     const BlockOutput &out) override
+    {
+        auto &state = self().state();
+        const double *in = inputs[0].scalars;
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t w = waves[i];
+            out.states[w] = Derived::step(state, in[w], out.scalars[w])
+                                ? kWaveEmitted
+                                : MissState;
+        }
     }
 
     bool conditional() const override { return MissState == kWaveBlocked; }
@@ -195,14 +293,12 @@ class MovingAvgKernel : public ScalarStepKernel<MovingAvgKernel, kWaveIdle>
   public:
     explicit MovingAvgKernel(std::size_t n) : filter(n) {}
 
-    bool
-    step(double x, double &y)
+    dsp::MovingAverage::Cursor &state() { return filter.cursor(); }
+
+    static bool
+    step(dsp::MovingAverage::Cursor &cursor, double x, double &y)
     {
-        const auto r = filter.push(x);
-        if (!r)
-            return false;
-        y = *r;
-        return true;
+        return cursor.step(x, y);
     }
 
     void reset() override { filter.reset(); }
@@ -218,10 +314,12 @@ class ExpMovingAvgKernel
   public:
     explicit ExpMovingAvgKernel(double alpha) : filter(alpha) {}
 
-    bool
-    step(double x, double &y)
+    dsp::ExponentialMovingAverage &state() { return filter; }
+
+    static bool
+    step(dsp::ExponentialMovingAverage &ema, double x, double &y)
     {
-        y = filter.push(x);
+        y = ema.push(x);
         return true;
     }
 
@@ -400,18 +498,16 @@ class VectorMagnitudeKernel : public Kernel
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
     {
-        if (fire != nullptr) {
-            // AllInputs with upstream gaps: rare, replay per-sample.
+        if (hasPartialFiring(fire, count)) {
             Kernel::invokeBlock(inputs, fire, count, out);
             return;
         }
-        for (std::size_t w = 0; w < count; ++w) {
+        runFiringWaves(fire, count, out, [&](std::size_t w) {
             double sum = 0.0;
             for (const BlockInput &in : inputs)
                 sum += in.scalars[w] * in.scalars[w];
             out.scalars[w] = std::sqrt(sum);
-            out.states[w] = kWaveEmitted;
-        }
+        });
     }
 };
 
@@ -420,8 +516,13 @@ class ReducerKernel : public Kernel
 {
   public:
     using Fn = double (*)(const std::vector<double> &);
+    /** fn over equal-length frames at once (dsp::meanOfFrames, ...). */
+    using BatchFn = void (*)(const double *const *frames, std::size_t k,
+                             std::size_t n, double *out);
 
-    explicit ReducerKernel(Fn fn) : fn(fn) {}
+    explicit ReducerKernel(Fn fn, BatchFn batch = nullptr)
+        : fn(fn), batch(batch)
+    {}
 
     bool
     invokeInto(const std::vector<const Value *> &inputs,
@@ -450,8 +551,42 @@ class ReducerKernel : public Kernel
         }
     }
 
+    void invokeWaves(const std::vector<BlockInput> &inputs,
+                     const std::uint32_t *waves, std::size_t n,
+                     const BlockOutput &out) override
+    {
+        const Value *frames = inputs[0].boxed;
+        std::size_t i = 0;
+        while (i < n) {
+            // Up to dsp::kFrameBatch firings of one frame length go
+            // through the batched reducer together.
+            const std::vector<double> &first = frames[waves[i]].frame();
+            const double *data[dsp::kFrameBatch];
+            double results[dsp::kFrameBatch];
+            std::size_t k = 0;
+            if (batch != nullptr) {
+                while (i + k < n && k < dsp::kFrameBatch) {
+                    const auto &frame = frames[waves[i + k]].frame();
+                    if (frame.size() != first.size())
+                        break;
+                    data[k++] = frame.data();
+                }
+                batch(data, k, first.size(), results);
+            } else {
+                results[k++] = fn(first);
+            }
+            for (std::size_t j = 0; j < k; ++j) {
+                const std::size_t w = waves[i + j];
+                out.scalars[w] = results[j];
+                out.states[w] = kWaveEmitted;
+            }
+            i += k;
+        }
+    }
+
   private:
     Fn fn;
+    BatchFn batch;
 };
 
 /** Spectral features over a magnitude-spectrum frame. */
@@ -528,10 +663,12 @@ class ThresholdKernel
         : threshold(threshold)
     {}
 
-    bool
-    step(double x, double &y)
+    dsp::Threshold &state() { return threshold; }
+
+    static bool
+    step(const dsp::Threshold &t, double x, double &y)
     {
-        if (!threshold.admits(x))
+        if (!t.admits(x))
             return false;
         y = x;
         return true;
@@ -550,14 +687,12 @@ class PeakKernel : public ScalarStepKernel<PeakKernel, kWaveIdle>
         : detector(polarity, low, high, refractory)
     {}
 
-    bool
-    step(double x, double &y)
+    dsp::PeakDetector &state() { return detector; }
+
+    static bool
+    step(dsp::PeakDetector &peaks, double x, double &y)
     {
-        const auto r = detector.push(x);
-        if (!r)
-            return false;
-        y = *r;
-        return true;
+        return peaks.step(x, y);
     }
 
     void reset() override { detector.reset(); }
@@ -573,12 +708,21 @@ class PeakKernel : public ScalarStepKernel<PeakKernel, kWaveIdle>
 class AndKernel : public ScalarStepKernel<AndKernel, kWaveIdle>
 {
   public:
-    bool
-    step(double x, double &y)
+    /** Stateless: the first branch's value passes through. */
+    struct Forward
+    {};
+
+    Forward &state() { return forward; }
+
+    static bool
+    step(Forward &, double x, double &y)
     {
         y = x;
         return true;
     }
+
+  private:
+    Forward forward;
 };
 
 /** or: fires when any branch fired; forwards the first present one. */
@@ -726,10 +870,12 @@ class Q15MovingAvgKernel
   public:
     explicit Q15MovingAvgKernel(std::size_t n) : filter(n) {}
 
-    bool
-    step(double x, double &y)
+    dsp::Q15MovingAverage &state() { return filter; }
+
+    static bool
+    step(dsp::Q15MovingAverage &average, double x, double &y)
     {
-        const auto r = filter.push(dsp::toQ15(x));
+        const auto r = average.push(dsp::toQ15(x));
         if (!r)
             return false;
         y = dsp::fromQ15(*r);
@@ -749,10 +895,12 @@ class Q15ExpMovingAvgKernel
   public:
     explicit Q15ExpMovingAvgKernel(double alpha) : filter(alpha) {}
 
-    bool
-    step(double x, double &y)
+    dsp::Q15ExponentialMovingAverage &state() { return filter; }
+
+    static bool
+    step(dsp::Q15ExponentialMovingAverage &ema, double x, double &y)
     {
-        y = dsp::fromQ15(filter.push(dsp::toQ15(x)));
+        y = dsp::fromQ15(ema.push(dsp::toQ15(x)));
         return true;
     }
 
@@ -1011,11 +1159,11 @@ class Q15VectorMagnitudeKernel : public Kernel
                      const BlockFire *fire, std::size_t count,
                      const BlockOutput &out) override
     {
-        if (fire != nullptr) {
+        if (hasPartialFiring(fire, count)) {
             Kernel::invokeBlock(inputs, fire, count, out);
             return;
         }
-        for (std::size_t w = 0; w < count; ++w) {
+        runFiringWaves(fire, count, out, [&](std::size_t w) {
             std::int64_t sum = 0;
             for (const BlockInput &in : inputs) {
                 const std::int32_t q = dsp::toQ15(in.scalars[w]);
@@ -1023,8 +1171,7 @@ class Q15VectorMagnitudeKernel : public Kernel
             }
             out.scalars[w] =
                 std::sqrt(static_cast<double>(sum)) / dsp::kQ15One;
-            out.states[w] = kWaveEmitted;
-        }
+        });
     }
 };
 
@@ -1195,25 +1342,36 @@ class Q15ThresholdKernel
     : public ScalarStepKernel<Q15ThresholdKernel, kWaveBlocked>
 {
   public:
+    /** Both comparisons and which one applies. */
+    struct Limits
+    {
+        dsp::Threshold ref;
+        dsp::Q15Threshold q15;
+        bool useQ15;
+    };
+
     explicit Q15ThresholdKernel(dsp::Threshold threshold)
-        : ref(threshold),
-          q15(threshold.kind(), threshold.lowLimit(),
-              threshold.highLimit()),
-          useQ15(fitsQ15(threshold.lowLimit()) &&
-                 fitsQ15(threshold.highLimit()))
+        : limits{threshold,
+                 dsp::Q15Threshold(threshold.kind(),
+                                   threshold.lowLimit(),
+                                   threshold.highLimit()),
+                 fitsQ15(threshold.lowLimit()) &&
+                     fitsQ15(threshold.highLimit())}
     {}
 
-    bool
-    step(double x, double &y)
+    Limits &state() { return limits; }
+
+    static bool
+    step(const Limits &l, double x, double &y)
     {
-        if (useQ15) {
+        if (l.useQ15) {
             const dsp::Q15 q = dsp::toQ15(x);
-            if (!q15.admits(q))
+            if (!l.q15.admits(q))
                 return false;
             y = dsp::fromQ15(q);
             return true;
         }
-        if (!ref.admits(x))
+        if (!l.ref.admits(x))
             return false;
         y = x;
         return true;
@@ -1226,9 +1384,7 @@ class Q15ThresholdKernel
         return v >= -1.0 && v < 1.0;
     }
 
-    dsp::Threshold ref;
-    dsp::Q15Threshold q15;
-    bool useQ15;
+    Limits limits;
 };
 
 } // namespace
@@ -1364,17 +1520,21 @@ makeKernel(const std::string &name, const std::vector<double> &p,
     if (name == "zcr")
         return std::make_unique<ReducerKernel>(dsp::zeroCrossingRate);
     if (name == "mean")
-        return std::make_unique<ReducerKernel>(dsp::mean);
+        return std::make_unique<ReducerKernel>(dsp::mean,
+                                               dsp::meanOfFrames);
     if (name == "variance")
-        return std::make_unique<ReducerKernel>(dsp::variance);
+        return std::make_unique<ReducerKernel>(dsp::variance,
+                                               dsp::varianceOfFrames);
     if (name == "stddev")
-        return std::make_unique<ReducerKernel>(dsp::stddev);
+        return std::make_unique<ReducerKernel>(dsp::stddev,
+                                               dsp::stddevOfFrames);
     if (name == "min")
         return std::make_unique<ReducerKernel>(dsp::minimum);
     if (name == "max")
         return std::make_unique<ReducerKernel>(dsp::maximum);
     if (name == "rms")
-        return std::make_unique<ReducerKernel>(dsp::rootMeanSquare);
+        return std::make_unique<ReducerKernel>(
+            dsp::rootMeanSquare, dsp::rootMeanSquareOfFrames);
     if (name == "range")
         return std::make_unique<ReducerKernel>(dsp::range);
     if (name == "dominantFreqHz")

@@ -81,19 +81,19 @@ standardAlgorithms()
     return table;
 }
 
-std::optional<AlgorithmInfo>
+const AlgorithmInfo *
 findAlgorithm(const std::string &name)
 {
     for (const auto &info : standardAlgorithms())
         if (info.name == name)
-            return info;
-    return std::nullopt;
+            return &info;
+    return nullptr;
 }
 
 bool
 isKnownAlgorithm(const std::string &name)
 {
-    return findAlgorithm(name).has_value();
+    return findAlgorithm(name) != nullptr;
 }
 
 } // namespace sidewinder::il

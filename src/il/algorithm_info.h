@@ -13,7 +13,6 @@
 #define SIDEWINDER_IL_ALGORITHM_INFO_H
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,8 +59,11 @@ struct AlgorithmInfo
 /** The complete standardized algorithm table. */
 const std::vector<AlgorithmInfo> &standardAlgorithms();
 
-/** Look up one algorithm by IL name. */
-std::optional<AlgorithmInfo> findAlgorithm(const std::string &name);
+/**
+ * Look up one algorithm by IL name.
+ * @return its row of standardAlgorithms(), or nullptr when unknown.
+ */
+const AlgorithmInfo *findAlgorithm(const std::string &name);
 
 /** True when @p name is in the standardized set. */
 bool isKnownAlgorithm(const std::string &name);

@@ -1,6 +1,10 @@
 #include "metrics/events.h"
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <queue>
 
 #include "support/error.h"
 
@@ -78,29 +82,62 @@ matchImpl(const std::vector<trace::GroundTruthEvent> &truth,
     std::vector<double> detections = detection_times;
     std::sort(detections.begin(), detections.end());
 
+    // Each detection matches the lowest-index unmatched event whose
+    // padded interval contains it; a detection inside matched events
+    // only is a duplicate, a false positive unless coalescing. One
+    // sweep in time order: an event enters once the detections reach
+    // its padded start, and leaves for good once they pass its padded
+    // end, since later detections lie later still.
+    struct Padded
+    {
+        double lo;
+        double hi;
+        std::size_t index;
+    };
+    std::vector<Padded> events;
+    events.reserve(truth.size());
+    for (std::size_t i = 0; i < truth.size(); ++i) {
+        const double lo = truth[i].startTime - tolerance;
+        const double hi = truth[i].endTime + tolerance;
+        // An interval with a NaN edge contains no time.
+        if (!std::isnan(lo) && !std::isnan(hi))
+            events.push_back({lo, hi, i});
+    }
+    std::sort(events.begin(), events.end(),
+              [](const Padded &a, const Padded &b) { return a.lo < b.lo; });
+
+    std::vector<double> end_of(truth.size());
+    for (const Padded &e : events)
+        end_of[e.index] = e.hi;
+
     std::vector<bool> matched(truth.size(), false);
+    // Entered, unmatched events, lowest index on top. Events that
+    // ended before the current detection leave lazily, when on top.
+    std::priority_queue<std::size_t, std::vector<std::size_t>,
+                        std::greater<>>
+        open;
+    // Latest padded end among entered events, matched ones included.
+    double reach = -std::numeric_limits<double>::infinity();
+    std::size_t next = 0;
     MatchResult result;
 
     for (double t : detections) {
-        // Find any event whose padded interval contains t, preferring
-        // an unmatched one.
-        std::size_t found = truth.size();
-        std::size_t found_unmatched = truth.size();
-        for (std::size_t i = 0; i < truth.size(); ++i) {
-            if (t >= truth[i].startTime - tolerance &&
-                t <= truth[i].endTime + tolerance) {
-                found = i;
-                if (!matched[i]) {
-                    found_unmatched = i;
-                    break;
-                }
-            }
+        if (std::isnan(t)) {
+            ++result.falsePositives;
+            continue;
         }
+        for (; next < events.size() && events[next].lo <= t; ++next) {
+            open.push(events[next].index);
+            reach = std::max(reach, events[next].hi);
+        }
+        while (!open.empty() && end_of[open.top()] < t)
+            open.pop();
 
-        if (found_unmatched < truth.size()) {
-            matched[found_unmatched] = true;
+        if (!open.empty()) {
+            matched[open.top()] = true;
+            open.pop();
             ++result.truePositives;
-        } else if (found < truth.size()) {
+        } else if (reach >= t) {
             // Inside an already-matched event.
             if (!coalesce)
                 ++result.falsePositives;

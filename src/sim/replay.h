@@ -77,6 +77,7 @@ replayTrace(hub::Engine &engine, const trace::Trace &trace,
     const auto mapping = channelMapping(trace, engine.channels());
     std::vector<const double *> lanes(mapping.size());
     std::array<double, replayBlockWaves> stamps{};
+    std::vector<hub::WakeEvent> wakes;
     const std::size_t n = trace.sampleCount();
     for (std::size_t i = 0; i < n; i += replayBlockWaves) {
         const std::size_t count = std::min(replayBlockWaves, n - i);
@@ -85,7 +86,8 @@ replayTrace(hub::Engine &engine, const trace::Trace &trace,
         for (std::size_t w = 0; w < count; ++w)
             stamps[w] = trace.timeOf(i + w);
         engine.pushBlock(lanes.data(), count, stamps.data());
-        for (const hub::WakeEvent &event : engine.drainWakeEvents())
+        engine.drainWakeEvents(wakes);
+        for (const hub::WakeEvent &event : wakes)
             on_wake(event);
     }
 }

@@ -11,6 +11,7 @@
 #ifndef SIDEWINDER_SUPPORT_RING_BUFFER_H
 #define SIDEWINDER_SUPPORT_RING_BUFFER_H
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -52,6 +53,40 @@ class RingBuffer
                 head = 0;
         } else {
             ++count;
+        }
+    }
+
+    /**
+     * Append @p n values in order: the same contents as @p n push()
+     * calls, written as the last min(@p n, capacity()) values in at
+     * most two copies.
+     */
+    void
+    append(const T *values, std::size_t n)
+    {
+        const std::size_t cap = storage.size();
+        if (n >= cap) {
+            // Only the newest cap values survive: lay them out from
+            // slot 0, oldest first.
+            std::copy(values + (n - cap), values + n, storage.begin());
+            head = 0;
+            count = cap;
+            return;
+        }
+        std::size_t tail = head + count;
+        if (tail >= cap)
+            tail -= cap;
+        const std::size_t first = std::min(n, cap - tail);
+        std::copy(values, values + first, storage.begin() + tail);
+        std::copy(values + first, values + n, storage.begin());
+        if (count + n > cap) {
+            // Full: the oldest count + n - cap values were overwritten.
+            head += count + n - cap;
+            if (head >= cap)
+                head -= cap;
+            count = cap;
+        } else {
+            count += n;
         }
     }
 

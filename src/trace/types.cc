@@ -20,12 +20,6 @@ Trace::durationSeconds() const
     return static_cast<double>(sampleCount()) / sampleRateHz;
 }
 
-double
-Trace::timeOf(std::size_t index) const
-{
-    return static_cast<double>(index) / sampleRateHz;
-}
-
 std::size_t
 Trace::channelIndex(const std::string &name) const
 {

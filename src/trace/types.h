@@ -55,8 +55,13 @@ struct Trace
     /** Recording length in seconds. */
     double durationSeconds() const;
 
-    /** Timestamp of sample @p index, seconds from trace start. */
-    double timeOf(std::size_t index) const;
+    /** Timestamp of sample @p index, seconds from trace start (inline:
+        the replay driver stamps every wave with it). */
+    double
+    timeOf(std::size_t index) const
+    {
+        return static_cast<double>(index) / sampleRateHz;
+    }
 
     /** Index of the channel named @p name; throws if absent. */
     std::size_t channelIndex(const std::string &name) const;

@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +98,80 @@ TEST(Statistics, RmsOfSine)
         frame[i] = 2.0 * std::sin(2.0 * std::numbers::pi * 10.0 *
                                   static_cast<double>(i) / 1000.0);
     EXPECT_NEAR(rootMeanSquare(frame), 2.0 / std::sqrt(2.0), 1e-3);
+}
+
+/** The single-frame loops the batched reducers replaced, verbatim. */
+double
+loopMean(const std::vector<double> &frame)
+{
+    if (frame.empty())
+        return 0.0;
+    double sum = 0.0;
+    for (double x : frame)
+        sum += x;
+    return sum / static_cast<double>(frame.size());
+}
+
+double
+loopVariance(const std::vector<double> &frame)
+{
+    if (frame.size() < 2)
+        return 0.0;
+    const double m = loopMean(frame);
+    double sum_sq = 0.0;
+    for (double x : frame)
+        sum_sq += (x - m) * (x - m);
+    return sum_sq / static_cast<double>(frame.size());
+}
+
+double
+loopRms(const std::vector<double> &frame)
+{
+    if (frame.empty())
+        return 0.0;
+    double sum_sq = 0.0;
+    for (double x : frame)
+        sum_sq += x * x;
+    return std::sqrt(sum_sq / static_cast<double>(frame.size()));
+}
+
+TEST(Statistics, BatchedReducersMatchSingleFrameLoopsBitForBit)
+{
+    // Every batch width, and counts across the batch boundary: each
+    // frame's result must be the single-frame loop's exact bits.
+    std::mt19937_64 gen(7);
+    std::normal_distribution<double> sample(0.3, 2.0);
+    for (std::size_t n : {0, 1, 2, 3, 50, 256}) {
+        for (std::size_t k = 1; k <= 9; ++k) {
+            std::vector<std::vector<double>> frames(
+                k, std::vector<double>(n));
+            std::vector<const double *> data;
+            for (auto &frame : frames) {
+                for (double &x : frame)
+                    x = sample(gen);
+                data.push_back(frame.data());
+            }
+            std::vector<double> mean_out(k);
+            std::vector<double> var_out(k);
+            std::vector<double> sd_out(k);
+            std::vector<double> rms_out(k);
+            meanOfFrames(data.data(), k, n, mean_out.data());
+            varianceOfFrames(data.data(), k, n, var_out.data());
+            stddevOfFrames(data.data(), k, n, sd_out.data());
+            rootMeanSquareOfFrames(data.data(), k, n, rms_out.data());
+            for (std::size_t j = 0; j < k; ++j) {
+                const auto &frame = frames[j];
+                EXPECT_EQ(mean_out[j], loopMean(frame)) << n << " " << k;
+                EXPECT_EQ(var_out[j], loopVariance(frame));
+                EXPECT_EQ(sd_out[j], std::sqrt(loopVariance(frame)));
+                EXPECT_EQ(rms_out[j], loopRms(frame));
+                EXPECT_EQ(mean(frame), mean_out[j]);
+                EXPECT_EQ(variance(frame), var_out[j]);
+                EXPECT_EQ(stddev(frame), sd_out[j]);
+                EXPECT_EQ(rootMeanSquare(frame), rms_out[j]);
+            }
+        }
+    }
 }
 
 TEST(DominantFrequency, NeedsAtLeastTwoBins)

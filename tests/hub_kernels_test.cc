@@ -88,7 +88,7 @@ TEST(KernelRegistry, ConditionalFlagsMatchSemantics)
 
     auto conditional_of = [&](const char *name) {
         const auto info = il::findAlgorithm(name);
-        EXPECT_TRUE(info.has_value());
+        EXPECT_NE(info, nullptr);
         const il::Statement stmt = statementFor(*info);
         std::vector<il::NodeStream> inputs(stmt.inputs.size(), scalar);
         return makeKernel(stmt.algorithm, stmt.params, inputs)

@@ -89,6 +89,57 @@ TEST(RingBuffer, OutOfRangeIndexThrows)
     EXPECT_THROW(buf[1], InternalError);
 }
 
+/** Every retained element, read through operator[]. */
+std::vector<int>
+indexed(const RingBuffer<int> &buf)
+{
+    std::vector<int> out;
+    for (std::size_t i = 0; i < buf.size(); ++i)
+        out.push_back(buf[i]);
+    return out;
+}
+
+TEST(RingBuffer, AppendEqualsSinglePushes)
+{
+    // From every fill level and ring position a bulk append leaves the
+    // contents n single pushes leave, mixed with single pushes.
+    Rng rng(5);
+    int next = 0;
+    for (std::size_t cap : {1, 2, 3, 4, 5, 6, 7, 8, 64, 200}) {
+        for (std::size_t n = 0; n <= 3 * cap; ++n) {
+            RingBuffer<int> bulk(cap);
+            RingBuffer<int> single(cap);
+            for (int round = 0; round < 4; ++round) {
+                // A random stretch of single pushes moves the ring's
+                // start and fill level before each append.
+                const auto lead = rng.uniformInt(
+                    0, static_cast<std::int64_t>(2 * cap));
+                for (std::int64_t i = 0; i < lead; ++i, ++next) {
+                    bulk.push(next);
+                    single.push(next);
+                }
+                std::vector<int> values(n);
+                for (int &v : values)
+                    v = next++;
+                bulk.append(values.data(), n);
+                for (int v : values)
+                    single.push(v);
+
+                ASSERT_EQ(bulk.size(), single.size())
+                    << "capacity " << cap << ", n " << n;
+                ASSERT_EQ(bulk.full(), single.full());
+                ASSERT_EQ(bulk.snapshot(), single.snapshot())
+                    << "capacity " << cap << ", n " << n;
+                ASSERT_EQ(indexed(bulk), bulk.snapshot());
+                if (!bulk.empty()) {
+                    ASSERT_EQ(bulk.front(), single.front());
+                    ASSERT_EQ(bulk.back(), single.back());
+                }
+            }
+        }
+    }
+}
+
 TEST(Rng, SameSeedSameStream)
 {
     Rng a(42);
