@@ -8,6 +8,10 @@
 #ifndef SIDEWINDER_BENCH_COMMON_H
 #define SIDEWINDER_BENCH_COMMON_H
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -90,15 +94,60 @@ hardwareCores()
     return std::thread::hardware_concurrency();
 }
 
+/** Wall time, in seconds, of @p threads concurrent copies of a fixed
+    integer spin. */
+inline double
+spinSeconds(std::size_t threads)
+{
+    static std::atomic<std::uint64_t> sink{0};
+    const auto begin = std::chrono::steady_clock::now();
+    {
+        std::vector<std::jthread> workers;
+        for (std::size_t t = 0; t < threads; ++t)
+            workers.emplace_back([] {
+                std::uint64_t x = 1;
+                for (int i = 0; i < 20'000'000; ++i)
+                    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+                sink.fetch_add(x, std::memory_order_relaxed);
+            });
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         begin)
+        .count();
+}
+
+/**
+ * The parallelism the host delivers across its cores, which a shared
+ * host can hold well below the core count: cores x (one-thread spin
+ * time) / (cores-thread spin time), each the best of three — the
+ * measure bench_e2e records as host.parallelism. Takes ~0.3 s.
+ */
+inline double
+deliveredParallelism()
+{
+    const std::size_t cores = std::max<std::size_t>(1, hardwareCores());
+    double one = spinSeconds(1);
+    double many = spinSeconds(cores);
+    for (int i = 0; i < 2; ++i) {
+        one = std::min(one, spinSeconds(1));
+        many = std::min(many, spinSeconds(cores));
+    }
+    return static_cast<double>(cores) * one / many;
+}
+
 /**
  * Append the worker-thread context fields every benchmark JSON must
  * carry: the effective pool width, the SW_THREADS override (null when
- * unset), and the machine's core count. A speedup is only meaningful
- * relative to "cores" — on a single-core container every parallel
- * speedup is bounded by 1.0 regardless of the thread count.
+ * unset), the machine's core count, and the parallelism the host
+ * delivered across those cores while the bench ran. A speedup is only
+ * meaningful relative to "cores" and "delivered_parallelism" — on a
+ * single-core container every parallel speedup is bounded by 1.0
+ * regardless of the thread count, and on a busy shared one by what
+ * the other tenants leave.
  *
- * Emits `"threads": N, "sw_threads": N|null, "cores": N` (no braces,
- * no trailing comma) so callers can splice it into their own object.
+ * Emits `"threads": N, "sw_threads": N|null, "cores": N,
+ * "delivered_parallelism": X` (no braces, no trailing comma) so
+ * callers can splice it into their own object.
  */
 inline void
 writeThreadContext(std::FILE *out, const char *indent)
@@ -111,7 +160,9 @@ writeThreadContext(std::FILE *out, const char *indent)
                      *override);
     else
         std::fprintf(out, "%s\"sw_threads\": null,\n", indent);
-    std::fprintf(out, "%s\"cores\": %zu", indent, hardwareCores());
+    std::fprintf(out, "%s\"cores\": %zu,\n", indent, hardwareCores());
+    std::fprintf(out, "%s\"delivered_parallelism\": %.2f", indent,
+                 deliveredParallelism());
 }
 
 /** Print a separator line sized for the standard row layout. */

@@ -157,7 +157,8 @@ except (OSError, StopIteration):
     pass
 record = {"host": host}
 record.update({key: context[key]
-               for key in ("fast_mode", "threads", "sw_threads", "cores")})
+               for key in ("fast_mode", "threads", "sw_threads", "cores",
+                           "delivered_parallelism")})
 record["drivers"] = [
     {"name": name,
      "threads": context["threads"] if width == "pool" else int(width),

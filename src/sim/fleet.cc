@@ -342,9 +342,11 @@ FleetRuntime::runShard(std::size_t shard)
     if (samples_per_run == 0)
         return;
 
-    // One channel-major scratch block per shard, refilled per device
-    // per block — the only allocation in the fleet hot loop.
+    // One channel-major scratch block and one wake buffer per shard,
+    // refilled per device per block — the only allocations in the
+    // fleet hot loop.
     std::vector<double> block(channels.size() * config.blockSamples);
+    std::vector<hub::WakeEvent> wakes;
 
     for (std::size_t d = begin; d < end; ++d) {
         Device &device = devices[d];
@@ -365,14 +367,20 @@ FleetRuntime::runShard(std::size_t shard)
                 device.stats.brownedOut = true;
             }
 
+            // The device's trace cursor wraps at most a few times per
+            // block: copy the runs between wrap points in bulk.
             for (std::size_t ch = 0; ch < channels.size(); ++ch) {
-                const auto &src =
-                    fleetTrace->channels[traceChannelOf[ch]];
+                const double *src =
+                    fleetTrace->channels[traceChannelOf[ch]].data();
                 double *lane = block.data() + ch * k;
                 std::size_t pos = device.cursor;
-                for (std::size_t w = 0; w < k; ++w) {
-                    lane[w] = src[pos];
-                    if (++pos == trace_samples)
+                for (std::size_t w = 0; w < k;) {
+                    const std::size_t run =
+                        std::min(k - w, trace_samples - pos);
+                    std::copy_n(src + pos, run, lane + w);
+                    w += run;
+                    pos += run;
+                    if (pos == trace_samples)
                         pos = 0;
                 }
             }
@@ -386,7 +394,8 @@ FleetRuntime::runShard(std::size_t shard)
             device.stats.samplesIngested += k;
             remaining -= k;
 
-            for (const auto &ev : device.engine->drainWakeEvents()) {
+            device.engine->drainWakeEvents(wakes);
+            for (const auto &ev : wakes) {
                 device.stats.wakeEvents += 1;
                 device.stats.lastWakeTimestamp = ev.timestamp;
                 std::uint64_t h = device.stats.wakeDigest;

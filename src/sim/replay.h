@@ -15,7 +15,6 @@
 #define SIDEWINDER_SIM_REPLAY_H
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <functional>
 #include <span>
@@ -67,7 +66,8 @@ inline constexpr std::size_t replayBlockWaves = 64;
  * Engine::pushBlock call with the lanes read in place from the trace's
  * channel vectors, and pass every wake event to @p on_wake in wave
  * order. Wave i carries trace.timeOf(i), the timestamp a per-sample
- * replay pushes, so the events are bit-identical to one.
+ * replay pushes, so the events are bit-identical to one; the engine
+ * evaluates it only for the waves that wake.
  */
 template <typename OnWake>
 void
@@ -76,16 +76,15 @@ replayTrace(hub::Engine &engine, const trace::Trace &trace,
 {
     const auto mapping = channelMapping(trace, engine.channels());
     std::vector<const double *> lanes(mapping.size());
-    std::array<double, replayBlockWaves> stamps{};
     std::vector<hub::WakeEvent> wakes;
     const std::size_t n = trace.sampleCount();
     for (std::size_t i = 0; i < n; i += replayBlockWaves) {
         const std::size_t count = std::min(replayBlockWaves, n - i);
         for (std::size_t c = 0; c < mapping.size(); ++c)
             lanes[c] = trace.channels[mapping[c]].data() + i;
-        for (std::size_t w = 0; w < count; ++w)
-            stamps[w] = trace.timeOf(i + w);
-        engine.pushBlock(lanes.data(), count, stamps.data());
+        engine.pushBlock(lanes.data(), count, [&trace, i](std::size_t w) {
+            return trace.timeOf(i + w);
+        });
         engine.drainWakeEvents(wakes);
         for (const hub::WakeEvent &event : wakes)
             on_wake(event);

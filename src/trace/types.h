@@ -56,7 +56,7 @@ struct Trace
     double durationSeconds() const;
 
     /** Timestamp of sample @p index, seconds from trace start (inline:
-        the replay driver stamps every wave with it). */
+        the replay driver stamps every waking wave with it). */
     double
     timeOf(std::size_t index) const
     {

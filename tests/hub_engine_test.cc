@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <unordered_map>
+
 #include "engine_plan.h"
 #include "hub/engine.h"
+#include "il/delta.h"
 #include "il/parser.h"
+#include "il/writer.h"
 #include "support/error.h"
 
 namespace sidewinder::hub {
@@ -256,6 +261,86 @@ TEST(Engine, RemoveFreesUnsharedNodes)
     engine.removeCondition(1);
     EXPECT_EQ(engine.nodeCount(), 0u);
     EXPECT_THROW(engine.removeCondition(1), ConfigError);
+}
+
+TEST(Engine, NodeTableStaysTheSizeOfWhatIsLive)
+{
+    // Node indices are what exportSubgraph() memoizes, so they show the
+    // node table's extent. Remove/re-add and staged updates of two
+    // conditions, freeing slots in front of live nodes and behind them,
+    // must leave every live index below the live node count, the nodes
+    // in install order (the cycle estimate sums over them in that
+    // order) and the wakes those of a freshly built engine.
+    const il::Program motion = il::parse(significantMotionIl);
+    const il::Program steps =
+        il::parse("ACC_Z -> movingAvg(id=1, params={4});\n"
+                  "1 -> localMaxima(id=2, params={0.5, 100});\n"
+                  "2 -> OUT;\n");
+    const il::Program raised = il::parse(
+        "ACC_Z -> movingAvg(id=1, params={4});\n"
+        "1 -> localMaxima(id=2, params={0.75, 100});\n"
+        "2 -> OUT;\n");
+    Engine churned(accelChannels(), true);
+    churned.addCondition(1, test::planFor(churned, motion));
+    churned.addCondition(2, test::planFor(churned, steps));
+    for (int round = 0; round < 50; ++round) {
+        churned.removeCondition(2);
+        churned.addCondition(2, test::planFor(churned, steps));
+        churned.stageCondition(2, test::planFor(churned, raised));
+        churned.commitStaged();
+        churned.stageCondition(2, test::planFor(churned, steps));
+        churned.commitStaged();
+        churned.removeCondition(1);
+        churned.addCondition(1, test::planFor(churned, motion));
+    }
+
+    // The last round re-added motion after steps.
+    Engine fresh(accelChannels(), true);
+    fresh.addCondition(2, test::planFor(fresh, steps));
+    fresh.addCondition(1, test::planFor(fresh, motion));
+    ASSERT_EQ(churned.nodeCount(), fresh.nodeCount());
+    EXPECT_EQ(churned.estimatedCyclesPerSecond(),
+              fresh.estimatedCyclesPerSecond());
+
+    // Both conditions' cones, exported from each engine: the same
+    // statements, and no index past the live nodes.
+    const auto export_cones = [&](const Engine &engine,
+                                  std::unordered_map<int, il::NodeId>
+                                      &emitted) {
+        il::Program out;
+        il::NodeId next_id = 1;
+        for (const il::Program *program : {&motion, &steps}) {
+            const il::ExecutionPlan plan = test::planFor(engine, *program);
+            engine.exportSubgraph(
+                il::shareKeyHash(plan.shareKeys[static_cast<std::size_t>(
+                    plan.outNode)]),
+                out, next_id, emitted);
+        }
+        return il::write(out);
+    };
+    std::unordered_map<int, il::NodeId> emitted;
+    std::unordered_map<int, il::NodeId> fresh_emitted;
+    EXPECT_EQ(export_cones(churned, emitted),
+              export_cones(fresh, fresh_emitted));
+    EXPECT_EQ(emitted.size(), churned.nodeCount());
+    for (const auto &[index, id] : emitted)
+        EXPECT_LT(static_cast<std::size_t>(index), churned.nodeCount())
+            << "statement " << id;
+
+    for (int i = 0; i < 400; ++i) {
+        const double v = 18.0 * std::sin(0.3 * i);
+        churned.pushSamples({v, -v, v}, i * 0.02);
+        fresh.pushSamples({v, -v, v}, i * 0.02);
+    }
+    const auto got = churned.drainWakeEvents();
+    const auto want = fresh.drainWakeEvents();
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_FALSE(want.empty());
+    for (std::size_t e = 0; e < got.size(); ++e) {
+        EXPECT_EQ(got[e].conditionId, want[e].conditionId);
+        EXPECT_EQ(got[e].timestamp, want[e].timestamp);
+        EXPECT_EQ(got[e].value, want[e].value);
+    }
 }
 
 TEST(Engine, RemovedConditionStopsFiring)

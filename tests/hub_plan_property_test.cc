@@ -308,17 +308,30 @@ struct ChainSpec
     int avgLen = 5;
     bool minThr = true;
     double thrValue = 0.0;
+    /** Window hop (0: the window's size). */
+    int hop = 0;
+    /** No threshold: the chain's head never blocks. */
+    bool bare = false;
 };
 
+/**
+ * @p block_kinds widens the chains for the block-loop properties:
+ * window hops (so branches fire on different waves) and unthresholded
+ * heads (so a multi-input node sees sparse producers that never block).
+ */
 ChainSpec
-randomChain(Rng &rng)
+randomChain(Rng &rng, bool block_kinds)
 {
     ChainSpec spec;
     spec.channel = static_cast<int>(rng.uniformInt(0, 4));
-    spec.window = rng.uniform(0.0, 1.0) < 0.3;
+    spec.window = rng.uniform(0.0, 1.0) < (block_kinds ? 0.6 : 0.3);
     spec.avgLen = static_cast<int>(rng.uniformInt(2, 12));
     spec.minThr = rng.uniform(0.0, 1.0) < 0.5;
     spec.thrValue = rng.uniform(-0.8, 0.8);
+    if (block_kinds) {
+        spec.hop = static_cast<int>(rng.uniformInt(0, 2)) * 8;
+        spec.bare = rng.uniform(0.0, 1.0) < 0.35;
+    }
     return spec;
 }
 
@@ -330,7 +343,10 @@ emitChain(std::ostringstream &out, const ChainSpec &spec, int &next_id)
     std::string input = kNames[spec.channel];
     if (spec.window) {
         const int w = next_id++;
-        out << input << " -> window(id=" << w << ", params={32});\n";
+        out << input << " -> window(id=" << w << ", params={32";
+        if (spec.hop != 0)
+            out << ", 0, " << spec.hop;
+        out << "});\n";
         const int r = next_id++;
         out << w << " -> rms(id=" << r << ");\n";
         input = std::to_string(r);
@@ -340,6 +356,8 @@ emitChain(std::ostringstream &out, const ChainSpec &spec, int &next_id)
             << spec.avgLen << "});\n";
         input = std::to_string(m);
     }
+    if (spec.bare)
+        return next_id - 1;
     const int t = next_id++;
     out << input << " -> "
         << (spec.minThr ? "minThreshold" : "maxThreshold") << "(id=" << t
@@ -347,8 +365,17 @@ emitChain(std::ostringstream &out, const ChainSpec &spec, int &next_id)
     return t;
 }
 
+/**
+ * A random threshold pipeline. With @p block_kinds the heads also
+ * combine through vectorMagnitude, and the chains vary as
+ * randomChain() says — so the programs reach every block dispatch
+ * kind: channel-fed (window, movingAvg), single-producer (rms,
+ * thresholds), multi-input AllInputs over sparse or dense producers,
+ * blocking or not (and, vectorMagnitude), and AnyInput/ObserveBlocks
+ * (or, consecutive).
+ */
 std::string
-fuzzProgram(Rng &rng)
+fuzzProgram(Rng &rng, bool block_kinds = false)
 {
     std::ostringstream out;
     int next_id = 1;
@@ -356,7 +383,7 @@ fuzzProgram(Rng &rng)
 
     const int chains = static_cast<int>(rng.uniformInt(1, 3));
     for (int c = 0; c < chains; ++c) {
-        const ChainSpec spec = randomChain(rng);
+        const ChainSpec spec = randomChain(rng, block_kinds);
         heads.push_back(emitChain(out, spec, next_id));
         // Half the time, duplicate the chain verbatim: the lowered
         // plan must collapse it while the raw install must not.
@@ -370,9 +397,12 @@ fuzzProgram(Rng &rng)
         const int b = heads.back();
         heads.pop_back();
         const int o = next_id++;
-        out << a << "," << b << " -> "
-            << (rng.uniform(0.0, 1.0) < 0.5 ? "or" : "and")
-            << "(id=" << o << ");\n";
+        const double pick = rng.uniform(0.0, 1.0);
+        const char *combine = pick < 0.5 ? "or" : "and";
+        if (block_kinds && pick >= 0.75)
+            combine = "vectorMagnitude";
+        out << a << "," << b << " -> " << combine << "(id=" << o
+            << ");\n";
         heads.push_back(o);
     }
 
@@ -411,14 +441,17 @@ TEST(PlanProperty, FuzzedProgramsBlockBitIdenticalToPerSample)
 {
     // The fuzzed programs mix AllInputs, AnyInput (or), and
     // ObserveBlocks (consecutive) nodes with thresholds that emit
-    // Blocked waves — the partial-firing paths of the block loop.
+    // Blocked waves — the partial-firing paths of the block loop —
+    // and reach every block dispatch kind (see fuzzProgram()); 64- and
+    // 65-wave blocks make windowed producers sparse.
     Rng gen(77);
-    for (int trial = 0; trial < 12; ++trial) {
-        const std::string text = fuzzProgram(gen);
+    for (int trial = 0; trial < 24; ++trial) {
+        const std::string text = fuzzProgram(gen, true);
         il::Program program;
         ASSERT_NO_THROW(program = il::parse(text)) << text;
 
-        for (std::size_t k : {std::size_t{4}, std::size_t{64}}) {
+        for (std::size_t k :
+             {std::size_t{4}, std::size_t{64}, std::size_t{65}}) {
             hub::Engine block_engine(kChannels, true);
             hub::Engine ref(kChannels, true);
             block_engine.addCondition(1, test::planFor(block_engine, program));
