@@ -45,23 +45,33 @@ Usage: scripts/check_bench_regression.py [BENCH_dsp.json]
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
 
 def load_results(path):
-    """Map benchmark name -> per-item real_time in ns."""
+    """Map benchmark name -> real_time in ns.
+
+    A benchmark run with repetitions is represented by its median
+    aggregate, under its name without the "/repeats:N" suffix that
+    google-benchmark adds for repetitions set in code, so a gate on it
+    sees the median rather than whichever repetition came last.
+    """
     with open(path) as fh:
         data = json.load(fh)
     out = {}
+    medians = {}
     for b in data.get("benchmarks", []):
-        if b.get("run_type") == "aggregate":
-            continue
-        name = b["name"]
         time_ns = float(b["real_time"])
         unit = b.get("time_unit", "ns")
-        scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
-        out[name] = time_ns * scale
+        time_ns *= {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
+        if b.get("run_type") == "aggregate":
+            if b.get("aggregate_name") == "median":
+                medians[re.sub(r"/repeats:\d+$", "", b["run_name"])] = time_ns
+            continue
+        out[b["name"]] = time_ns
+    out.update(medians)
     return out
 
 
