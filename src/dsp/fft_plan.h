@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dsp/fft.h"
@@ -115,11 +116,20 @@ class FftPlan
   private:
     FftPlan(std::size_t n, std::shared_ptr<const FftPlan> half_plan);
 
-    template <bool Inverse> void transform(Complex *data) const;
+    /** Put @p data in bit-reversed order (the swaps below). */
+    void permute(Complex *data) const;
+
+    /**
+     * The log2(size()) radix-2 butterfly stages on bit-reversed
+     * @p data, without the inverse's 1/N scaling.
+     */
+    template <bool Inverse> void butterflies(Complex *data) const;
 
     std::size_t points;
-    /** bitrev[i] = bit-reversed i; permutation applied by swaps. */
+    /** bitrev[i] = bit-reversed i. */
     std::vector<std::uint32_t> bitrev;
+    /** The pairs (i, bitrev[i]) with i < bitrev[i]: permute()'s swaps. */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> swaps;
     /** twiddles[j] = exp(-2*pi*i*j / points), j < points/2. */
     std::vector<Complex> twiddles;
     /** Half-size plan backing the real-input transforms (null for 1). */

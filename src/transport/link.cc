@@ -35,8 +35,12 @@ UartLink::send(const std::vector<std::uint8_t> &bytes, double now)
         const std::span<std::uint8_t> sent(wire.data() + first,
                                            bytes.size());
         corrupt(sent);
+        // Count into a local: the byte views may alias the member,
+        // which would make the compiler store it on every byte.
+        std::size_t changed = 0;
         for (std::size_t i = 0; i < bytes.size(); ++i)
-            corruptedCount += sent[i] != bytes[i];
+            changed += sent[i] != bytes[i];
+        corruptedCount += changed;
     }
 
     // A running sum per byte, not start + k * byte time: the two

@@ -6,8 +6,11 @@
  * and reuse cached plans. The zero-allocation property itself is
  * verified by the bench-mode allocation counter in bench_dsp_micro.
  * Their exact output bits are pinned as FNV-1a digests in
- * tests/data/fft/planned.golden (regenerate with SW_UPDATE_GOLDENS=1),
- * so a change that rounds any butterfly differently fails here.
+ * tests/data/fft/planned.golden (uniform random frames) and
+ * tests/data/fft/edge.golden (signed zeros, impulses, extreme and
+ * subnormal magnitudes; regenerate either with SW_UPDATE_GOLDENS=1),
+ * so a change that rounds any butterfly differently, or turns a -0
+ * into a +0, fails here.
  */
 
 #include <cinttypes>
@@ -18,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -291,6 +295,29 @@ fnv1a(const std::vector<Complex> &values, std::uint64_t hash)
                  2 * values.size(), hash);
 }
 
+/**
+ * Compare @p actual with tests/data/fft/@p name, or rewrite the file
+ * when SW_UPDATE_GOLDENS is set.
+ */
+void
+expectGolden(const char *name, const std::string &actual)
+{
+    const auto path = std::filesystem::path(SW_TEST_DATA_DIR) / "fft" / name;
+    if (std::getenv("SW_UPDATE_GOLDENS") != nullptr) {
+        std::filesystem::create_directories(path.parent_path());
+        std::ofstream out(path);
+        ASSERT_TRUE(out) << path;
+        out << actual;
+        return;
+    }
+    std::ifstream golden(path);
+    ASSERT_TRUE(golden)
+        << path << " missing — regenerate with SW_UPDATE_GOLDENS=1";
+    std::ostringstream expected;
+    expected << golden.rdbuf();
+    EXPECT_EQ(actual, expected.str());
+}
+
 TEST(FftPlanGolden, OutputBitsArePinned)
 {
     constexpr std::uint64_t kOffset = 0xcbf29ce484222325u;
@@ -330,22 +357,146 @@ TEST(FftPlanGolden, OutputBitsArePinned)
                       n, forward, inverse, forward_real, inverse_real);
         actual += line;
     }
+    expectGolden("planned.golden", actual);
+}
 
-    const auto path = std::filesystem::path(SW_TEST_DATA_DIR) / "fft" /
-                      "planned.golden";
-    if (std::getenv("SW_UPDATE_GOLDENS") != nullptr) {
-        std::filesystem::create_directories(path.parent_path());
-        std::ofstream out(path);
-        ASSERT_TRUE(out) << path;
-        out << actual;
-        return;
+/** Frames of one edge-input family for an n-point transform. */
+using EdgeFrames = std::vector<std::vector<Complex>>;
+
+/**
+ * Inputs that uniform random frames never reach: signed zeros, exact
+ * cancellations, impulses, constant and alternating frames, frames
+ * with one part zero, and magnitudes at 2^±200 and in the subnormal
+ * range. All finite: non-finite input is outside the transforms'
+ * bit-for-bit contract.
+ */
+EdgeFrames
+edgeFrames(const std::string &kind, std::size_t n, Rng &rng)
+{
+    const auto filled = [n](auto value) {
+        std::vector<Complex> frame(n);
+        for (std::size_t i = 0; i < n; ++i)
+            frame[i] = value(i);
+        return frame;
+    };
+    const auto random = [&](double scale, bool re, bool im) {
+        return filled([&](std::size_t) {
+            const double r = re ? rng.uniform(-10.0, 10.0) * scale : 0.0;
+            const double i = im ? rng.uniform(-10.0, 10.0) * scale : 0.0;
+            return Complex(r, i);
+        });
+    };
+    if (kind == "zeros")
+        return {filled([](std::size_t) { return Complex(0.0, 0.0); })};
+    if (kind == "negative_zeros")
+        return {
+            filled([](std::size_t) { return Complex(-0.0, -0.0); })};
+    if (kind == "mixed_zeros")
+        return {filled([](std::size_t i) {
+                    return Complex(i & 1 ? -0.0 : 0.0, i & 2 ? -0.0 : 0.0);
+                }),
+                filled([&](std::size_t) {
+                    const double r = rng.uniformInt(0, 1) ? -0.0 : 0.0;
+                    const double i = rng.uniformInt(0, 1) ? -0.0 : 0.0;
+                    return Complex(r, i);
+                })};
+    if (kind == "impulses") {
+        EdgeFrames frames;
+        for (const std::size_t at : {std::size_t{0}, std::size_t{1}, n / 2,
+                                     n - 1}) {
+            for (const Complex value : {Complex(1.0, 0.0), Complex(0.0, 1.0),
+                                        Complex(-2.5, 0.75)})
+                frames.push_back(filled([&](std::size_t i) {
+                    return i == at % n ? value : Complex(0.0, 0.0);
+                }));
+        }
+        return frames;
     }
-    std::ifstream golden(path);
-    ASSERT_TRUE(golden)
-        << path << " missing — regenerate with SW_UPDATE_GOLDENS=1";
-    std::ostringstream expected;
-    expected << golden.rdbuf();
-    EXPECT_EQ(actual, expected.str());
+    if (kind == "dc")
+        return {filled([](std::size_t) { return Complex(1.0, 0.0); }),
+                filled([](std::size_t) { return Complex(-3.0, 3.0); })};
+    if (kind == "alternating")
+        return {filled([](std::size_t i) {
+                    return Complex(i & 1 ? -1.0 : 1.0, 0.0);
+                }),
+                filled([](std::size_t i) {
+                    return Complex(i & 1 ? -1.0 : 1.0, i & 1 ? 1.0 : -1.0);
+                })};
+    if (kind == "real")
+        return {random(1.0, true, false), random(1.0, true, false)};
+    if (kind == "imaginary")
+        return {random(1.0, false, true), random(1.0, false, true)};
+    if (kind == "scaled_up")
+        return {random(std::ldexp(1.0, 200), true, true),
+                random(std::ldexp(1.0, 200), true, false)};
+    if (kind == "scaled_down")
+        return {random(std::ldexp(1.0, -200), true, true),
+                random(std::ldexp(1.0, -200), false, true)};
+    if (kind == "subnormal")
+        return {random(std::ldexp(1.0, -1060), true, true),
+                filled([&](std::size_t) {
+                    const double tiny =
+                        std::numeric_limits<double>::denorm_min();
+                    const auto r = rng.uniformInt(-4, 4);
+                    const auto i = rng.uniformInt(-4, 4);
+                    return Complex(static_cast<double>(r) * tiny,
+                                   static_cast<double>(i) * tiny);
+                })};
+    ADD_FAILURE() << "unknown edge kind " << kind;
+    return {};
+}
+
+TEST(FftPlanGolden, EdgeInputBitsArePinned)
+{
+    constexpr std::uint64_t kOffset = 0xcbf29ce484222325u;
+    const char *const kinds[] = {
+        "zeros",       "negative_zeros", "mixed_zeros", "impulses",
+        "dc",          "alternating",    "real",        "imaginary",
+        "scaled_up",   "scaled_down",    "subnormal"};
+    Rng rng(20161104);
+    std::string actual;
+    for (std::size_t n = 1; n <= 4096; n <<= 1) {
+        const auto plan = FftPlan::forSize(n);
+        for (const char *kind : kinds) {
+            std::uint64_t forward = kOffset, inverse = kOffset;
+            std::uint64_t forward_real = kOffset, inverse_real = kOffset;
+            for (const auto &frame : edgeFrames(kind, n, rng)) {
+                auto data = frame;
+                plan->forward(data.data());
+                forward = fnv1a(data, forward);
+                data = frame;
+                plan->inverse(data.data());
+                inverse = fnv1a(data, inverse);
+
+                // The real transforms see each part of the frame as a
+                // real signal, and inverseReal also takes the frame
+                // itself as a (not necessarily symmetric) spectrum.
+                std::vector<double> samples(n), restored(n);
+                for (const int part : {0, 1}) {
+                    for (std::size_t i = 0; i < n; ++i)
+                        samples[i] =
+                            part == 0 ? frame[i].real() : frame[i].imag();
+                    std::vector<Complex> spectrum(n);
+                    plan->forwardReal(samples.data(), spectrum.data());
+                    forward_real = fnv1a(spectrum, forward_real);
+                    plan->inverseReal(spectrum.data(), restored.data());
+                    inverse_real = fnv1a(restored.data(), n, inverse_real);
+                }
+                data = frame;
+                plan->inverseReal(data.data(), restored.data());
+                inverse_real = fnv1a(restored.data(), n, inverse_real);
+            }
+            char line[200];
+            std::snprintf(line, sizeof line,
+                          "n=%zu %s forward=%016" PRIx64
+                          " inverse=%016" PRIx64 " forwardReal=%016" PRIx64
+                          " inverseReal=%016" PRIx64 "\n",
+                          n, kind, forward, inverse, forward_real,
+                          inverse_real);
+            actual += line;
+        }
+    }
+    expectGolden("edge.golden", actual);
 }
 
 } // namespace
