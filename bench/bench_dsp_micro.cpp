@@ -117,7 +117,13 @@ BM_FftRealNaive(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FftRealNaive)->RangeMultiplier(4)->Range(64, 4096);
+// Median of five: the numerator of planned_fft_vs_naive in
+// scripts/bench_budgets.json, which gates on the medians.
+BENCHMARK(BM_FftRealNaive)
+    ->RangeMultiplier(4)
+    ->Range(64, 4096)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 void
 BM_FftReal(benchmark::State &state)
@@ -129,7 +135,12 @@ BM_FftReal(benchmark::State &state)
         benchmark::DoNotOptimize(dsp::fftReal(frame));
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_FftReal)->RangeMultiplier(4)->Range(64, 4096);
+// Median of five: the denominator of planned_fft_vs_naive.
+BENCHMARK(BM_FftReal)
+    ->RangeMultiplier(4)
+    ->Range(64, 4096)
+    ->Repetitions(5)
+    ->ReportAggregatesOnly(true);
 
 /**
  * The fully planned path the hub kernels run: held plan, reused
