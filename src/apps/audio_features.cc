@@ -20,8 +20,7 @@ void
 FrameSpectrum::compute(const double *frame)
 {
     plan->forwardReal(frame, spectrum.data());
-    for (std::size_t i = 0; i < mags.size(); ++i)
-        mags[i] = std::abs(spectrum[i]);
+    dsp::magnitudesInto(spectrum.data(), mags.size(), mags.data());
 }
 
 namespace {

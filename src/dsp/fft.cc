@@ -124,12 +124,9 @@ ifftToReal(std::vector<Complex> spectrum)
 std::vector<double>
 magnitudeSpectrum(const std::vector<double> &samples)
 {
-    auto spectrum = fftReal(samples);
-    const std::size_t half = spectrum.size() / 2;
-    std::vector<double> mags;
-    mags.reserve(half + 1);
-    for (std::size_t i = 0; i <= half; ++i)
-        mags.push_back(std::abs(spectrum[i]));
+    const auto spectrum = fftReal(samples);
+    std::vector<double> mags(spectrum.size() / 2 + 1);
+    magnitudesInto(spectrum.data(), mags.size(), mags.data());
     return mags;
 }
 

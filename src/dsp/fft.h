@@ -67,6 +67,14 @@ std::vector<double> ifftToReal(std::vector<Complex> spectrum);
 std::vector<double> magnitudeSpectrum(const std::vector<double> &samples);
 
 /**
+ * out[i] = |bins[i]| for i < @p n, bit for bit std::abs(bins[i]) (glibc's
+ * hypot), two bins at a time and without hypot's branches. Every
+ * magnitude loop runs through this. Defined in fft_plan.cc beside the
+ * two-lane type the transforms use.
+ */
+void magnitudesInto(const Complex *bins, std::size_t n, double *out);
+
+/**
  * Frequency in Hz corresponding to @p bin of an @p fft_size transform
  * at @p sample_rate_hz.
  */

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "dsp/fft.h"
 #include "dsp/q15.h"
 #include "il/delta.h"
 #include "support/error.h"
@@ -1069,16 +1070,19 @@ Engine::checkRangeTripwire(const Node &node)
             }
         }
         break;
-      case il::ValueKind::ComplexFrame:
+      case il::ValueKind::ComplexFrame: {
         // Complex bins are bounded by magnitude: |X(k)| <= hi.
-        for (const dsp::Complex &z : node.result.complexFrame()) {
-            const double mag = std::abs(z);
+        const auto &bins = node.result.complexFrame();
+        std::vector<double> mags(bins.size());
+        dsp::magnitudesInto(bins.data(), bins.size(), mags.data());
+        for (double mag : mags) {
             if (mag > hi) {
                 violated = true;
                 worst = mag;
             }
         }
         break;
+      }
     }
     if (!violated)
         return;

@@ -1,9 +1,7 @@
 #include "reference/legacy_engine.h"
 
-#include <algorithm>
 #include <cstdio>
 
-#include "il/algorithm_info.h"
 #include "il/analyze.h"
 #include "support/error.h"
 
@@ -126,29 +124,12 @@ LegacyEngine::addCondition(int condition_id, const il::Program &program)
                                            input_streams);
             node->inputs = inputs;
             node->stream = streams.at(stmt.id);
-
-            const auto info = il::findAlgorithm(stmt.algorithm);
-            if (!info)
-                throw InternalError("validated program with unknown "
-                                    "algorithm");
-            node->cyclesPerInvoke =
-                il::invokeCost(*info, input_streams.front());
-            double rate = input_streams.front().fireRateHz;
-            for (const auto &s : input_streams)
-                rate = std::min(rate, s.fireRateHz);
-            node->invokeRateHz = rate;
-            node->ramBytes = il::nodeRamBytes(
-                *info, stmt.params, input_streams.front(),
-                node->stream);
-
             index = static_cast<int>(nodes.size());
             nodes.push_back(std::move(node));
             if (shareNodes)
                 nodeByKey[nodes[index]->key] = index;
         }
 
-        nodes[index]->refCount += 1;
-        cond.ownedNodes.push_back(index);
         local_to_global[stmt.id] = index;
     }
 
@@ -158,33 +139,6 @@ LegacyEngine::addCondition(int condition_id, const il::Program &program)
         cond.primaryChannel = 0;
 
     conditions[condition_id] = std::move(cond);
-}
-
-void
-LegacyEngine::removeCondition(int condition_id)
-{
-    auto it = conditions.find(condition_id);
-    if (it == conditions.end())
-        throw ConfigError("condition id " + std::to_string(condition_id) +
-                          " is not installed");
-
-    for (int index : it->second.ownedNodes) {
-        Node *node = nodes[static_cast<std::size_t>(index)].get();
-        if (node == nullptr)
-            throw InternalError("condition references freed node");
-        node->refCount -= 1;
-        if (node->refCount == 0) {
-            nodeByKey.erase(node->key);
-            nodes[static_cast<std::size_t>(index)].reset();
-        }
-    }
-    conditions.erase(it);
-}
-
-bool
-LegacyEngine::hasCondition(int condition_id) const
-{
-    return conditions.count(condition_id) != 0;
 }
 
 void
@@ -278,20 +232,6 @@ LegacyEngine::pushSamples(const std::vector<double> &values,
     }
 }
 
-void
-LegacyEngine::resetState()
-{
-    for (auto &slot : nodes) {
-        if (slot == nullptr)
-            continue;
-        slot->kernel->reset();
-        slot->state = WaveState::Idle;
-    }
-    for (auto &buffer : rawBuffers)
-        buffer.clear();
-    pendingWakeEvents.clear();
-}
-
 std::vector<WakeEvent>
 LegacyEngine::drainWakeEvents()
 {
@@ -320,26 +260,6 @@ LegacyEngine::nodeCount() const
         if (slot != nullptr)
             ++count;
     return count;
-}
-
-double
-LegacyEngine::estimatedCyclesPerSecond() const
-{
-    double total = 0.0;
-    for (const auto &slot : nodes)
-        if (slot != nullptr)
-            total += slot->cyclesPerInvoke * slot->invokeRateHz;
-    return total;
-}
-
-std::size_t
-LegacyEngine::estimatedRamBytes() const
-{
-    std::size_t total = 0;
-    for (const auto &slot : nodes)
-        if (slot != nullptr)
-            total += slot->ramBytes;
-    return total;
 }
 
 } // namespace sidewinder::reference

@@ -1,7 +1,9 @@
 /**
  * @file
  * Frozen copy of the hub engine's original AST-walking interpreter,
- * kept verbatim (modulo naming) as a behavioral reference.
+ * kept verbatim (modulo naming) as a behavioral reference, less the
+ * members no test or bench drives (removal, reset and the static cost
+ * estimates).
  *
  * The live hub::Engine executes lowered il::ExecutionPlans; this class
  * preserves the statement-at-a-time install path and the per-wave
@@ -41,11 +43,6 @@ class LegacyEngine
     /** Validate and install a wake-up condition from the AST. */
     void addCondition(int condition_id, const il::Program &program);
 
-    /** Remove a condition, freeing nodes no other condition uses. */
-    void removeCondition(int condition_id);
-
-    bool hasCondition(int condition_id) const;
-
     /**
      * Feed one synchronous sample per channel and run one evaluation
      * wave over the slot array (freed slots skipped in place).
@@ -61,15 +58,6 @@ class LegacyEngine
     /** Live (shared) algorithm instances across all conditions. */
     std::size_t nodeCount() const;
 
-    /** Static compute-demand estimate, AST-derived per node. */
-    double estimatedCyclesPerSecond() const;
-
-    /** Static RAM estimate, AST-derived per node. */
-    std::size_t estimatedRamBytes() const;
-
-    /** Power-cycle semantics: keep conditions, drop signal state. */
-    void resetState();
-
   private:
     struct Node
     {
@@ -79,10 +67,6 @@ class LegacyEngine
         /** Inputs: node index (>= 0) or channel as -(index + 1). */
         std::vector<int> inputs;
         il::NodeStream stream;
-        double cyclesPerInvoke = 0.0;
-        double invokeRateHz = 0.0;
-        std::size_t ramBytes = 0;
-        int refCount = 0;
 
         // Per-wave state.
         hub::WaveState state = hub::WaveState::Idle;
@@ -94,7 +78,6 @@ class LegacyEngine
     {
         int id = 0;
         int outNode = -1;
-        std::vector<int> ownedNodes;
         int primaryChannel = 0;
     };
 
