@@ -59,8 +59,7 @@ struct AudioFeatureConfig
 
 /**
  * The spectrum of one analysis frame: one planned real FFT into
- * buffers reused across frames, and the magnitudes of bins 0..N/2
- * (the same bits dsp::magnitudeSpectrum() returns).
+ * buffers reused across frames, and the magnitudes of bins 0..N/2.
  */
 class FrameSpectrum
 {

@@ -9,15 +9,6 @@
 namespace sidewinder::dsp {
 
 double
-vectorMagnitude(const std::vector<double> &components)
-{
-    double sum_sq = 0.0;
-    for (double c : components)
-        sum_sq += c * c;
-    return std::sqrt(sum_sq);
-}
-
-double
 zeroCrossingRate(const std::vector<double> &frame)
 {
     if (frame.size() < 2)

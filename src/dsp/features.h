@@ -1,8 +1,9 @@
 /**
  * @file
  * Feature-extraction algorithms from Section 3.6 of the paper:
- * acceleration vector magnitude, zero-crossing rate, a set of
- * statistical functions, and dominant-frequency magnitude.
+ * zero-crossing rate, a set of statistical functions, and
+ * dominant-frequency magnitude. The acceleration vector magnitude is
+ * the hub's vectorMagnitude kernel (src/hub/kernels.cc).
  */
 
 #ifndef SIDEWINDER_DSP_FEATURES_H
@@ -12,9 +13,6 @@
 #include <vector>
 
 namespace sidewinder::dsp {
-
-/** Euclidean magnitude of a vector of per-axis components. */
-double vectorMagnitude(const std::vector<double> &components);
 
 /**
  * Zero-crossing rate of @p frame: fraction of adjacent sample pairs
@@ -93,7 +91,8 @@ struct DominantFrequency
 
 /**
  * Locate the dominant (strongest non-DC) frequency bin in a magnitude
- * spectrum as produced by magnitudeSpectrum().
+ * spectrum: bins 0 .. N/2 of a real frame's transform, as
+ * magnitudesInto() writes them.
  *
  * @param magnitudes Bin magnitudes, bin 0 = DC.
  * @throws ConfigError if fewer than two bins are supplied.

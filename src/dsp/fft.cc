@@ -75,18 +75,6 @@ naiveTransform(std::vector<Complex> &data, bool inverse)
 } // namespace
 
 void
-fft(std::vector<Complex> &data)
-{
-    FftPlan::forSize(data.size())->forward(data);
-}
-
-void
-ifft(std::vector<Complex> &data)
-{
-    FftPlan::forSize(data.size())->inverse(data);
-}
-
-void
 naiveFft(std::vector<Complex> &data)
 {
     naiveTransform(data, false);
@@ -105,29 +93,6 @@ fftReal(const std::vector<double> &samples)
     FftPlan::forSize(samples.size())->forwardReal(samples.data(),
                                                   data.data());
     return data;
-}
-
-std::vector<double>
-ifftToReal(std::vector<Complex> spectrum)
-{
-    // A general spectrum need not be conjugate-symmetric, so this
-    // takes the real part of the full inverse rather than using the
-    // half-size real path.
-    ifft(spectrum);
-    std::vector<double> out;
-    out.reserve(spectrum.size());
-    for (const auto &x : spectrum)
-        out.push_back(x.real());
-    return out;
-}
-
-std::vector<double>
-magnitudeSpectrum(const std::vector<double> &samples)
-{
-    const auto spectrum = fftReal(samples);
-    std::vector<double> mags(spectrum.size() / 2 + 1);
-    magnitudesInto(spectrum.data(), mags.size(), mags.data());
-    return mags;
 }
 
 double

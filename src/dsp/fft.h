@@ -7,11 +7,11 @@
  * what a Cortex-M4-class microcontroller (the TI LM4F120 of the
  * prototype) would realistically run.
  *
- * The free functions here execute through cached FftPlan instances
- * (see fft_plan.h): precomputed bit-reversal and twiddle tables, and a
- * half-size packed transform for real input. The original textbook
- * implementation is kept as naiveFft()/naiveIfft() — a reference the
- * property tests and benchmarks compare the planned path against.
+ * fftReal() executes through a cached FftPlan (see fft_plan.h):
+ * precomputed bit-reversal and twiddle tables, and a half-size packed
+ * transform for real input. The original textbook implementation is
+ * kept as naiveFft()/naiveIfft() — a reference the property tests and
+ * benchmarks compare the planned path against.
  */
 
 #ifndef SIDEWINDER_DSP_FFT_H
@@ -30,21 +30,6 @@ using Complex = std::complex<double>;
 bool isPowerOfTwo(std::size_t n);
 
 /**
- * In-place forward FFT.
- *
- * @param data Complex samples; size must be a power of two.
- */
-void fft(std::vector<Complex> &data);
-
-/**
- * In-place inverse FFT, including the 1/N normalization so that
- * ifft(fft(x)) == x.
- *
- * @param data Complex spectrum; size must be a power of two.
- */
-void ifft(std::vector<Complex> &data);
-
-/**
  * Reference forward FFT: the per-call twiddle-recurrence
  * implementation the planned path replaced. Kept for equivalence
  * tests and planned-vs-naive benchmarks; do not use on hot paths.
@@ -56,15 +41,6 @@ void naiveIfft(std::vector<Complex> &data);
 
 /** Forward FFT of a real signal (zero imaginary parts). */
 std::vector<Complex> fftReal(const std::vector<double> &samples);
-
-/** Real part of the inverse FFT of @p spectrum. */
-std::vector<double> ifftToReal(std::vector<Complex> spectrum);
-
-/**
- * Magnitudes of the non-redundant half of the spectrum of a real
- * signal: bins 0 .. N/2 inclusive.
- */
-std::vector<double> magnitudeSpectrum(const std::vector<double> &samples);
 
 /**
  * out[i] = |bins[i]| for i < @p n, bit for bit std::abs(bins[i]) (glibc's

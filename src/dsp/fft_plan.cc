@@ -57,13 +57,6 @@ resetFftCounters()
     g_cacheHits.store(0, std::memory_order_relaxed);
 }
 
-FftPlan::FftPlan(std::size_t n)
-    : FftPlan(n, n > 1 ? std::shared_ptr<const FftPlan>(
-                             new FftPlan(n / 2))
-                       : nullptr)
-{
-}
-
 FftPlan::FftPlan(std::size_t n, std::shared_ptr<const FftPlan> half_plan)
     : points(n), half(std::move(half_plan))
 {
@@ -325,26 +318,6 @@ FftPlan::inverse(Complex *data) const
 }
 
 void
-FftPlan::forward(std::vector<Complex> &data) const
-{
-    if (data.size() != points)
-        throw ConfigError("FFT plan for " + std::to_string(points) +
-                          " points applied to " +
-                          std::to_string(data.size()));
-    forward(data.data());
-}
-
-void
-FftPlan::inverse(std::vector<Complex> &data) const
-{
-    if (data.size() != points)
-        throw ConfigError("FFT plan for " + std::to_string(points) +
-                          " points applied to " +
-                          std::to_string(data.size()));
-    inverse(data.data());
-}
-
-void
 FftPlan::forwardReal(const double *samples, Complex *out) const
 {
     bump(g_plannedReal);
@@ -448,18 +421,6 @@ FftPlan::inverseReal(Complex *spectrum, double *out) const
     half->permute(spectrum);
     half->butterflies<true>(spectrum);
     scalePoints(s, out, h, 1.0 / static_cast<double>(h));
-}
-
-void
-FftPlan::inverseReal(std::vector<Complex> &spectrum,
-                     std::vector<double> &out) const
-{
-    if (spectrum.size() != points)
-        throw ConfigError("FFT plan for " + std::to_string(points) +
-                          " points applied to " +
-                          std::to_string(spectrum.size()));
-    out.resize(points);
-    inverseReal(spectrum.data(), out.data());
 }
 
 std::shared_ptr<const FftPlan>

@@ -31,20 +31,13 @@ namespace sidewinder::dsp {
  * A reusable transform plan for one power-of-two size.
  *
  * Plans are immutable after construction; all transform methods are
- * const and thread-safe. Obtain shared plans through forSize() — the
+ * const and thread-safe. Plans come from forSize() only — the
  * process-wide cache also shares the half-size plan chain that the
  * real-input transforms use.
  */
 class FftPlan
 {
   public:
-    /**
-     * Build a standalone plan (including its half-size chain) for
-     * @p n points.
-     * @throws ConfigError unless @p n is a power of two.
-     */
-    explicit FftPlan(std::size_t n);
-
     /** Transform size in points. */
     std::size_t size() const { return points; }
 
@@ -53,12 +46,6 @@ class FftPlan
 
     /** In-place inverse FFT including the 1/N normalization. */
     void inverse(Complex *data) const;
-
-    /** Size-checked vector overload of forward(). */
-    void forward(std::vector<Complex> &data) const;
-
-    /** Size-checked vector overload of inverse(). */
-    void inverse(std::vector<Complex> &data) const;
 
     /**
      * Forward FFT of a real signal via the packed half-size complex
@@ -88,10 +75,6 @@ class FftPlan
      * @param out Caller-owned storage for size() real samples.
      */
     void inverseReal(Complex *spectrum, double *out) const;
-
-    /** Vector overload of inverseReal(); resizes @p out to size(). */
-    void inverseReal(std::vector<Complex> &spectrum,
-                     std::vector<double> &out) const;
 
     /**
      * Shared plan for @p n points from the process-wide cache.
@@ -149,7 +132,7 @@ struct FftCounters
     std::uint64_t plannedRealTransforms = 0;
     /** naiveFft()/naiveIfft() reference-path executions. */
     std::uint64_t naiveTransforms = 0;
-    /** Plans constructed (cache misses + standalone constructions). */
+    /** Plans constructed (forSize() cache misses). */
     std::uint64_t plansBuilt = 0;
     /** forSize() calls served from the cache. */
     std::uint64_t planCacheHits = 0;

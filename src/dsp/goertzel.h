@@ -22,8 +22,8 @@ namespace sidewinder::dsp {
 
 /**
  * Magnitude of the @p target_hz component of @p frame sampled at
- * @p sample_rate_hz, comparable to the corresponding
- * magnitudeSpectrum() bin (same scaling, |X(k)|).
+ * @p sample_rate_hz, comparable to the corresponding bin of the
+ * frame's magnitude spectrum (same scaling, |X(k)|).
  *
  * @throws ConfigError on an empty frame, a non-positive rate, or a
  *     target at/above Nyquist.

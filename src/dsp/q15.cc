@@ -65,13 +65,6 @@ quantizeQ15(const double *in, Q15 *out, std::size_t count)
         out[i] = toQ15(in[i]);
 }
 
-void
-dequantizeQ15(const Q15 *in, double *out, std::size_t count)
-{
-    for (std::size_t i = 0; i < count; ++i)
-        out[i] = fromQ15(in[i]);
-}
-
 // ---------------------------------------------------------------------
 // Streaming filters.
 
@@ -133,60 +126,6 @@ Q15ExponentialMovingAverage::reset()
 {
     seeded = false;
     state = 0;
-}
-
-// ---------------------------------------------------------------------
-// Biquad.
-
-namespace {
-
-/** Quantize a biquad coefficient to Q14 (|c| < 2). */
-std::int16_t
-toQ14(double c)
-{
-    const double scaled = c * 16384.0;
-    if (scaled >= 32767.0)
-        return 32767;
-    if (scaled <= -32768.0)
-        return -32768;
-    return static_cast<std::int16_t>(std::lround(scaled));
-}
-
-} // namespace
-
-Q15Biquad::Q15Biquad(double b0_, double b1_, double b2_, double a1_,
-                     double a2_)
-    : b0(toQ14(b0_)), b1(toQ14(b1_)), b2(toQ14(b2_)), a1(toQ14(a1_)),
-      a2(toQ14(a2_))
-{
-    if (std::abs(b0_) >= 2.0 || std::abs(b1_) >= 2.0 ||
-        std::abs(b2_) >= 2.0 || std::abs(a1_) >= 2.0 ||
-        std::abs(a2_) >= 2.0)
-        throw ConfigError("Q15 biquad coefficients must be in (-2, 2)");
-}
-
-Q15
-Q15Biquad::push(Q15 x)
-{
-    // Q15 samples * Q14 coefficients accumulate in Q29; the +0x2000
-    // bias rounds the final >>14 back onto the Q15 grid.
-    std::int32_t acc = static_cast<std::int32_t>(b0) * x;
-    acc += static_cast<std::int32_t>(b1) * x1;
-    acc += static_cast<std::int32_t>(b2) * x2;
-    acc -= static_cast<std::int32_t>(a1) * y1;
-    acc -= static_cast<std::int32_t>(a2) * y2;
-    const Q15 y = saturateQ15((acc + 0x2000) >> 14);
-    x2 = x1;
-    x1 = x;
-    y2 = y1;
-    y1 = y;
-    return y;
-}
-
-void
-Q15Biquad::reset()
-{
-    x1 = x2 = y1 = y2 = 0;
 }
 
 // ---------------------------------------------------------------------

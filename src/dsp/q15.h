@@ -8,10 +8,9 @@
  * values in [-1, 1 - 2^-15] — which is exactly the 2-bytes-per-sample
  * RAM model the static analyzer already charges (il::nodeRamBytes).
  * This module provides the host-side bit-accurate equivalents:
- * saturating arithmetic, streaming filters, a biquad section, a
- * Goertzel probe with a widened accumulator, and a fixed-point FFT
- * driven by the same bit-reversal/twiddle tables as the double
- * precision FftPlan.
+ * saturating arithmetic, streaming filters, a Goertzel probe with a
+ * widened accumulator, and a fixed-point FFT driven by the same
+ * bit-reversal/twiddle tables as the double precision FftPlan.
  *
  * Convention: a Q15 value q represents the real number q / 32768.
  * Conversions round to nearest and saturate, so
@@ -139,9 +138,6 @@ q15Mul(Q15 a, Q15 b)
 /** Quantize @p count doubles into @p out. */
 void quantizeQ15(const double *in, Q15 *out, std::size_t count);
 
-/** Dequantize @p count Q15 samples into @p out. */
-void dequantizeQ15(const Q15 *in, double *out, std::size_t count);
-
 /**
  * Streaming moving average over Q15 samples: 32-bit running sum,
  * rounded divide. Mirrors dsp::MovingAverage's fill semantics (no
@@ -179,26 +175,6 @@ class Q15ExponentialMovingAverage
     Q15 alphaQ15;
     bool seeded = false;
     Q15 state = 0;
-};
-
-/**
- * One biquad section (direct form I) with Q14 coefficients — the
- * standard building block of MCU IIR chains, where coefficient
- * magnitudes up to 2 need one integer bit. State and samples are
- * Q15; the accumulate runs in 32 bits and saturates on output.
- */
-class Q15Biquad
-{
-  public:
-    /** y = b0 x + b1 x1 + b2 x2 - a1 y1 - a2 y2; |coeffs| < 2. */
-    Q15Biquad(double b0, double b1, double b2, double a1, double a2);
-
-    Q15 push(Q15 x);
-    void reset();
-
-  private:
-    std::int16_t b0, b1, b2, a1, a2; // Q14
-    Q15 x1 = 0, x2 = 0, y1 = 0, y2 = 0;
 };
 
 /**

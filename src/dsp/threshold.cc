@@ -22,12 +22,4 @@ Threshold::Threshold(ThresholdKind kind, double low, double high)
         throw ConfigError("Threshold band is inverted");
 }
 
-std::optional<double>
-Threshold::push(double value) const
-{
-    if (admits(value))
-        return value;
-    return std::nullopt;
-}
-
 } // namespace sidewinder::dsp

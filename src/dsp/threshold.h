@@ -9,8 +9,6 @@
 #ifndef SIDEWINDER_DSP_THRESHOLD_H
 #define SIDEWINDER_DSP_THRESHOLD_H
 
-#include <optional>
-
 namespace sidewinder::dsp {
 
 /** Comparison mode for an admission-control stage. */
@@ -37,12 +35,6 @@ class Threshold
 
     /** Band / OutsideBand threshold against [low, high]. */
     Threshold(ThresholdKind kind, double low, double high);
-
-    /**
-     * Test one value.
-     * @return the value itself when admitted, otherwise nullopt.
-     */
-    std::optional<double> push(double value) const;
 
     /** True when @p value satisfies the predicate (inline: every
         admission stage of the hub's block loop runs it per wave). */

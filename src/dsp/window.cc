@@ -18,16 +18,6 @@ hammingCoefficient(std::size_t i, std::size_t n)
                                   static_cast<double>(n - 1));
 }
 
-void
-applyWindow(std::vector<double> &frame, WindowType type)
-{
-    if (type == WindowType::Rectangular)
-        return;
-    const std::size_t n = frame.size();
-    for (std::size_t i = 0; i < n; ++i)
-        frame[i] *= hammingCoefficient(i, n);
-}
-
 WindowPartitioner::WindowPartitioner(std::size_t size, WindowType type,
                                      std::size_t hop)
     : frameSize(size), hopSize(hop == 0 ? size : hop), windowType(type)
@@ -42,15 +32,6 @@ WindowPartitioner::WindowPartitioner(std::size_t size, WindowType type,
         for (std::size_t i = 0; i < frameSize; ++i)
             coefficients[i] = hammingCoefficient(i, frameSize);
     }
-}
-
-std::optional<std::vector<double>>
-WindowPartitioner::push(double sample)
-{
-    std::vector<double> frame;
-    if (!pushInto(sample, frame))
-        return std::nullopt;
-    return frame;
 }
 
 bool

@@ -8,7 +8,6 @@
 #define SIDEWINDER_DSP_WINDOW_H
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 namespace sidewinder::dsp {
@@ -18,9 +17,6 @@ enum class WindowType { Rectangular, Hamming };
 
 /** Hamming coefficient for position @p i of an @p n point window. */
 double hammingCoefficient(std::size_t i, std::size_t n);
-
-/** Multiply @p frame in place by the coefficients of @p type. */
-void applyWindow(std::vector<double> &frame, WindowType type);
 
 /**
  * Streaming partitioner that groups incoming scalar samples into
@@ -41,23 +37,17 @@ class WindowPartitioner
                                std::size_t hop = 0);
 
     /**
-     * Feed one sample.
-     * @return a completed frame when one becomes available.
-     */
-    std::optional<std::vector<double>> push(double sample);
-
-    /**
      * Feed one sample, writing a completed frame into caller-owned
-     * storage instead of allocating one. @p frame is resized to the
-     * window size when a frame is emitted, so a caller reusing the
-     * same vector allocates nothing in steady state.
+     * storage. @p frame is resized to the window size when a frame is
+     * emitted, so a caller reusing the same vector allocates nothing
+     * in steady state.
      *
      * @return true when @p frame was filled with a completed window.
      */
     bool pushInto(double sample, std::vector<double> &frame);
 
     /**
-     * Samples still needed before the next push completes a frame
+     * Samples still needed before the next pushInto() completes a frame
      * (always >= 1). Block-mode callers use this to bulk-append the
      * quiet stretch between emissions.
      */
@@ -70,7 +60,7 @@ class WindowPartitioner
     /**
      * Bulk-append @p n samples known not to complete a frame
      * (@p n < remainingToFrame()): one contiguous insert instead of
-     * @p n pushes, with identical resulting state.
+     * @p n pushInto() calls, with identical resulting state.
      */
     void appendPartial(const double *samples, std::size_t n);
 

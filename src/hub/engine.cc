@@ -432,18 +432,6 @@ Engine::hasCondition(int condition_id) const
     return conditions.count(condition_id) != 0;
 }
 
-std::vector<int>
-Engine::conditionIds() const
-{
-    std::vector<int> ids;
-    ids.reserve(conditions.size());
-    for (const auto &[id, cond] : conditions) {
-        (void)cond;
-        ids.push_back(id);
-    }
-    return ids;
-}
-
 void
 Engine::pushSamples(const std::vector<double> &values, double timestamp)
 {
@@ -909,15 +897,6 @@ Engine::pushClocked(const double *const *lanes, std::size_t count,
                     const WaveClock &clock)
 {
     pushLanes(lanes, count, clock);
-}
-
-void
-Engine::pushBlock(const double *const *lanes, std::size_t count,
-                  const double *timestamps)
-{
-    pushLanes(lanes, count, clockOf([timestamps](std::size_t w) {
-                  return timestamps[w];
-              }));
 }
 
 void

@@ -97,9 +97,6 @@ class Engine
     /** True when @p condition_id is installed. */
     bool hasCondition(int condition_id) const;
 
-    /** Installed condition ids. */
-    std::vector<int> conditionIds() const;
-
     // ----- live reconfiguration: the A/B shadow slot -----
     //
     // stageCondition() installs a plan next to the live one instead of
@@ -174,7 +171,9 @@ class Engine
      * given at construction: lanes[ch][w] is channel ch's sample on
      * wave w. Each kernel's block loop reads its channel lane in
      * place, so a trace's per-channel vectors are consumed with no
-     * packing copy. @p timestamps holds one timestamp per wave.
+     * packing copy. Wave w carries timestamp @p stamp_of(w), evaluated
+     * only for the waves that raise a wake (a trace replay passes
+     * Trace::timeOf rather than filling a timestamp array per block).
      *
      * Semantically identical to calling pushSamples() once per wave
      * (same wake events in the same order, same raw history, same
@@ -185,15 +184,6 @@ class Engine
      * lives inside kernel objects, and a node's per-wave firing
      * decisions depend only on producers that precede it in the
      * schedule.
-     */
-    void pushBlock(const double *const *lanes, std::size_t count,
-                   const double *timestamps);
-
-    /**
-     * Lane-pointer overload with lazy timestamps: wave w carries
-     * @p stamp_of(w), evaluated only for the waves that raise a wake
-     * (a trace replay passes Trace::timeOf rather than filling a
-     * timestamp array per block).
      */
     template <typename StampOf>
         requires std::is_invocable_r_v<double, const StampOf &,

@@ -421,8 +421,7 @@ class IfftKernel : public Kernel
         if (!plan || plan->size() != bins.size())
             plan = dsp::FftPlan::forSize(bins.size());
         // General spectra need not be conjugate-symmetric, so run the
-        // full inverse on a per-node scratch copy and keep the real
-        // parts (same semantics as dsp::ifftToReal).
+        // full inverse on a per-node scratch copy and keep the real parts.
         scratch.assign(bins.begin(), bins.end());
         plan->inverse(scratch.data());
         auto &frame = out.frameStorage();
@@ -482,8 +481,8 @@ class VectorMagnitudeKernel : public Kernel
     invokeInto(const std::vector<const Value *> &inputs,
                Value &out) override
     {
-        // Inline sqrt-of-squares (same math as dsp::vectorMagnitude)
-        // to avoid building a component vector per sample.
+        // Euclidean magnitude: squares summed in input order, then
+        // the root.
         double sum = 0.0;
         for (const Value *v : inputs)
             sum += v->scalar() * v->scalar();

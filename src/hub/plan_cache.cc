@@ -88,14 +88,6 @@ FleetPlanCache::internGlobal(
 }
 
 FleetPlanCache::PlanPtr
-FleetPlanCache::intern(const il::Program &program,
-                       const std::vector<il::ChannelInfo> &channels)
-{
-    return internGlobal(programKey(program, channels), program,
-                        channels);
-}
-
-FleetPlanCache::PlanPtr
 FleetPlanCache::Shard::intern(
     const il::Program &program,
     const std::vector<il::ChannelInfo> &channels)
@@ -167,13 +159,6 @@ FleetPlanCache::stats() const
         out.retainedBytes = retainedBytes;
     }
     return out;
-}
-
-std::size_t
-FleetPlanCache::size() const
-{
-    std::lock_guard<std::mutex> guard(lock);
-    return byCanonical.size();
 }
 
 std::size_t

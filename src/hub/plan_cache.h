@@ -113,18 +113,6 @@ class FleetPlanCache
     static std::string canonicalPlanKey(const il::ExecutionPlan &plan);
 
     /**
-     * Return the shared plan for @p program lowered against
-     * @p channels, lowering at most once per distinct condition.
-     * Thread-safe; lowering runs under the cache lock so the miss
-     * counter is exactly the number of lower() calls.
-     *
-     * @throws ParseError when the program fails validation (first
-     *     lookup only — cached conditions are known-valid).
-     */
-    PlanPtr intern(const il::Program &program,
-                   const std::vector<il::ChannelInfo> &channels);
-
-    /**
      * Single-owner read-mostly view: repeat lookups of a key this
      * shard has already seen are served from a private map with no
      * atomics and no locks. One Shard must only ever be used by one
@@ -136,7 +124,17 @@ class FleetPlanCache
       public:
         explicit Shard(FleetPlanCache &owner) : cache(&owner) {}
 
-        /** As FleetPlanCache::intern, with the lock-free fast path. */
+        /**
+         * Return the shared plan for @p program lowered against
+         * @p channels, lowering at most once per distinct condition
+         * across every shard. A key this shard has served before is
+         * a lock-free hit; otherwise the owner's lookup runs under
+         * its lock, and lowering with it, so the miss counter is
+         * exactly the number of lower() calls.
+         *
+         * @throws ParseError when the program fails validation (first
+         *     lookup only — cached conditions are known-valid).
+         */
         PlanPtr intern(const il::Program &program,
                        const std::vector<il::ChannelInfo> &channels);
 
@@ -175,9 +173,6 @@ class FleetPlanCache
 
     /** Exact counters; safe to call concurrently with intern(). */
     PlanCacheStats stats() const;
-
-    /** Distinct canonical plans currently retained. */
-    std::size_t size() const;
 
   private:
     PlanPtr internGlobal(const std::string &text_key,

@@ -55,11 +55,10 @@ void
 HubRuntime::reboot(double now)
 {
     // Brownout: RAM is gone. Rebuild the engine from the channel map
-    // (which lives in ROM on a real hub) and forget every condition,
-    // stream and half-received frame.
+    // (which lives in ROM on a real hub) and forget every condition
+    // and half-received frame.
     dataflow = Engine(std::vector<il::ChannelInfo>(dataflow.channels()),
                       dataflow.lowerOptions().dedupe);
-    batchStreams.clear();
     lastWakeSent.clear();
     decoderDropsBeforeReboot += decoder.droppedBytes();
     decoder = transport::FrameDecoder();
@@ -84,18 +83,10 @@ HubRuntime::reboot(double now)
     lastWaveTime = -1.0;
 }
 
-void
-HubRuntime::setUpdateStallTimeout(double seconds)
-{
-    if (!(seconds > 0.0))
-        throw ConfigError("update stall timeout must be positive");
-    updateStallTimeout = seconds;
-}
-
 bool
 HubRuntime::updateStalled(double now) const
 {
-    return txn && now - txn->lastFrameAt > updateStallTimeout;
+    return txn && now - txn->lastFrameAt > updateStallTimeoutSeconds;
 }
 
 bool
@@ -411,46 +402,6 @@ HubRuntime::rollbackUpdate(double now, const std::string &reason)
 }
 
 void
-HubRuntime::enableBatchStreaming(std::size_t channel_index,
-                                 std::size_t batch_samples)
-{
-    if (channel_index >= dataflow.channels().size())
-        throw ConfigError("batch streaming: no channel " +
-                          std::to_string(channel_index));
-    if (batch_samples == 0)
-        throw ConfigError("batch streaming needs a positive batch");
-    BatchStream stream;
-    stream.batchSamples = batch_samples;
-    // Size the buffer once: the steady-state streaming path never
-    // reallocates it.
-    stream.pending.reserve(batch_samples);
-    batchStreams[channel_index] = std::move(stream);
-}
-
-void
-HubRuntime::disableBatchStreaming(std::size_t channel_index)
-{
-    batchStreams.erase(channel_index);
-}
-
-void
-HubRuntime::flushBatch(std::size_t channel, BatchStream &stream,
-                       double timestamp)
-{
-    transport::SensorBatchMessage message;
-    message.channelIndex = static_cast<std::int32_t>(channel);
-    message.firstTimestamp = stream.firstTimestamp;
-    message.sampleRateHz = dataflow.channels()[channel].sampleRateHz;
-    message.samples = std::move(stream.pending);
-    link.hubToPhone().sendFrame(transport::encodeSensorBatch(message),
-                                timestamp);
-    // Recover the batch buffer so the steady-state streaming path
-    // stops allocating once the first batch has sized it.
-    stream.pending = std::move(message.samples);
-    stream.pending.clear();
-}
-
-void
 HubRuntime::forwardWakeEvents()
 {
     for (const auto &event : dataflow.drainWakeEvents()) {
@@ -487,15 +438,6 @@ HubRuntime::pushSamples(const std::vector<double> &values,
         swapPending = false;
     }
     lastWaveTime = timestamp;
-
-    for (auto &[channel, stream] : batchStreams) {
-        if (stream.pending.empty())
-            stream.firstTimestamp = timestamp;
-        stream.pending.push_back(values[channel]);
-        if (stream.pending.size() >= stream.batchSamples)
-            flushBatch(channel, stream, timestamp);
-    }
-
     forwardWakeEvents();
 }
 

@@ -95,11 +95,11 @@ class HubRuntime
 
     /**
      * Simulated brownout reset: every installed condition, all node
-     * state, the decoder, the reliable endpoint and any batch streams
-     * are lost, and the boot epoch increments so the next heartbeat
-     * tells the phone the hub is an amnesiac. The caller models the
-     * powered-off window itself (by not polling during it); reboot()
-     * is the instant power returns.
+     * state, the decoder and the reliable endpoint are lost, and the
+     * boot epoch increments so the next heartbeat tells the phone the
+     * hub is an amnesiac. The caller models the powered-off window
+     * itself (by not polling during it); reboot() is the instant power
+     * returns.
      */
     void reboot(double now);
 
@@ -153,15 +153,6 @@ class HubRuntime
      */
     double lastBlindWindowSeconds() const { return blindWindow; }
 
-    /**
-     * Roll back an open transaction when no update frame has arrived
-     * for @p seconds (default 5): the phone died or the link lost the
-     * tail of the update beyond what ARQ recovers. Pairs with the
-     * phone's heartbeat-driven abort — either side can conclude the
-     * update is dead and the hub must not hold staged state forever.
-     */
-    void setUpdateStallTimeout(double seconds);
-
     /** The dataflow engine (exposed for tests and benchmarks). */
     Engine &engine() { return dataflow; }
     const Engine &engine() const { return dataflow; }
@@ -183,25 +174,15 @@ class HubRuntime
         return reliable ? &reliable->stats() : nullptr;
     }
 
-    /**
-     * Start shipping channel @p channel_index to the phone in
-     * SensorBatch frames of @p batch_samples samples — the hub side
-     * of the Batching configuration (Section 4.2) and of raw-data
-     * streaming after a wake-up (Section 3.8).
-     */
-    void enableBatchStreaming(std::size_t channel_index,
-                              std::size_t batch_samples);
-
-    /** Stop shipping @p channel_index. */
-    void disableBatchStreaming(std::size_t channel_index);
-
   private:
-    struct BatchStream
-    {
-        std::size_t batchSamples = 0;
-        double firstTimestamp = 0.0;
-        std::vector<double> pending;
-    };
+    /**
+     * An open transaction rolls back when no update frame has arrived
+     * for this long: the phone died or the link lost the tail of the
+     * update beyond what ARQ recovers. Pairs with the phone's
+     * heartbeat-driven abort — either side can conclude the update is
+     * dead and the hub must not hold staged state forever.
+     */
+    static constexpr double updateStallTimeoutSeconds = 5.0;
 
     /**
      * True when pollLink(@p now) would change any state: a byte from
@@ -210,7 +191,8 @@ class HubRuntime
      * waves pollLink() returns at once.
      */
     bool linkDue(double now) const;
-    /** An open transaction has heard nothing for updateStallTimeout. */
+    /** An open transaction has heard nothing for
+        updateStallTimeoutSeconds. */
     bool updateStalled(double now) const;
     /** The next heartbeat beacon is due. */
     bool heartbeatDue(double now) const;
@@ -232,9 +214,6 @@ class HubRuntime
                             const std::string &window) const;
     /** Abort the shadow slot and notify the phone. */
     void rollbackUpdate(double now, const std::string &reason);
-    /** Ship a full batch-stream buffer as a SensorBatch frame. */
-    void flushBatch(std::size_t channel, BatchStream &stream,
-                    double timestamp);
     /** Drain engine wake-ups into WakeUp frames (with coalescing). */
     void forwardWakeEvents();
 
@@ -242,7 +221,6 @@ class HubRuntime
     Engine dataflow;
     McuModel mcuModel;
     transport::FrameDecoder decoder;
-    std::map<std::size_t, BatchStream> batchStreams;
 
     std::optional<transport::ReliableEndpoint> reliable;
     transport::ReliableConfig reliableConfig;
@@ -268,7 +246,6 @@ class HubRuntime
     };
     std::optional<UpdateTxn> txn;
     std::uint32_t committedEpoch = 0;
-    double updateStallTimeout = 5.0;
     std::size_t updatesCommittedCount = 0;
     std::size_t updatesRolledBackCount = 0;
     std::size_t staleEpochMessagesCount = 0;

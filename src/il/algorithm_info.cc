@@ -90,10 +90,4 @@ findAlgorithm(const std::string &name)
     return nullptr;
 }
 
-bool
-isKnownAlgorithm(const std::string &name)
-{
-    return findAlgorithm(name) != nullptr;
-}
-
 } // namespace sidewinder::il

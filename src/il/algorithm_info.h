@@ -65,9 +65,6 @@ const std::vector<AlgorithmInfo> &standardAlgorithms();
  */
 const AlgorithmInfo *findAlgorithm(const std::string &name);
 
-/** True when @p name is in the standardized set. */
-bool isKnownAlgorithm(const std::string &name);
-
 } // namespace sidewinder::il
 
 #endif // SIDEWINDER_IL_ALGORITHM_INFO_H

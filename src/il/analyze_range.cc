@@ -74,16 +74,6 @@ Interval::intersect(const Interval &other) const
     return out.lo > out.hi ? empty() : out;
 }
 
-Interval
-Interval::scaled(double factor) const
-{
-    if (isEmpty())
-        return empty();
-    const double a = lo * factor;
-    const double b = hi * factor;
-    return Interval{std::min(a, b), std::max(a, b)};
-}
-
 // ---------------------------------------------------------------------
 // Channel defaults.
 

@@ -90,9 +90,6 @@ struct Interval
 
     /** True when @p v is inside (never for empty). */
     bool contains(double v) const { return !isEmpty() && v >= lo && v <= hi; }
-
-    /** Pointwise scale by @p factor (may be negative). */
-    Interval scaled(double factor) const;
 };
 
 /** Declared physical range of one sensor channel. */

@@ -1,18 +1,6 @@
 #include "il/ast.h"
 
-#include <algorithm>
-
 namespace sidewinder::il {
-
-NodeId
-maxNodeId(const Program &program)
-{
-    NodeId max_id = 0;
-    for (const auto &stmt : program.statements)
-        if (!stmt.isOut)
-            max_id = std::max(max_id, stmt.id);
-    return max_id;
-}
 
 SourceSpan
 statementSpan(const Statement &stmt, std::size_t index)

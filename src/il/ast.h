@@ -111,9 +111,6 @@ struct Program
     }
 };
 
-/** Highest node id used in @p program (0 when it defines no nodes). */
-NodeId maxNodeId(const Program &program);
-
 /** A resolved 1-based line:column source position. */
 struct SourceSpan
 {

@@ -144,24 +144,6 @@ FleetRuntime::deviceAppIndex(std::size_t device) const
     return devices.at(device).stats.appIndex;
 }
 
-hub::Engine &
-FleetRuntime::deviceEngine(std::size_t device)
-{
-    auto &engine = devices.at(device).engine;
-    if (!engine)
-        throw ConfigError("fleet device not built yet");
-    return *engine;
-}
-
-const hub::Engine &
-FleetRuntime::deviceEngine(std::size_t device) const
-{
-    const auto &engine = devices.at(device).engine;
-    if (!engine)
-        throw ConfigError("fleet device not built yet");
-    return *engine;
-}
-
 bool
 FleetRuntime::admitInstall(Device &device, int condition_id,
                            const il::Program &program,

@@ -247,10 +247,6 @@ class FleetRuntime
     /** Mix index @p device drew (fixed at construction). */
     int deviceAppIndex(std::size_t device) const;
 
-    /** The tenant's engine (tests, tooling; single-threaded use). */
-    hub::Engine &deviceEngine(std::size_t device);
-    const hub::Engine &deviceEngine(std::size_t device) const;
-
     /**
      * Install @p app's wake-up condition as @p condition_id on one
      * tenant, through the fleet cache and admission control, after

@@ -7,7 +7,6 @@ namespace sidewinder {
 
 namespace {
 
-LogLevel globalLevel = LogLevel::Warn;
 std::mutex logMutex;
 
 const char *
@@ -25,21 +24,9 @@ levelName(LogLevel level)
 } // namespace
 
 void
-setLogLevel(LogLevel level)
-{
-    globalLevel = level;
-}
-
-LogLevel
-logLevel()
-{
-    return globalLevel;
-}
-
-void
 logMessage(LogLevel level, const std::string &message)
 {
-    if (level < globalLevel)
+    if (level < LogLevel::Warn)
         return;
     std::scoped_lock lock(logMutex);
     std::cerr << "[sidewinder:" << levelName(level) << "] " << message

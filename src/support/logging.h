@@ -2,9 +2,9 @@
  * @file
  * Minimal leveled logging for the library and its tools.
  *
- * Modeled on gem5's inform()/warn(): log output is advisory and never
- * affects simulation results. The default level suppresses everything
- * below Warn so that benchmark output stays clean.
+ * Modeled on gem5's warn(): log output is advisory and never affects
+ * simulation results. Everything below Warn is suppressed so that
+ * benchmark output stays clean.
  */
 
 #ifndef SIDEWINDER_SUPPORT_LOGGING_H
@@ -18,17 +18,10 @@ namespace sidewinder {
 /** Severity levels, lowest to highest. */
 enum class LogLevel { Debug, Info, Warn, Error };
 
-/** Set the global minimum level that will be emitted. */
-void setLogLevel(LogLevel level);
-
-/** Current global minimum level. */
-LogLevel logLevel();
-
-/** Emit a single log line if @p level passes the global threshold. */
+/** Emit a single log line if @p level is Warn or above. */
 void logMessage(LogLevel level, const std::string &message);
 
 /** Convenience wrappers mirroring gem5's status-message helpers. */
-inline void inform(const std::string &m) { logMessage(LogLevel::Info, m); }
 inline void warn(const std::string &m) { logMessage(LogLevel::Warn, m); }
 inline void logError(const std::string &m)
 {

@@ -1,9 +1,9 @@
 /**
  * @file
- * Trace augmentation utilities: noise injection, gain errors, and
- * resampling. Used by the robustness experiments to ask how far the
- * wake-up conditions' 100%-recall calibration survives sensor
- * imperfections the paper's single prototype could not vary.
+ * Trace augmentation: noise injection. Used by the robustness
+ * experiments to ask how far the wake-up conditions' 100%-recall
+ * calibration survives sensor imperfections the paper's single
+ * prototype could not vary.
  */
 
 #ifndef SIDEWINDER_TRACE_AUGMENT_H
@@ -23,26 +23,6 @@ namespace sidewinder::trace {
  */
 Trace addGaussianNoise(const Trace &trace, double sigma,
                        std::uint64_t seed);
-
-/**
- * Multiplicative gain error (sensor miscalibration): every sample of
- * every channel scaled by @p gain.
- */
-Trace applyGain(const Trace &trace, double gain);
-
-/**
- * Constant per-channel offset (sensor bias). @p offsets must have one
- * entry per channel.
- */
-Trace applyOffset(const Trace &trace,
-                  const std::vector<double> &offsets);
-
-/**
- * Integer decimation: keep every @p factor-th sample (a cheaper,
- * lower-rate sensor). Ground-truth events are preserved; the sample
- * rate is divided by @p factor.
- */
-Trace decimate(const Trace &trace, std::size_t factor);
 
 } // namespace sidewinder::trace
 

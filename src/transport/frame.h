@@ -44,9 +44,9 @@ enum class MessageType : std::uint8_t {
     /** Hub -> phone: wake-up with condition id and raw sensor data. */
     WakeUp = 5,
     /**
-     * Hub -> phone: a batch of buffered sensor samples (the Batching
-     * configuration of Section 4.2 and the raw-data streaming of
-     * Section 3.8).
+     * Hub -> phone: a batch of buffered sensor samples. Nothing sends
+     * this type any more; the number stays so the decoder accepts the
+     * same type range, and sensorBatchWireBytes() still prices it.
      */
     SensorBatch = 6,
     /**
@@ -96,11 +96,11 @@ constexpr std::uint8_t frameSof = 0x7E;
 
 /**
  * Largest payload a frame may carry. Kept close to the largest frame
- * the system actually ships (a 1024-sample SensorBatch is ~2.1 KB, a
- * WakeUp with raw history ~1.6 KB): the decoder rejects any claimed
- * length above this, so a corrupted header can hold the link hostage
- * for at most ~0.36 s at 115200 baud before the CRC check fails the
- * candidate and resynchronization rescans its bytes.
+ * the system ships (a WakeUp with raw history is ~1.6 KB; a
+ * 1024-sample SensorBatch would be ~2.1 KB): the decoder rejects any
+ * claimed length above this, so a corrupted header can hold the link
+ * hostage for at most ~0.36 s at 115200 baud before the CRC check
+ * fails the candidate and resynchronization rescans its bytes.
  */
 constexpr std::size_t maxPayloadBytes = 4096;
 

@@ -1,8 +1,6 @@
 #include "transport/messages.h"
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstring>
 #include <span>
 
@@ -219,30 +217,6 @@ encodeWakeUp(const WakeUpMessage &message)
 }
 
 Frame
-encodeSensorBatch(const SensorBatchMessage &message)
-{
-    if (!(message.scale > 0.0))
-        throw TransportError("sensor batch scale must be positive");
-
-    Writer w;
-    w.i32(message.channelIndex);
-    w.f64(message.firstTimestamp);
-    w.f64(message.sampleRateHz);
-    w.f64(message.scale);
-    w.u32(static_cast<std::uint32_t>(message.samples.size()));
-    for (double v : message.samples) {
-        const double raw = std::round(v / message.scale);
-        const auto clamped = static_cast<std::int16_t>(
-            std::clamp(raw, -32768.0, 32767.0));
-        const auto bits = static_cast<std::uint16_t>(clamped);
-        w.bytes.push_back(static_cast<std::uint8_t>(bits & 0xFF));
-        w.bytes.push_back(
-            static_cast<std::uint8_t>((bits >> 8) & 0xFF));
-    }
-    return Frame{MessageType::SensorBatch, std::move(w.bytes)};
-}
-
-Frame
 encodeHeartbeat(const HeartbeatMessage &message)
 {
     Writer w;
@@ -441,30 +415,6 @@ configPushWireBytes(const ConfigPushMessage &message)
 {
     // SOF+type+len+crc (6) + id (4) + text length prefix (4) + text.
     return 6 + 4 + 4 + message.ilText.size();
-}
-
-SensorBatchMessage
-decodeSensorBatch(const Frame &frame)
-{
-    expectType(frame, MessageType::SensorBatch, "SensorBatch");
-    Reader r(frame.payload);
-    SensorBatchMessage message;
-    message.channelIndex = r.i32();
-    message.firstTimestamp = r.f64();
-    message.sampleRateHz = r.f64();
-    message.scale = r.f64();
-    const std::uint32_t count = r.count(2);
-    message.samples.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-        const auto lo = static_cast<std::uint16_t>(r.u8());
-        const auto hi = static_cast<std::uint16_t>(r.u8());
-        const auto bits = static_cast<std::uint16_t>(lo | (hi << 8));
-        message.samples.push_back(
-            static_cast<double>(static_cast<std::int16_t>(bits)) *
-            message.scale);
-    }
-    r.expectEnd();
-    return message;
 }
 
 std::size_t

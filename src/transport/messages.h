@@ -61,28 +61,6 @@ struct WakeUpMessage
 };
 
 /**
- * Hub -> phone: a batch of buffered samples from one channel.
- *
- * Samples travel as 16-bit fixed-point values (a real low-power hub
- * would never ship doubles over a UART); `scale` converts them back:
- * value = raw * scale. decode reconstructs doubles with the
- * quantization the wire format implies.
- */
-struct SensorBatchMessage
-{
-    /** Index of the channel on the hub. */
-    std::int32_t channelIndex = 0;
-    /** Timestamp of the first sample, seconds. */
-    double firstTimestamp = 0.0;
-    /** Sampling rate, Hz. */
-    double sampleRateHz = 0.0;
-    /** Fixed-point scale: value = raw * scale. */
-    double scale = 1.0 / 1024.0;
-    /** Decoded sample values. */
-    std::vector<double> samples;
-};
-
-/**
  * Hub -> phone: periodic liveness beacon (transport/reliable.h,
  * hub/runtime.h). `bootId` increments on every hub reset, so the phone
  * detects a brownout-induced state loss even when it never misses a
@@ -198,7 +176,6 @@ Frame encodeConfigAck(const ConfigAckMessage &message);
 Frame encodeConfigReject(const ConfigRejectMessage &message);
 Frame encodeConfigRemove(const ConfigRemoveMessage &message);
 Frame encodeWakeUp(const WakeUpMessage &message);
-Frame encodeSensorBatch(const SensorBatchMessage &message);
 Frame encodeHeartbeat(const HeartbeatMessage &message);
 Frame encodeUpdateBegin(const UpdateBeginMessage &message);
 Frame encodeDeltaPush(const DeltaPushMessage &message);
@@ -216,7 +193,6 @@ ConfigAckMessage decodeConfigAck(const Frame &frame);
 ConfigRejectMessage decodeConfigReject(const Frame &frame);
 ConfigRemoveMessage decodeConfigRemove(const Frame &frame);
 WakeUpMessage decodeWakeUp(const Frame &frame);
-SensorBatchMessage decodeSensorBatch(const Frame &frame);
 HeartbeatMessage decodeHeartbeat(const Frame &frame);
 UpdateBeginMessage decodeUpdateBegin(const Frame &frame);
 DeltaPushMessage decodeDeltaPush(const Frame &frame);
@@ -241,8 +217,10 @@ std::size_t deltaPushWireBytes(const DeltaPushMessage &message);
 
 /**
  * Wire bytes needed to ship @p sample_count samples in SensorBatch
- * frames of at most @p samples_per_frame samples (header + payload +
- * framing per frame).
+ * frames of at most @p samples_per_frame samples: per frame, the
+ * framing, a 32-byte header (channel, first timestamp, rate,
+ * fixed-point scale, count) and two bytes per 16-bit sample. Nothing
+ * sends such frames; bench_link_bandwidth prices the link with this.
  */
 std::size_t sensorBatchWireBytes(std::size_t sample_count,
                                  std::size_t samples_per_frame = 1024);

@@ -118,8 +118,11 @@ INSTANTIATE_TEST_SUITE_P(
                       AccelCase{3, 101}, AccelCase{3, 202},
                       AccelCase{3, 303}),
     [](const ::testing::TestParamInfo<AccelCase> &info) {
-        return "g" + std::to_string(info.param.group) + "s" +
-               std::to_string(info.param.seed);
+        std::string name = "g";
+        name += std::to_string(info.param.group);
+        name += "s";
+        name += std::to_string(info.param.seed);
+        return name;
     });
 
 // --- Audio sweep: environment x seed --------------------------------

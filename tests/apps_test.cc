@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
+#include "apps/audio_features.h"
 #include "apps/predefined.h"
 #include "dsp/fft_plan.h"
 #include "engine_plan.h"
@@ -277,6 +278,16 @@ TEST(AudioClassifiers, OnePlannedSpectrumPerFrame)
                   c.transformsPerFrame * frames)
             << c.app->name();
     }
+}
+
+TEST(Fft, MagnitudeSpectrumHasHalfPlusOneBins)
+{
+    // The magnitude spectrum the audio classifiers read: bins 0..N/2
+    // of a real frame's transform.
+    FrameSpectrum spectrum(256);
+    const std::vector<double> frame(256, 0.5);
+    spectrum.compute(frame.data());
+    EXPECT_EQ(spectrum.magnitudes().size(), 129u);
 }
 
 // --- Predefined activity -------------------------------------------

@@ -14,6 +14,7 @@
 #include "core/sensors.h"
 #include "hub/mcu.h"
 #include "hub/runtime.h"
+#include "il/analyze.h"
 #include "il/writer.h"
 #include "support/error.h"
 
@@ -120,6 +121,64 @@ TEST(Algorithms, StubsCarryIlNamesAndParams)
     EXPECT_TRUE(Fft().params().empty());
 }
 
+TEST(Algorithms, UncalledFactoriesCompileToAnalyzableIl)
+{
+    // The factories no example or benchmark calls: each pipeline's IL
+    // names the algorithm with its parameters and passes analysis.
+    const struct
+    {
+        ProcessingBranch branch;
+        std::string statement;
+    } cases[] = {
+        {ProcessingBranch(channel::audio)
+             .add(Window(256))
+             .add(Fft())
+             .add(Spectrum())
+             .add(DominantFrequencyMagnitude())
+             .add(MinThreshold(1.0)),
+         "3 -> dominantFreqMag(id=4);"},
+        {ProcessingBranch(channel::accelerometerX)
+             .add(ExponentialMovingAverage(0.25))
+             .add(MinThreshold(1.0)),
+         "ACC_X -> expMovingAvg(id=1, params={0.25});"},
+        {ProcessingBranch(channel::audio)
+             .add(Window(256))
+             .add(Goertzel(1000.0))
+             .add(MinThreshold(1.0)),
+         "1 -> goertzel(id=2, params={1000});"},
+        {ProcessingBranch(channel::audio)
+             .add(Window(256))
+             .add(Fft())
+             .add(Ifft())
+             .add(Rms())
+             .add(MinThreshold(0.1)),
+         "2 -> ifft(id=3);"},
+        {ProcessingBranch(channel::audio)
+             .add(Window(256))
+             .add(LowPassFilter(500.0))
+             .add(Rms())
+             .add(MinThreshold(0.1)),
+         "1 -> lowPass(id=2, params={500});"},
+        {ProcessingBranch(channel::accelerometerZ)
+             .add(Window(16))
+             .add(Min())
+             .add(MinThreshold(5.0)),
+         "1 -> min(id=2);"},
+        {ProcessingBranch(channel::accelerometerY)
+             .add(MovingAverage(5))
+             .add(OutsideBandThreshold(-2.0, 2.0)),
+         "1 -> outsideBandThreshold(id=2, params={-2,2});"},
+    };
+    for (const auto &c : cases) {
+        ProcessingPipeline pipeline;
+        pipeline.add(c.branch);
+        const il::Program program = pipeline.compile();
+        const std::string text = il::write(program);
+        EXPECT_NE(text.find(c.statement), std::string::npos) << text;
+        EXPECT_TRUE(il::analyze(program, allChannels()).ok()) << text;
+    }
+}
+
 TEST(Sensors, DefaultChannels)
 {
     const auto accel = accelerometerChannels();
@@ -216,6 +275,52 @@ TEST_F(EndToEnd, RemoveSilencesCallbacks)
     manager.poll(10.0);
     EXPECT_TRUE(listener.events.empty());
     EXPECT_EQ(manager.state(id), ConditionState::Removed);
+}
+
+TEST_F(EndToEnd, AbortUpdateRollsTheHubBack)
+{
+    const int id =
+        manager.push(significantMotionPipeline(), &listener, 0.0);
+    hub.pollLink(1.0);
+    manager.poll(2.0);
+
+    ProcessingPipeline retuned;
+    retuned.add(ProcessingBranch(channel::accelerometerX)
+                    .add(MovingAverage(5))
+                    .add(MinThreshold(3.0)));
+    manager.beginUpdate(2.0);
+    manager.updateCondition(id, retuned, 2.0);
+    hub.pollLink(3.0);
+    ASSERT_TRUE(hub.updateInProgress());
+    EXPECT_EQ(hub.engine().stagedCount(), 1u);
+
+    manager.abortUpdate(3.0);
+    EXPECT_FALSE(manager.updateInProgress());
+    // Well inside the hub's 5 s stall timeout: the UpdateAbort frame,
+    // not silence, closes the transaction.
+    hub.pollLink(4.0);
+    EXPECT_FALSE(hub.updateInProgress());
+    EXPECT_EQ(hub.engine().stagedCount(), 0u);
+    EXPECT_EQ(hub.updatesRolledBack(), 1u);
+    EXPECT_EQ(hub.configEpoch(), 0u);
+    EXPECT_TRUE(hub.engine().hasCondition(id));
+}
+
+TEST_F(EndToEnd, PushDiagnosticsEndWithThePlacementNote)
+{
+    const int id =
+        manager.push(significantMotionPipeline(), &listener, 0.0);
+    const hub::PlacementDecision &home = manager.placementOf(id);
+    ASSERT_TRUE(home.placed());
+    const auto &diagnostics = manager.pushDiagnostics(id);
+    ASSERT_FALSE(diagnostics.empty());
+    const il::Diagnostic &note = diagnostics.back();
+    EXPECT_EQ(note.code, il::SW203_PLACEMENT);
+    EXPECT_EQ(note.severity, il::Severity::Note);
+    EXPECT_NE(note.message.find("homed on " + home.executorName),
+              std::string::npos)
+        << note.message;
+    EXPECT_EQ(note.hint, "config push wired to " + home.wireTarget);
 }
 
 TEST_F(EndToEnd, HubRejectionSurfacesReason)

@@ -79,8 +79,7 @@ TEST_P(FftPlanProperty, ForwardMatchesNaiveTransform)
     const auto signal = randomComplex(n);
 
     auto planned = signal;
-    FftPlan plan(n);
-    plan.forward(planned);
+    FftPlan::forSize(n)->forward(planned.data());
 
     auto reference = signal;
     naiveFft(reference);
@@ -97,7 +96,7 @@ TEST_P(FftPlanProperty, InverseMatchesNaiveTransform)
     const auto spectrum = randomComplex(n);
 
     auto planned = spectrum;
-    FftPlan::forSize(n)->inverse(planned);
+    FftPlan::forSize(n)->inverse(planned.data());
 
     auto reference = spectrum;
     naiveIfft(reference);
@@ -141,10 +140,10 @@ TEST_P(FftPlanProperty, IfftInvertsFftAfterTwiddleTableChange)
     const std::size_t n = randomPowerOfTwo();
     const auto samples = randomSamples(n);
 
-    const auto restored = ifftToReal(fftReal(samples));
-    ASSERT_EQ(restored.size(), n);
+    auto spectrum = fftReal(samples);
+    FftPlan::forSize(n)->inverse(spectrum.data());
     for (std::size_t i = 0; i < n; ++i)
-        EXPECT_NEAR(restored[i], samples[i], 1e-9);
+        EXPECT_NEAR(spectrum[i].real(), samples[i], 1e-9);
 }
 
 TEST_P(FftPlanProperty, RealRoundTripThroughHalfSizeTransforms)
@@ -155,10 +154,9 @@ TEST_P(FftPlanProperty, RealRoundTripThroughHalfSizeTransforms)
 
     std::vector<Complex> spectrum;
     plan->forwardReal(samples, spectrum);
-    std::vector<double> restored;
-    plan->inverseReal(spectrum, restored);
+    std::vector<double> restored(n);
+    plan->inverseReal(spectrum.data(), restored.data());
 
-    ASSERT_EQ(restored.size(), n);
     for (std::size_t i = 0; i < n; ++i)
         EXPECT_NEAR(restored[i], samples[i], 1e-9);
 }
@@ -207,19 +205,25 @@ TEST_P(FftPlanProperty, WindowPushIntoMatchesPush)
     const auto type = hamming ? WindowType::Hamming
                               : WindowType::Rectangular;
 
-    WindowPartitioner reference(size, type, hop);
+    // Each frame is the last `size` samples times the window, one
+    // every `hop` samples once the first `size` have arrived.
     WindowPartitioner reused(size, type, hop);
+    std::vector<double> history;
     std::vector<double> frame;
     for (int i = 0; i < 500; ++i) {
-        const double sample = rng.uniform(-3.0, 3.0);
-        const auto expected = reference.push(sample);
-        const bool emitted = reused.pushInto(sample, frame);
-        ASSERT_EQ(emitted, expected.has_value());
+        history.push_back(rng.uniform(-3.0, 3.0));
+        const bool emitted = reused.pushInto(history.back(), frame);
+        ASSERT_EQ(emitted, history.size() >= size &&
+                               (history.size() - size) % hop == 0);
         if (!emitted)
             continue;
-        ASSERT_EQ(frame.size(), expected->size());
-        for (std::size_t k = 0; k < frame.size(); ++k)
-            EXPECT_DOUBLE_EQ(frame[k], (*expected)[k]);
+        ASSERT_EQ(frame.size(), size);
+        const double *start = history.data() + history.size() - size;
+        for (std::size_t k = 0; k < size; ++k)
+            EXPECT_DOUBLE_EQ(frame[k],
+                             start[k] * (hamming
+                                             ? hammingCoefficient(k, size)
+                                             : 1.0));
     }
 }
 
@@ -236,7 +240,7 @@ TEST(FftPlan, CacheSharesInstances)
 
 TEST(FftPlan, RejectsNonPowerOfTwoSizes)
 {
-    EXPECT_THROW(FftPlan plan(12), ConfigError);
+    EXPECT_THROW(FftPlan::forSize(12), ConfigError);
     EXPECT_THROW(FftPlan::forSize(0), ConfigError);
     EXPECT_THROW(FftPlan::forSize(100), ConfigError);
 }
@@ -244,15 +248,15 @@ TEST(FftPlan, RejectsNonPowerOfTwoSizes)
 TEST(FftPlan, SizeCheckedOverloadsReject)
 {
     const auto plan = FftPlan::forSize(8);
-    std::vector<Complex> wrong(4);
-    EXPECT_THROW(plan->forward(wrong), ConfigError);
-    EXPECT_THROW(plan->inverse(wrong), ConfigError);
+    std::vector<double> wrong(4);
+    std::vector<Complex> out;
+    EXPECT_THROW(plan->forwardReal(wrong, out), ConfigError);
 }
 
 TEST(FftPlan, TrivialSizes)
 {
     std::vector<Complex> one{Complex(3.5, -1.0)};
-    FftPlan::forSize(1)->forward(one);
+    FftPlan::forSize(1)->forward(one.data());
     EXPECT_NEAR(std::abs(one[0] - Complex(3.5, -1.0)), 0.0, 1e-12);
 
     std::vector<double> pair{2.0, 5.0};
@@ -267,7 +271,7 @@ TEST(FftPlan, CountersTrackPlannedAndNaivePaths)
     resetFftCounters();
     const auto plan = FftPlan::forSize(64);
     std::vector<Complex> data(64, Complex(1.0, 0.0));
-    plan->forward(data);
+    plan->forward(data.data());
     auto naive = data;
     naiveFft(naive);
 

@@ -149,8 +149,8 @@ TEST(FftBlockFilter, OutputStaysReal)
 {
     FftBlockFilter filter(PassBand::HighPass, 20.0, 128.0);
     const auto out = filter.apply(twoToneFrame());
-    // ifftToReal drops imaginary parts; verify energy conservation of
-    // the kept tone instead (real output carries the full tone).
+    // The filtered frame is real; verify energy conservation of the
+    // kept tone instead (real output carries the full tone).
     EXPECT_NEAR(toneEnergy(out, 40.0), 0.5, 0.05);
 }
 

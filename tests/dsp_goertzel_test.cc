@@ -43,8 +43,8 @@ TEST(Goertzel, MatchesFftBinOnBinCenteredTone)
     // 1000 Hz at fs 4000, n 256 -> exactly bin 64.
     const auto frame = tone(1000.0, 4000.0, 256, 0.7);
     const double g = goertzelMagnitude(frame, 1000.0, 4000.0);
-    const auto mags = magnitudeSpectrum(frame);
-    EXPECT_NEAR(g, mags[64], 1e-6);
+    const auto bins = fftReal(frame);
+    EXPECT_NEAR(g, std::abs(bins[64]), 1e-6);
     EXPECT_NEAR(g, 0.7 * 256.0 / 2.0, 1e-6);
 }
 
@@ -55,12 +55,12 @@ TEST(Goertzel, AgreesWithFftAcrossRandomBins)
         std::vector<double> frame(128);
         for (auto &v : frame)
             v = rng.uniform(-1.0, 1.0);
-        const auto mags = magnitudeSpectrum(frame);
+        const auto bins = fftReal(frame);
         const auto bin =
             static_cast<std::size_t>(rng.uniformInt(1, 63));
         const double freq = binFrequencyHz(bin, 128, 1000.0);
         EXPECT_NEAR(goertzelMagnitude(frame, freq, 1000.0),
-                    mags[bin], 1e-6);
+                    std::abs(bins[bin]), 1e-6);
     }
 }
 

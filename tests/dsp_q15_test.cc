@@ -2,10 +2,11 @@
  * @file
  * Tests for the Q15 fixed-point primitives: saturation at the ±1
  * boundaries, round-to-nearest conversion, round-trip tolerance, and
- * agreement of the Q15 kernels (averages, biquad, Goertzel, FFT) with
+ * agreement of the Q15 kernels (averages, Goertzel, FFT) with
  * their double-precision references.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -107,14 +108,12 @@ TEST(Q15Convert, QuantizeDequantizeArrays)
 {
     const std::vector<double> in = {0.0, 0.5, -0.25, 1.0, -1.0, 0.999};
     std::vector<Q15> q(in.size());
-    std::vector<double> back(in.size());
     quantizeQ15(in.data(), q.data(), in.size());
-    dequantizeQ15(q.data(), back.data(), in.size());
     for (std::size_t i = 0; i < in.size(); ++i) {
         EXPECT_EQ(q[i], toQ15(in[i]));
         const double clamped =
             std::min(std::max(in[i], -1.0), 1.0 - 1.0 / 32768.0);
-        EXPECT_NEAR(back[i], clamped, 1.0 / 65536.0);
+        EXPECT_NEAR(fromQ15(q[i]), clamped, 1.0 / 65536.0);
     }
 }
 
@@ -156,29 +155,6 @@ TEST(Q15ExponentialMovingAverageTest, SeedsAndTracksReference)
         // alpha itself is quantized to Q15, so allow a small drift on
         // top of per-step rounding.
         EXPECT_NEAR(got, want, 4.0 / 32768.0) << "i=" << i;
-    }
-}
-
-TEST(Q15BiquadTest, TracksDoubleBiquadOnLowpass)
-{
-    // Butterworth-ish lowpass section, |coefficients| < 2 (Q14 range).
-    const double b0 = 0.2066, b1 = 0.4131, b2 = 0.2066;
-    const double a1 = -0.3695, a2 = 0.1958;
-    Q15Biquad fixed(b0, b1, b2, a1, a2);
-    double x1 = 0, x2 = 0, y1 = 0, y2 = 0;
-    Rng rng(17);
-    for (int i = 0; i < 400; ++i) {
-        const Q15 q = toQ15(rng.uniform(-0.5, 0.5));
-        const double x = fromQ15(q);
-        const double y = b0 * x + b1 * x1 + b2 * x2 - a1 * y1 - a2 * y2;
-        x2 = x1;
-        x1 = x;
-        y2 = y1;
-        y1 = y;
-        // Q14 coefficient quantization (2^-14) plus state rounding
-        // accumulate; a stable section stays within a few counts.
-        EXPECT_NEAR(fromQ15(fixed.push(q)), y, 8.0 / 32768.0)
-            << "i=" << i;
     }
 }
 
@@ -226,7 +202,7 @@ TEST(Q15GoertzelTest, AgreesWithDoubleGoertzelOnTone)
     std::vector<Q15> q(n);
     quantizeQ15(frame.data(), q.data(), n);
     std::vector<double> dq(n);
-    dequantizeQ15(q.data(), dq.data(), n);
+    std::transform(q.begin(), q.end(), dq.begin(), fromQ15);
 
     const double want = goertzelMagnitude(dq, 1000.0, 4000.0);
     const double got = q15GoertzelMagnitude(q.data(), n, 1000.0, 4000.0);
@@ -258,7 +234,7 @@ TEST(Q15FftPlanTest, ForwardMatchesScaledDoubleFft)
     std::vector<Q15> re(n), im(n, 0);
     quantizeQ15(x.data(), re.data(), n);
     std::vector<double> dq(n);
-    dequantizeQ15(re.data(), dq.data(), n);
+    std::transform(re.begin(), re.end(), dq.begin(), fromQ15);
 
     const Q15FftPlan plan(n);
     plan.forward(re.data(), im.data());

@@ -14,9 +14,9 @@ namespace {
 TEST(Threshold, MinAdmitsAtOrAbove)
 {
     Threshold t(ThresholdKind::Min, 15.0);
-    EXPECT_FALSE(t.push(14.9).has_value());
-    EXPECT_TRUE(t.push(15.0).has_value());
-    EXPECT_DOUBLE_EQ(*t.push(20.0), 20.0);
+    EXPECT_FALSE(t.admits(14.9));
+    EXPECT_TRUE(t.admits(15.0));
+    EXPECT_TRUE(t.admits(20.0));
 }
 
 TEST(Threshold, MaxAdmitsAtOrBelow)

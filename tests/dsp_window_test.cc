@@ -25,15 +25,21 @@ TEST(HammingCoefficient, DegenerateWindowIsUnity)
 
 TEST(ApplyWindow, RectangularIsIdentity)
 {
-    std::vector<double> frame = {1.0, 2.0, 3.0};
-    applyWindow(frame, WindowType::Rectangular);
+    WindowPartitioner part(3, WindowType::Rectangular);
+    std::vector<double> frame;
+    part.pushInto(1.0, frame);
+    part.pushInto(2.0, frame);
+    ASSERT_TRUE(part.pushInto(3.0, frame));
     EXPECT_EQ(frame, (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
 TEST(ApplyWindow, HammingScalesEdgesDown)
 {
-    std::vector<double> frame(8, 1.0);
-    applyWindow(frame, WindowType::Hamming);
+    WindowPartitioner part(8, WindowType::Hamming);
+    std::vector<double> frame;
+    for (int i = 0; i < 7; ++i)
+        part.pushInto(1.0, frame);
+    ASSERT_TRUE(part.pushInto(1.0, frame));
     EXPECT_NEAR(frame[0], 0.08, 1e-12);
     EXPECT_LT(frame[0], frame[4]);
 }
@@ -48,58 +54,59 @@ TEST(WindowPartitioner, RejectsBadConfig)
 TEST(WindowPartitioner, EmitsAfterSizeSamples)
 {
     WindowPartitioner part(3);
-    EXPECT_FALSE(part.push(1.0).has_value());
-    EXPECT_FALSE(part.push(2.0).has_value());
-    const auto frame = part.push(3.0);
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(*frame, (std::vector<double>{1.0, 2.0, 3.0}));
+    std::vector<double> frame;
+    EXPECT_FALSE(part.pushInto(1.0, frame));
+    EXPECT_FALSE(part.pushInto(2.0, frame));
+    ASSERT_TRUE(part.pushInto(3.0, frame));
+    EXPECT_EQ(frame, (std::vector<double>{1.0, 2.0, 3.0}));
 }
 
 TEST(WindowPartitioner, NonOverlappingByDefault)
 {
     WindowPartitioner part(2);
-    part.push(1.0);
-    ASSERT_TRUE(part.push(2.0).has_value());
-    EXPECT_FALSE(part.push(3.0).has_value());
-    const auto frame = part.push(4.0);
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(*frame, (std::vector<double>{3.0, 4.0}));
+    std::vector<double> frame;
+    part.pushInto(1.0, frame);
+    ASSERT_TRUE(part.pushInto(2.0, frame));
+    EXPECT_FALSE(part.pushInto(3.0, frame));
+    ASSERT_TRUE(part.pushInto(4.0, frame));
+    EXPECT_EQ(frame, (std::vector<double>{3.0, 4.0}));
 }
 
 TEST(WindowPartitioner, OverlapKeepsTail)
 {
     WindowPartitioner part(4, WindowType::Rectangular, 2);
-    part.push(1.0);
-    part.push(2.0);
-    part.push(3.0);
-    ASSERT_TRUE(part.push(4.0).has_value());
-    part.push(5.0);
-    const auto frame = part.push(6.0);
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(*frame, (std::vector<double>{3.0, 4.0, 5.0, 6.0}));
+    std::vector<double> frame;
+    part.pushInto(1.0, frame);
+    part.pushInto(2.0, frame);
+    part.pushInto(3.0, frame);
+    ASSERT_TRUE(part.pushInto(4.0, frame));
+    part.pushInto(5.0, frame);
+    ASSERT_TRUE(part.pushInto(6.0, frame));
+    EXPECT_EQ(frame, (std::vector<double>{3.0, 4.0, 5.0, 6.0}));
 }
 
 TEST(WindowPartitioner, ResetDropsPartialFrame)
 {
     WindowPartitioner part(3);
-    part.push(1.0);
-    part.push(2.0);
+    std::vector<double> frame;
+    part.pushInto(1.0, frame);
+    part.pushInto(2.0, frame);
     part.reset();
-    EXPECT_FALSE(part.push(3.0).has_value());
-    EXPECT_FALSE(part.push(4.0).has_value());
-    EXPECT_TRUE(part.push(5.0).has_value());
+    EXPECT_FALSE(part.pushInto(3.0, frame));
+    EXPECT_FALSE(part.pushInto(4.0, frame));
+    EXPECT_TRUE(part.pushInto(5.0, frame));
 }
 
 TEST(WindowPartitioner, HammingAppliedPerFrame)
 {
     WindowPartitioner part(4, WindowType::Hamming);
-    part.push(1.0);
-    part.push(1.0);
-    part.push(1.0);
-    const auto frame = part.push(1.0);
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_NEAR((*frame)[0], 0.08, 1e-12);
-    EXPECT_GT((*frame)[1], (*frame)[0]);
+    std::vector<double> frame;
+    part.pushInto(1.0, frame);
+    part.pushInto(1.0, frame);
+    part.pushInto(1.0, frame);
+    ASSERT_TRUE(part.pushInto(1.0, frame));
+    EXPECT_NEAR(frame[0], 0.08, 1e-12);
+    EXPECT_GT(frame[1], frame[0]);
 }
 
 /** Property: with hop h, frames start every h samples. */
@@ -114,8 +121,9 @@ TEST_P(PartitionerHop, FrameCadenceMatchesHop)
 
     std::size_t frames = 0;
     const std::size_t total = 100;
+    std::vector<double> frame;
     for (std::size_t i = 0; i < total; ++i)
-        if (part.push(static_cast<double>(i)))
+        if (part.pushInto(static_cast<double>(i), frame))
             ++frames;
 
     // First frame after `size` samples, then one per `hop`.

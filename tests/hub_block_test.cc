@@ -121,7 +121,8 @@ expectBlocksMatchPerSample(
         else
             block_engine.pushBlock(packed.data(), count,
                                    times.data());
-        lane_engine.pushBlock(lanes.data(), count, times.data());
+        lane_engine.pushBlock(lanes.data(), count,
+                              [&times](std::size_t w) { return times[w]; });
 
         for (Engine *engine : {&block_engine, &lane_engine}) {
             const auto got = engine->drainWakeEvents();
@@ -543,11 +544,12 @@ TEST(HubBlock, Q15WakeEventsTrackDoublePipelineOnShippedAudioApps)
                 std::abs(got_times[cursor] - t) <= 0.75)
                 ++matched;
         }
-        if (!want_times.empty())
+        if (!want_times.empty()) {
             EXPECT_GE(static_cast<double>(matched),
                       0.9 * static_cast<double>(want_times.size()))
                 << app->name() << " matched " << matched << "/"
                 << want_times.size();
+        }
     }
     // The traces must actually exercise the wake path.
     EXPECT_GT(total_double_wakes, 0u);

@@ -102,6 +102,28 @@ TEST(KernelRegistry, ConditionalFlagsMatchSemantics)
     EXPECT_FALSE(conditional_of("vectorMagnitude"));
 }
 
+TEST(VectorMagnitude, PythagoreanTriple)
+{
+    il::NodeStream scalar;
+    scalar.kind = il::ValueKind::Scalar;
+    scalar.fireRateHz = 50.0;
+    scalar.baseRateHz = 50.0;
+    const auto magnitude_of = [&](const std::vector<double> &parts) {
+        const std::vector<Value> values(parts.begin(), parts.end());
+        std::vector<const Value *> inputs;
+        for (const Value &v : values)
+            inputs.push_back(&v);
+        Value out;
+        const auto kernel = makeKernel(
+            "vectorMagnitude", {},
+            std::vector<il::NodeStream>(parts.size(), scalar));
+        EXPECT_TRUE(kernel->invokeInto(inputs, out));
+        return out.scalar();
+    };
+    EXPECT_DOUBLE_EQ(magnitude_of({3.0, 4.0}), 5.0);
+    EXPECT_DOUBLE_EQ(magnitude_of({1.0, 2.0, 2.0}), 3.0);
+}
+
 /** Feed one channel through an engine, returning OUT values. */
 std::vector<double>
 runEngine(const std::string &il_text,
@@ -176,7 +198,7 @@ TEST(Equivalence, SpectralChainMatchesNative)
 {
     // A 1 kHz tone at 4 kHz: the hub's window/fft/spectrum/
     // dominantFreqHz chain must report the same frequency as the
-    // native magnitudeSpectrum + dominantFrequency composition.
+    // native fftReal + magnitudesInto + dominantFrequency composition.
     const double rate = 4000.0;
     std::vector<double> samples(1024);
     for (std::size_t i = 0; i < samples.size(); ++i)
@@ -197,8 +219,10 @@ TEST(Equivalence, SpectralChainMatchesNative)
         const std::vector<double> frame(
             samples.begin() + static_cast<long>(w * 256),
             samples.begin() + static_cast<long>((w + 1) * 256));
-        const auto dom =
-            dsp::dominantFrequency(dsp::magnitudeSpectrum(frame));
+        const auto spectrum = dsp::fftReal(frame);
+        std::vector<double> mags(frame.size() / 2 + 1);
+        dsp::magnitudesInto(spectrum.data(), mags.size(), mags.data());
+        const auto dom = dsp::dominantFrequency(mags);
         EXPECT_NEAR(hub_out[w],
                     dsp::binFrequencyHz(dom.bin, 256, rate), 1e-9);
     }

@@ -384,7 +384,6 @@ TEST(HubReconfig, StalledTransferRollsBackAndFreesShadowSlot)
 {
     transport::LinkPair link(115200.0);
     HubRuntime hub(link, core::accelerometerChannels(), msp430());
-    hub.setUpdateStallTimeout(2.0);
 
     link.phoneToHub().sendFrame(
         transport::encodeConfigPush({1, motionIl}), 0.0);
@@ -402,15 +401,18 @@ TEST(HubReconfig, StalledTransferRollsBackAndFreesShadowSlot)
     EXPECT_TRUE(hub.updateInProgress());
     EXPECT_EQ(hub.engine().stagedCount(), 1u);
 
-    // Past the stall timeout the hub must reclaim the shadow slot.
-    hub.pollLink(4.0);
+    // The hub waits out 5 s of silence after the last frame (received
+    // at 1.2), then must reclaim the shadow slot.
+    hub.pollLink(6.1);
+    EXPECT_TRUE(hub.updateInProgress());
+    hub.pollLink(6.3);
     EXPECT_FALSE(hub.updateInProgress());
     EXPECT_EQ(hub.engine().stagedCount(), 0u);
     EXPECT_EQ(hub.updatesRolledBack(), 1u);
     EXPECT_EQ(hub.configEpoch(), 0u);
     EXPECT_TRUE(hub.engine().hasCondition(1));
 
-    const auto frames = drainHub(link, 5.0);
+    const auto frames = drainHub(link, 7.5);
     ASSERT_EQ(frames.size(), 1u);
     const auto ack = transport::decodeUpdateAck(frames[0]);
     EXPECT_EQ(ack.status, transport::UpdateStatus::RolledBack);

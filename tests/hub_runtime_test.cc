@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "hub/mcu.h"
-#include "support/error.h"
 #include "hub/runtime.h"
 #include "il/lower.h"
 #include "il/parser.h"
@@ -235,55 +234,6 @@ TEST(HubRuntime, CapacityAccountsForInstalledConditions)
     ASSERT_EQ(frames.size(), 2u);
     EXPECT_EQ(frames[0].type, transport::MessageType::ConfigAck);
     EXPECT_EQ(frames[1].type, transport::MessageType::ConfigReject);
-}
-
-
-TEST(HubRuntime, BatchStreamingShipsQuantizedSamples)
-{
-    transport::LinkPair link(1e6);
-    HubRuntime hub(link, accelChannels(), msp430());
-    hub.enableBatchStreaming(1, 5); // ACC_Y in batches of 5
-
-    for (int i = 0; i < 12; ++i)
-        hub.pushSamples({0.0, static_cast<double>(i) * 0.5, 9.8},
-                        i * 0.02);
-
-    const auto frames = phoneSideFrames(link, 10.0);
-    ASSERT_EQ(frames.size(), 2u); // 12 samples -> two full batches
-    const auto batch = transport::decodeSensorBatch(frames[0]);
-    EXPECT_EQ(batch.channelIndex, 1);
-    EXPECT_DOUBLE_EQ(batch.firstTimestamp, 0.0);
-    EXPECT_DOUBLE_EQ(batch.sampleRateHz, 50.0);
-    ASSERT_EQ(batch.samples.size(), 5u);
-    for (std::size_t i = 0; i < 5; ++i)
-        EXPECT_NEAR(batch.samples[i],
-                    static_cast<double>(i) * 0.5, batch.scale);
-
-    const auto batch2 = transport::decodeSensorBatch(frames[1]);
-    EXPECT_NEAR(batch2.firstTimestamp, 0.1, 1e-9);
-}
-
-TEST(HubRuntime, BatchStreamingCanBeDisabled)
-{
-    transport::LinkPair link(1e6);
-    HubRuntime hub(link, accelChannels(), msp430());
-    hub.enableBatchStreaming(0, 4);
-    for (int i = 0; i < 4; ++i)
-        hub.pushSamples({1.0, 2.0, 3.0}, i * 0.02);
-    EXPECT_EQ(phoneSideFrames(link, 10.0).size(), 1u);
-
-    hub.disableBatchStreaming(0);
-    for (int i = 0; i < 8; ++i)
-        hub.pushSamples({1.0, 2.0, 3.0}, 1.0 + i * 0.02);
-    EXPECT_TRUE(phoneSideFrames(link, 20.0).empty());
-}
-
-TEST(HubRuntime, BatchStreamingRejectsBadConfig)
-{
-    transport::LinkPair link(1e6);
-    HubRuntime hub(link, accelChannels(), msp430());
-    EXPECT_THROW(hub.enableBatchStreaming(9, 4), ConfigError);
-    EXPECT_THROW(hub.enableBatchStreaming(0, 0), ConfigError);
 }
 
 } // namespace

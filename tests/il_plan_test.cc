@@ -2,8 +2,8 @@
  * @file
  * Tests for the IL lowering pass and the ExecutionPlan: dedupe
  * behavior, cost agreement with the analyzer, toProgram round-trips,
- * and a renderPlan golden corpus over tests/data/*.il (regenerate
- * with SW_UPDATE_GOLDENS=1).
+ * and a renderPlan golden corpus over every .il file in tests/data/
+ * (regenerate with SW_UPDATE_GOLDENS=1).
  */
 
 #include <gtest/gtest.h>

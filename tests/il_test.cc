@@ -8,7 +8,6 @@
 
 #include "il/algorithm_info.h"
 #include "il/ast.h"
-#include "il/dot.h"
 #include "il/lexer.h"
 #include "il/parser.h"
 #include "il/validate.h"
@@ -303,38 +302,9 @@ TEST(AlgorithmInfo, TableIsConsistent)
         EXPECT_GE(info.maxInputs, info.minInputs);
         EXPECT_GE(info.maxParams, info.minParams);
         EXPECT_GT(info.cyclesPerUnit, 0.0) << info.name;
-        EXPECT_TRUE(isKnownAlgorithm(info.name));
+        EXPECT_EQ(findAlgorithm(info.name), &info);
     }
-    EXPECT_FALSE(isKnownAlgorithm("quantumSort"));
-}
-
-
-
-TEST(Ast, MaxNodeId)
-{
-    EXPECT_EQ(maxNodeId(Program{}), 0);
-    EXPECT_EQ(maxNodeId(significantMotionProgram()), 5);
-}
-
-TEST(Dot, RendersChannelsNodesAndOut)
-{
-    const std::string dot = toDot(significantMotionProgram(), "sm");
-    EXPECT_NE(dot.find("digraph sm {"), std::string::npos);
-    EXPECT_NE(dot.find("label=\"ACC_X\""), std::string::npos);
-    EXPECT_NE(dot.find("label=\"movingAvg(10)\""), std::string::npos);
-    EXPECT_NE(dot.find("label=\"vectorMagnitude\""),
-              std::string::npos);
-    EXPECT_NE(dot.find("label=\"minThreshold(15)\""),
-              std::string::npos);
-    EXPECT_NE(dot.find("OUT [shape=doublecircle]"), std::string::npos);
-    EXPECT_NE(dot.find("n5 -> OUT;"), std::string::npos);
-    EXPECT_NE(dot.find("n1 -> n4;"), std::string::npos);
-}
-
-TEST(Dot, IsDeterministic)
-{
-    EXPECT_EQ(toDot(significantMotionProgram()),
-              toDot(significantMotionProgram()));
+    EXPECT_EQ(findAlgorithm("quantumSort"), nullptr);
 }
 
 } // namespace

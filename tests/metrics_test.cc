@@ -145,12 +145,13 @@ TEST(Match, SweepAgreesWithScanOracle)
     // random detections: equal times, times on padded edges, zero
     // tolerance, and empty sides on either.
     Rng rng(2016);
+    const std::string type = "e";
     for (int round = 0; round < 3000; ++round) {
         const double span = rng.uniform(1.0, 20.0);
         std::vector<GroundTruthEvent> truth(
             static_cast<std::size_t>(rng.uniformInt(0, 12)));
         for (auto &event : truth) {
-            event.type = "e";
+            event.type = type;
             event.startTime = gridTime(rng, span);
             event.endTime =
                 event.startTime + (rng.uniform(0.0, 1.0) < 0.2

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iostream>
 #include <iterator>
 #include <limits>
 #include <random>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -335,13 +337,15 @@ TEST(Rng, ChanceThresholdIsBernoulliCut)
 
 TEST(Logging, LevelGates)
 {
-    const LogLevel old_level = logLevel();
-    setLogLevel(LogLevel::Error);
-    EXPECT_EQ(logLevel(), LogLevel::Error);
-    // Should not crash / emit below threshold.
-    inform("suppressed");
-    warn("suppressed");
-    setLogLevel(old_level);
+    std::ostringstream captured;
+    std::streambuf *const old = std::cerr.rdbuf(captured.rdbuf());
+    logMessage(LogLevel::Debug, "suppressed");
+    logMessage(LogLevel::Info, "suppressed");
+    warn("shown");
+    logMessage(LogLevel::Error, "also shown");
+    std::cerr.rdbuf(old);
+    EXPECT_EQ(captured.str(), "[sidewinder:warn] shown\n"
+                              "[sidewinder:error] also shown\n");
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for trace augmentation (noise / gain / offset / decimation)
- * and the robustness of the wake-up conditions under them.
+ * Tests for trace augmentation (noise) and the robustness of the
+ * wake-up conditions under noise and a sensor gain error.
  */
 
 #include <gtest/gtest.h>
@@ -44,36 +44,6 @@ TEST(Augment, ZeroNoiseIsIdentity)
     EXPECT_EQ(same.channels, base.channels);
 }
 
-TEST(Augment, GainScalesSamples)
-{
-    const Trace base = smallRobotTrace();
-    const Trace scaled = applyGain(base, 2.0);
-    EXPECT_DOUBLE_EQ(scaled.channels[2][50],
-                     2.0 * base.channels[2][50]);
-}
-
-TEST(Augment, OffsetShiftsPerChannel)
-{
-    const Trace base = smallRobotTrace();
-    const Trace shifted = applyOffset(base, {1.0, -1.0, 0.5});
-    EXPECT_DOUBLE_EQ(shifted.channels[0][10],
-                     base.channels[0][10] + 1.0);
-    EXPECT_DOUBLE_EQ(shifted.channels[1][10],
-                     base.channels[1][10] - 1.0);
-    EXPECT_THROW(applyOffset(base, {1.0}), ConfigError);
-}
-
-TEST(Augment, DecimationHalvesRateKeepsDuration)
-{
-    const Trace base = smallRobotTrace();
-    const Trace half = decimate(base, 2);
-    EXPECT_DOUBLE_EQ(half.sampleRateHz, base.sampleRateHz / 2.0);
-    EXPECT_NEAR(half.durationSeconds(), base.durationSeconds(), 0.1);
-    EXPECT_EQ(half.sampleCount(),
-              (base.sampleCount() + 1) / 2);
-    EXPECT_THROW(decimate(base, 0), ConfigError);
-}
-
 /** Wake-condition recall survives moderate extra sensor noise. */
 TEST(Robustness, StepsWakeSurvivesModerateNoise)
 {
@@ -108,8 +78,10 @@ TEST(Robustness, HeadbuttsWakeBreaksUnderLargeGainError)
     config.idleFraction = 0.1;
     config.durationSeconds = 180.0;
     config.seed = 42;
-    const Trace miscalibrated =
-        applyGain(generateRobotRun(config), 0.55);
+    Trace miscalibrated = generateRobotRun(config);
+    for (auto &channel : miscalibrated.channels)
+        for (auto &value : channel)
+            value *= 0.55;
 
     hub::Engine engine(app->channels());
     engine.addCondition(

@@ -276,13 +276,6 @@ TEST(Messages, TruncatedPayloadThrows)
     std::fill(wake.payload.begin() + 4 + 8 + 8, wake.payload.end(), 0xFF);
     EXPECT_THROW(decodeWakeUp(wake), TransportError);
 
-    SensorBatchMessage batch_message;
-    batch_message.sampleRateHz = 50.0;
-    auto batch = encodeSensorBatch(batch_message);
-    // The count follows the channel, first timestamp, rate and scale.
-    std::fill(batch.payload.begin() + 4 + 3 * 8, batch.payload.end(), 0xFF);
-    EXPECT_THROW(decodeSensorBatch(batch), TransportError);
-
     // DeltaPush payloads cut off at each of its four counts.
     const auto text = [](std::vector<std::uint8_t> &bytes,
                          const std::string &value) {
@@ -746,43 +739,6 @@ TEST(FrameDecoderChunking, StallPredicateNeverHidesAStateChange)
     EXPECT_GT(idle, 100u);
     EXPECT_GT(idle_on_deadline, 0u);
     EXPECT_GT(stalls, 0u);
-}
-
-TEST(SensorBatch, RoundTripsWithQuantization)
-{
-    SensorBatchMessage message;
-    message.channelIndex = 2;
-    message.firstTimestamp = 10.5;
-    message.sampleRateHz = 50.0;
-    message.scale = 1.0 / 1024.0;
-    message.samples = {0.0, 1.0, -2.5, 9.81};
-
-    const auto decoded =
-        decodeSensorBatch(encodeSensorBatch(message));
-    EXPECT_EQ(decoded.channelIndex, 2);
-    EXPECT_DOUBLE_EQ(decoded.firstTimestamp, 10.5);
-    ASSERT_EQ(decoded.samples.size(), 4u);
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_NEAR(decoded.samples[i], message.samples[i],
-                    message.scale);
-}
-
-TEST(SensorBatch, ClampsOutOfRangeValues)
-{
-    SensorBatchMessage message;
-    message.scale = 1.0;
-    message.samples = {1e9, -1e9};
-    const auto decoded =
-        decodeSensorBatch(encodeSensorBatch(message));
-    EXPECT_DOUBLE_EQ(decoded.samples[0], 32767.0);
-    EXPECT_DOUBLE_EQ(decoded.samples[1], -32768.0);
-}
-
-TEST(SensorBatch, RejectsBadScale)
-{
-    SensorBatchMessage message;
-    message.scale = 0.0;
-    EXPECT_THROW(encodeSensorBatch(message), TransportError);
 }
 
 TEST(SensorBatch, WireOverheadAccounting)
