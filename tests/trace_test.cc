@@ -1,14 +1,28 @@
 /**
  * @file
- * Tests for trace types, CSV persistence, and the three synthetic
- * generators (robot, human, audio).
+ * Tests for trace types, CSV persistence, and the synthetic
+ * generators (robot, human, audio, barometer). Every bit the
+ * generators and addGaussianNoise produce at two seeds is pinned as
+ * FNV-1a digests in tests/data/trace/corpora.golden (regenerate with
+ * SW_UPDATE_GOLDENS=1), so a change to Rng's distributions or to a
+ * generator that moves one sample or event fails here.
  */
 
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "trace/audio_gen.h"
+#include "trace/augment.h"
+#include "trace/baro_gen.h"
 #include "trace/csv.h"
 #include "trace/human_gen.h"
 #include "trace/robot_gen.h"
@@ -249,6 +263,80 @@ TEST(AudioGen, CorpusCoversThreeEnvironments)
     EXPECT_NE(corpus[0].name.find("office"), std::string::npos);
     EXPECT_NE(corpus[1].name.find("coffeeshop"), std::string::npos);
     EXPECT_NE(corpus[2].name.find("outdoors"), std::string::npos);
+}
+
+/** FNV-1a-64 over @p size bytes at @p data, continuing @p hash. */
+std::uint64_t
+fnv1a(const void *data, std::size_t size, std::uint64_t hash)
+{
+    const auto *bytes = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+        hash ^= bytes[i];
+        hash *= 0x100000001b3u;
+    }
+    return hash;
+}
+
+/** Digest of every channel's sample bytes, then every event's type
+    (with its terminating zero), start and end. */
+std::uint64_t
+traceDigest(const Trace &trace)
+{
+    std::uint64_t hash = 0xcbf29ce484222325u;
+    for (const auto &channel : trace.channels)
+        hash = fnv1a(channel.data(), channel.size() * sizeof(double), hash);
+    for (const auto &event : trace.events) {
+        hash = fnv1a(event.type.c_str(), event.type.size() + 1, hash);
+        hash = fnv1a(&event.startTime, sizeof event.startTime, hash);
+        hash = fnv1a(&event.endTime, sizeof event.endTime, hash);
+    }
+    return hash;
+}
+
+TEST(TraceGolden, CorporaBitsArePinned)
+{
+    std::string actual;
+    auto record = [&actual](const char *generator, std::uint64_t seed,
+                            const Trace &trace) {
+        char line[200];
+        std::snprintf(line, sizeof line,
+                      "%s seed=%" PRIu64 " trace=%s samples=%zu "
+                      "events=%zu digest=%016" PRIx64 "\n",
+                      generator, seed, trace.name.c_str(),
+                      trace.sampleCount(), trace.events.size(),
+                      traceDigest(trace));
+        actual += line;
+    };
+    for (const std::uint64_t seed : {20160402u, 42u}) {
+        for (const Trace &t : generateAudioCorpus(300.0, seed))
+            record("audio", seed, t);
+        const auto robots = generateRobotCorpus(120.0, seed);
+        for (const Trace &t : robots)
+            record("robot", seed, t);
+        for (const Trace &t : generateHumanCorpus(120.0, seed))
+            record("human", seed, t);
+        BaroTraceConfig baro;
+        baro.durationSeconds = 1200.0;
+        baro.seed = seed;
+        record("baro", seed, generateBaroTrace(baro));
+        record("noise", seed, addGaussianNoise(robots.front(), 0.2, seed));
+    }
+
+    const auto path = std::filesystem::path(SW_TEST_DATA_DIR) / "trace" /
+                      "corpora.golden";
+    if (std::getenv("SW_UPDATE_GOLDENS") != nullptr) {
+        std::filesystem::create_directories(path.parent_path());
+        std::ofstream out(path);
+        ASSERT_TRUE(out) << path;
+        out << actual;
+        return;
+    }
+    std::ifstream golden(path);
+    ASSERT_TRUE(golden)
+        << path << " missing — regenerate with SW_UPDATE_GOLDENS=1";
+    std::ostringstream expected;
+    expected << golden.rdbuf();
+    EXPECT_EQ(actual, expected.str());
 }
 
 } // namespace
