@@ -945,6 +945,49 @@ BM_CorruptBytes(benchmark::State &state)
 }
 BENCHMARK(BM_CorruptBytes)->Arg(1230);
 
+/** Gaussian draws per iteration of the two trace-noise benches. */
+constexpr std::size_t gaussianBatch = 4096;
+
+/** Rng::gaussian, the draw behind every generator's sensor noise:
+    ns per draw. */
+void
+BM_Gaussian(benchmark::State &state)
+{
+    Rng rng(0x5EED5EED);
+    std::vector<double> noise(gaussianBatch);
+    for (auto _ : state) {
+        for (double &v : noise)
+            v = rng.gaussian(0.0, 0.05);
+        benchmark::DoNotOptimize(noise.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(gaussianBatch));
+}
+// Median of five: the denominator of gaussian_vs_std_normal.
+BENCHMARK(BM_Gaussian)->Repetitions(5)->ReportAggregatesOnly(true);
+
+/** The same draws as a fresh std::normal_distribution per call on the
+    same engine and seed: what Rng::gaussian returns, the library's way. */
+void
+BM_StdGaussian(benchmark::State &state)
+{
+    detail::MersenneTwister64 engine(0x5EED5EED);
+    std::vector<double> noise(gaussianBatch);
+    for (auto _ : state) {
+        for (double &v : noise) {
+            std::normal_distribution<double> normal(0.0, 0.05);
+            v = normal(engine);
+        }
+        benchmark::DoNotOptimize(noise.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(gaussianBatch));
+}
+// Median of five: the numerator of gaussian_vs_std_normal.
+BENCHMARK(BM_StdGaussian)->Repetitions(5)->ReportAggregatesOnly(true);
+
 /**
  * The `faults` workload's trace at the default seed: one generated
  * 600 s robot run, half of it idle.

@@ -450,7 +450,7 @@ Engine::pushSamples(const std::vector<double> &values, double timestamp)
     // pointers were resolved at install time — per node the loop only
     // reads producer states, channels always count as Emitted.
     for (std::size_t ch = 0; ch < values.size(); ++ch)
-        channelValues[ch] = Value(values[ch]);
+        channelValues[ch].scalarStorage() = values[ch];
 
     for (Node *node : schedule) {
         bool all_emitted = true;

@@ -67,6 +67,19 @@ class Value
     }
 
     /**
+     * Mutable scalar storage: makes this value a Scalar (keeping the
+     * held double when it already is one) and returns it for writing.
+     */
+    double &
+    scalarStorage()
+    {
+        if (auto *v = std::get_if<double>(&storage))
+            return *v;
+        storage = 0.0;
+        return std::get<double>(storage);
+    }
+
+    /**
      * Mutable frame storage for output-parameter kernel invocation:
      * makes this value a Frame (preserving the existing vector, and
      * thus its capacity, when it already is one) and returns the

@@ -9,28 +9,13 @@ namespace {
 
 std::mutex logMutex;
 
-const char *
-levelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Debug: return "debug";
-      case LogLevel::Info: return "info";
-      case LogLevel::Warn: return "warn";
-      case LogLevel::Error: return "error";
-    }
-    return "?";
-}
-
 } // namespace
 
 void
-logMessage(LogLevel level, const std::string &message)
+warn(const std::string &message)
 {
-    if (level < LogLevel::Warn)
-        return;
     std::scoped_lock lock(logMutex);
-    std::cerr << "[sidewinder:" << levelName(level) << "] " << message
-              << "\n";
+    std::cerr << "[sidewinder:warn] " << message << "\n";
 }
 
 } // namespace sidewinder

@@ -51,12 +51,12 @@ TEST(Value, ComplexFrameRoundTrip)
 
 TEST(Value, CopyAndReassign)
 {
-    Value v(1.5);
+    Value v(std::vector<double>{1.5});
     Value w = v;
-    v = Value(std::vector<double>{9.0});
-    EXPECT_EQ(w.kind(), il::ValueKind::Scalar);
-    EXPECT_DOUBLE_EQ(w.scalar(), 1.5);
-    EXPECT_EQ(v.kind(), il::ValueKind::Frame);
+    v = Value(std::vector<dsp::Complex>{{9.0, 0.0}});
+    EXPECT_EQ(w.kind(), il::ValueKind::Frame);
+    EXPECT_EQ(w.frame(), std::vector<double>{1.5});
+    EXPECT_EQ(v.kind(), il::ValueKind::ComplexFrame);
 }
 
 } // namespace

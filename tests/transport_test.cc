@@ -265,7 +265,7 @@ appendU32(std::vector<std::uint8_t> &bytes, std::uint32_t value)
 TEST(Messages, TruncatedPayloadThrows)
 {
     auto frame = encodeWakeUp({1, 0.0, 0.0, {1.0, 2.0}});
-    frame.payload.resize(frame.payload.size() - 4);
+    frame.payload.erase(frame.payload.end() - 4, frame.payload.end());
     EXPECT_THROW(decodeWakeUp(frame), TransportError);
 
     // A count no payload could hold is refused before anything is
