@@ -6,7 +6,6 @@
 #include "hub/reconfig.h"
 #include "il/analyze.h"
 #include "il/delta.h"
-#include "il/lower.h"
 #include "il/writer.h"
 #include "support/error.h"
 #include "support/logging.h"
@@ -58,21 +57,21 @@ SidewinderSensorManager::push(const ProcessingPipeline &pipeline,
         throw ConfigError("push requires a SensorEventListener");
 
     // Statically analyze the developer's pipeline as written, then
-    // ship the lowered plan's canonical form: branches sharing a
-    // prefix (common in multi-feature conditions) collapse to one
-    // chain on the wire, with dense ids in schedule order.
-    const il::Program program = pipeline.compile();
-    const il::AnalysisResult analysis = il::analyze(program, channels);
+    // ship the canonical form of the plan that analysis lowered:
+    // branches sharing a prefix (common in multi-feature conditions)
+    // collapse to one chain on the wire, with dense ids in schedule
+    // order.
+    const il::AnalysisResult analysis =
+        il::analyze(pipeline.compile(), channels);
     if (!analysis.ok())
         throw ParseError("pipeline failed static analysis:\n" +
                          il::renderText(analysis, "<pipeline>"));
-    const il::ExecutionPlan plan = il::lower(program, channels);
-    const il::Program canonical = plan.toProgram();
+    const il::ExecutionPlan &plan = analysis.plan;
 
     const int condition_id = nextConditionId++;
     Entry entry;
     entry.listener = listener;
-    entry.ilText = il::write(canonical);
+    entry.ilText = il::write(plan.toProgram());
     // Shadow the plan's canonical shareKeys: they are the hub-side
     // identity of every node this push instantiates, and the basis
     // future delta updates are computed against.
@@ -148,12 +147,12 @@ SidewinderSensorManager::updateCondition(
         throw ConfigError("unknown condition id " +
                           std::to_string(condition_id));
 
-    const il::Program program = pipeline.compile();
-    const il::AnalysisResult analysis = il::analyze(program, channels);
+    const il::AnalysisResult analysis =
+        il::analyze(pipeline.compile(), channels);
     if (!analysis.ok())
         throw ParseError("pipeline failed static analysis:\n" +
                          il::renderText(analysis, "<pipeline>"));
-    const il::ExecutionPlan plan = il::lower(program, channels);
+    const il::ExecutionPlan &plan = analysis.plan;
 
     // The hub's presumed-live node set: every shareKey of every
     // installed condition (including the old version of the one being
@@ -180,12 +179,11 @@ SidewinderSensorManager::updateCondition(
     reconStats.nodesReused += delta.reusedRefs.size();
     reconStats.deltaWireBytes +=
         transport::deltaPushWireBytes(message);
-    reconStats.fullPushWireBytes += transport::configPushWireBytes(
-        {condition_id, il::write(plan.toProgram())});
-
     StagedEntry staged;
     staged.ilText = il::write(plan.toProgram());
     staged.shareKeys = plan.shareKeys;
+    reconStats.fullPushWireBytes += transport::configPushWireBytes(
+        {condition_id, staged.ilText});
     pendingUpdate->staged[condition_id] = std::move(staged);
 
     sendToHub(transport::encodeDeltaPush(message), now);

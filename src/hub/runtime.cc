@@ -340,17 +340,16 @@ il::ExecutionPlan
 HubRuntime::admit(const il::Program &program, const std::string &what,
                   const std::string &window) const
 {
-    // Pre-instantiation check: run the static analyzer once and
-    // reject on its verdict before any kernel is built — with every
-    // error, not just the first.
-    rejectOnErrors(il::analyze(program, dataflow.channels()).diagnostics,
+    // Pre-instantiation check: one walk analyzes and lowers, and
+    // admission rejects on its verdict before any kernel is built —
+    // with every error, not just the first. The plan that walk built
+    // prices admission and gets installed, so the gate's verdict and
+    // the runtime's account can never diverge.
+    il::AnalysisResult analysis = il::analyze(
+        program, dataflow.channels(), dataflow.lowerOptions());
+    rejectOnErrors(analysis.diagnostics,
                    "static analysis rejected the " + what + ":");
-
-    // Lower once; the same plan prices admission and gets installed,
-    // so the gate's verdict and the runtime's account can never
-    // diverge.
-    il::ExecutionPlan plan =
-        il::lower(program, dataflow.channels(), dataflow.lowerOptions());
+    il::ExecutionPlan plan = std::move(analysis.plan);
 
     // Value-range gate: the interval interpreter must not flag the
     // plan (Q15 saturation proofs when the engine runs fixed-point

@@ -5,9 +5,8 @@
 #include <cstdio>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 
-#include "il/lower.h"
-#include "il/plan.h"
 #include "support/error.h"
 
 namespace sidewinder::il {
@@ -390,29 +389,118 @@ deriveStreamChecked(const Statement &stmt, const AlgorithmInfo &info,
 }
 
 /**
- * Canonical sharing key via the plan-level builder: duplicates of a
- * node inherit its key, so structurally identical subtrees compare
- * equal exactly when il::lower() would merge them.
+ * Lowering, fed node by node from the legality walk's hook: resolves
+ * each node's inputs to plan indices, gives it its canonical sharing
+ * key and, under LowerOptions::dedupe, merges it into the first node
+ * with that key (the IL's only merge pass). It keys the registered
+ * nodes of an illegal program too, so the analyzer can name their
+ * duplicates; such a plan is never finished.
  */
-std::string
-subtreeKey(const Statement &stmt,
-           const std::map<NodeId, std::string> &node_keys)
+struct PlanBuilder
 {
-    std::vector<std::string> input_keys;
-    input_keys.reserve(stmt.inputs.size());
-    for (const auto &src : stmt.inputs) {
-        if (src.kind == SourceRef::Kind::Channel) {
-            input_keys.push_back(canonicalChannelKey(src.channel));
-        } else {
-            auto it = node_keys.find(src.node);
-            input_keys.push_back(it != node_keys.end()
-                                     ? it->second
-                                     : "node:" +
-                                           std::to_string(src.node));
-        }
+    PlanBuilder(const std::vector<ChannelInfo> &channels,
+                const LowerOptions &options)
+        : dedupe(options.dedupe)
+    {
+        plan.channels = channels;
+        plan.primaryChannel = -1;
+        for (std::size_t i = 0; i < channels.size(); ++i)
+            channelIndex[channels[i].name] = static_cast<int>(i);
     }
-    return canonicalNodeKey(stmt.algorithm, stmt.params, input_keys);
-}
+
+    /**
+     * Add @p stmt as a plan node, or merge it into the first node
+     * with its key; returns that first node's index.
+     */
+    int
+    add(const Statement &stmt, const AlgorithmInfo &info,
+        const std::vector<NodeStream> &inputs, const NodeStream &stream)
+    {
+        // Inputs the walk rejected (an unknown channel, a node it did
+        // not register) resolve to index 0 and a placeholder key.
+        refs.clear();
+        inputKeys.clear();
+        for (const auto &src : stmt.inputs) {
+            if (src.kind == SourceRef::Kind::Channel) {
+                const auto it = channelIndex.find(src.channel);
+                const int ch = it != channelIndex.end() ? it->second : 0;
+                refs.push_back(-(ch + 1));
+                inputKeys.push_back(canonicalChannelKey(src.channel));
+                if (plan.primaryChannel < 0)
+                    plan.primaryChannel = ch;
+            } else if (const auto it = denseOf.find(src.node);
+                       it != denseOf.end()) {
+                refs.push_back(it->second);
+                inputKeys.push_back(
+                    plan.shareKeys[static_cast<std::size_t>(it->second)]);
+            } else {
+                refs.push_back(0);
+                inputKeys.push_back("node:" + std::to_string(src.node));
+            }
+        }
+        std::string key =
+            canonicalNodeKey(stmt.algorithm, stmt.params, inputKeys);
+
+        const int index = static_cast<int>(plan.nodeCount());
+        const auto [first, fresh] = nodeByKey.emplace(key, index);
+        if (!fresh && dedupe) {
+            denseOf[stmt.id] = first->second;
+            return first->second;
+        }
+        plan.algorithms.push_back(stmt.algorithm);
+        plan.params.push_back(stmt.params);
+        plan.inputOffsets.push_back(
+            static_cast<std::uint32_t>(plan.inputRefs.size()));
+        plan.inputCounts.push_back(static_cast<std::uint32_t>(refs.size()));
+        plan.inputRefs.insert(plan.inputRefs.end(), refs.begin(),
+                              refs.end());
+        plan.streams.push_back(stream);
+        plan.cyclesPerInvoke.push_back(invokeCost(info, inputs.front()));
+        double rate = inputs.front().fireRateHz;
+        for (const auto &s : inputs)
+            rate = std::min(rate, s.fireRateHz);
+        plan.invokeRateHz.push_back(rate);
+        // Invocations per emission: a decimating node (window with
+        // hop h) fires its output once every `stride` invokes.
+        plan.blockStride.push_back(static_cast<std::uint32_t>(
+            stream.fireRateHz > 0.0
+                ? std::max(1.0, std::round(rate / stream.fireRateHz))
+                : 1.0));
+        plan.ramBytes.push_back(
+            nodeRamBytes(info, stmt.params, inputs.front(), stream));
+        plan.sourceIds.push_back(stmt.id);
+        plan.shareKeys.push_back(std::move(key));
+        denseOf[stmt.id] = index;
+        return first->second;
+    }
+
+    /** Route OUT from node @p out_feeder and seal the plan. */
+    ExecutionPlan
+    finish(NodeId out_feeder)
+    {
+        plan.outNode = denseOf.at(out_feeder);
+        if (plan.primaryChannel < 0)
+            plan.primaryChannel = 0;
+        plan.wakeRateBoundHz =
+            plan.streams[static_cast<std::size_t>(plan.outNode)]
+                .fireRateHz;
+        // Freeze: from here on the plan is immutable (shared across
+        // engines, threads, and — via hub::FleetPlanCache — tenants).
+        plan.seal();
+        return std::move(plan);
+    }
+
+    ExecutionPlan plan;
+    bool dedupe;
+    std::unordered_map<std::string, int> channelIndex;
+    /** AST node id -> plan index (a merged node's is its first's). */
+    std::map<NodeId, int> denseOf;
+    /** Canonical key -> index of the first node with that key. */
+    std::unordered_map<std::string, int> nodeByKey;
+    /** Per-node scratch, reused. */
+    std::vector<std::int32_t> refs;
+    std::vector<std::string> inputKeys;
+};
 
 /**
  * The one home of IL legality. Checks @p program against @p channels
@@ -420,7 +508,8 @@ subtreeKey(const Statement &stmt,
  * stream derivation raises) to @p diags, and records each node and
  * its derived stream in @p walk. Every node it registers with a known
  * algorithm then goes to @p onNode as (statement, span, algorithm,
- * input streams, node inputs, stream); validate() passes a no-op.
+ * input streams, node inputs, stream): validate() passes a no-op,
+ * and lower() and analyze() hand it to a PlanBuilder.
  */
 template <typename OnNode>
 void
@@ -640,15 +729,10 @@ walkProgram(const Program &program,
     }
 }
 
-} // namespace
-
-StreamMap
-validate(const Program &program, const std::vector<ChannelInfo> &channels)
+/** Throw the walk's first Error in @p diagnostics, if any. */
+void
+throwFirstError(const std::vector<Diagnostic> &diagnostics)
 {
-    std::vector<Diagnostic> diagnostics;
-    Emitter diags(diagnostics);
-    Walk walk;
-    walkProgram(program, channels, diags, walk, [](auto &&...) {});
     for (const auto &d : diagnostics) {
         if (d.severity != Severity::Error)
             continue;
@@ -659,7 +743,38 @@ validate(const Program &program, const std::vector<ChannelInfo> &channels)
             out << " (node " << d.node << ")";
         throw ParseError(out.str());
     }
+}
+
+} // namespace
+
+StreamMap
+validate(const Program &program, const std::vector<ChannelInfo> &channels)
+{
+    std::vector<Diagnostic> diagnostics;
+    Emitter diags(diagnostics);
+    Walk walk;
+    walkProgram(program, channels, diags, walk, [](auto &&...) {});
+    throwFirstError(diagnostics);
     return std::move(walk.streams);
+}
+
+ExecutionPlan
+lower(const Program &program, const std::vector<ChannelInfo> &channels,
+      const LowerOptions &options)
+{
+    std::vector<Diagnostic> diagnostics;
+    Emitter diags(diagnostics);
+    Walk walk;
+    PlanBuilder builder(channels, options);
+    walkProgram(program, channels, diags, walk,
+                [&](const Statement &stmt, SourceSpan,
+                    const AlgorithmInfo &info,
+                    const std::vector<NodeStream> &inputs,
+                    const std::vector<NodeId> &, const NodeStream &stream) {
+                    builder.add(stmt, info, inputs, stream);
+                });
+    throwFirstError(diagnostics);
+    return builder.finish(walk.outFeeder);
 }
 
 const char *
@@ -788,14 +903,13 @@ nodeRamBytes(const AlgorithmInfo &info,
 }
 
 AnalysisResult
-analyze(const Program &program,
-        const std::vector<ChannelInfo> &channels)
+analyze(const Program &program, const std::vector<ChannelInfo> &channels,
+        const LowerOptions &options)
 {
     AnalysisResult result;
     Emitter diags(result.diagnostics);
-    /** Duplicate-subtree detection state. */
-    std::map<std::string, NodeId> subtree_owner;
-    std::map<NodeId, std::string> node_keys;
+    PlanBuilder builder(channels, options);
+    const ExecutionPlan &plan = builder.plan;
 
     Walk walk;
     walkProgram(
@@ -805,41 +919,30 @@ analyze(const Program &program,
             const std::vector<NodeStream> &inputs,
             const std::vector<NodeId> &node_inputs,
             const NodeStream &stream) {
-            // Static cost: per-invocation cycles at the nominal firing
-            // rate, plus the node's RAM footprint.
-            NodeCost cost;
-            cost.cyclesPerInvoke = invokeCost(info, inputs.front());
-            double rate = inputs.front().fireRateHz;
-            for (const auto &s : inputs)
-                rate = std::min(rate, s.fireRateHz);
-            cost.invokeRateHz = rate;
-            cost.cyclesPerSecond =
-                cost.cyclesPerInvoke * cost.invokeRateHz;
-            cost.ramBytes =
-                nodeRamBytes(info, stmt.params, inputs.front(), stream);
+            // Static cost of the statement's plan node. A duplicate's
+            // node is its first copy's, whose costs are its own.
+            const int first = builder.add(stmt, info, inputs, stream);
+            const NodeCost cost =
+                plan.nodeCost(static_cast<std::size_t>(first));
             result.cost.nodes[stmt.id] = cost;
             result.cost.cyclesPerSecond += cost.cyclesPerSecond;
             result.cost.ramBytes += cost.ramBytes;
 
-            // Duplicate-subtree detection (what il::lower() merges):
-            // duplicates inherit the owner's key.
-            const std::string key = subtreeKey(stmt, node_keys);
-            node_keys[stmt.id] = key;
-            auto owner = subtree_owner.find(key);
-            if (owner != subtree_owner.end()) {
+            // Duplicate subtree: the builder keyed an earlier node the
+            // same (il::lower() merges the two).
+            const NodeId owner =
+                plan.sourceIds[static_cast<std::size_t>(first)];
+            if (owner != stmt.id)
                 diags.emit(SW101_DUPLICATE_SUBTREE, Severity::Warning,
                            span, stmt.id,
                            "node " + std::to_string(stmt.id) +
                                " duplicates node " +
-                               std::to_string(owner->second) +
+                               std::to_string(owner) +
                                " (same algorithm, parameters, and "
                                "inputs)",
                            "il::lower() merges these; reference "
-                           "node " + std::to_string(owner->second) +
+                           "node " + std::to_string(owner) +
                                " directly to shrink the program");
-            } else {
-                subtree_owner[key] = stmt.id;
-            }
 
             // Subsumed threshold chains: a threshold directly feeding
             // the same threshold algorithm folds to one stage.
@@ -905,22 +1008,18 @@ analyze(const Program &program,
         }
     }
 
-    // Single source of truth for the totals: a legal program is
-    // lowered and charged the plan's precomputed costs, so the
-    // analyzer, admission control, and the engine can never disagree
-    // (shared subtrees are counted once — the form the hub
-    // instantiates). The per-node breakdown above keeps every
-    // statement, duplicates included, for diagnostics.
+    // A legal program's plan is the one the walk built: its totals
+    // count shared subtrees once (the form the hub instantiates), so
+    // the analyzer, admission control and the engine can never
+    // disagree. The per-node breakdown above keeps every statement,
+    // duplicates included, for diagnostics.
     if (result.ok()) {
-        const ExecutionPlan plan = lower(program, channels);
-        const ProgramCost lowered = plan.cost();
+        result.plan = builder.finish(walk.outFeeder);
+        const ProgramCost lowered = result.plan.cost();
         result.cost.cyclesPerSecond = lowered.cyclesPerSecond;
         result.cost.ramBytes = lowered.ramBytes;
         result.cost.wakeRateBoundHz = lowered.wakeRateBoundHz;
         result.cost.planNodeCount = lowered.planNodeCount;
-        // lower() seals every plan, so the sealed fingerprint is the
-        // structural hash fleet tooling keys cached verdicts by.
-        result.planHash = plan.sealedHash;
     }
 
     return result;
@@ -956,7 +1055,7 @@ renderJson(const AnalysisResult &result, const std::string &source_name)
     out << "{\"file\":\"" << escapeJson(source_name) << "\",";
     out << "\"analyzerVersion\":" << kAnalyzerVersion << ",";
     // Hex string: 64-bit hashes overflow JSON's double-backed numbers.
-    out << "\"planHash\":\"" << std::hex << result.planHash
+    out << "\"planHash\":\"" << std::hex << result.plan.sealedHash
         << std::dec << "\",";
     out << "\"ok\":" << (result.ok() ? "true" : "false") << ",";
     out << "\"errors\":" << result.errorCount() << ",";

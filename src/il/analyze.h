@@ -8,25 +8,31 @@
  * execute, and Section 3.6's admission control assumes the platform
  * can decide *statically* whether a wake-up condition fits a given
  * microcontroller. The IL's legality rules live in one place, the
- * legality walk in analyze.cc: il::validate() runs it and throws its
- * first Error, and analyze() goes further:
+ * legality walk in analyze.cc, and lowering rides it: a plan builder
+ * in the walk's per-node hook resolves, keys, merges and prices each
+ * node as the walk registers it. il::validate() runs the walk and
+ * throws its first Error; il::lower() runs it with the builder and
+ * throws the same Error or returns the sealed plan; analyze() runs it
+ * with the builder and goes further:
  *
  *  - it never throws on any program the parser accepts — every
  *    violation becomes a structured Diagnostic with a stable SWxxx
  *    code, severity, line:column span, message, and fix hint (the
  *    developer-friendliness gap declarative sensing frontends argue
  *    must be closed by tooling, not runtime failure);
- *  - it derives a per-node static cost model — abstract cycles/second
- *    from firing rates x per-algorithm cost, state-block + frame RAM
- *    bytes, and the worst-case wake-rate bound at OUT — whose totals
- *    come from the lowered plan, the same numbers
+ *  - it hands back the plan the walk built (AnalysisResult::plan),
+ *    which the phone's push and the hub's admission install instead
+ *    of lowering again, and a per-node static cost model read off
+ *    that plan — abstract cycles/second from firing rates x
+ *    per-algorithm cost, state-block + frame RAM bytes, and the
+ *    worst-case wake-rate bound at OUT — the same numbers
  *    hub::admissionDiagnostics(), hub::selectMcuForPlan() and the hub
  *    runtime check against McuModel budgets for a provable
  *    admission-control verdict;
  *  - beyond legality it reports warnings the developer can act on:
- *    duplicate subtrees, identity stages, subsumed threshold chains,
- *    unconditional wake-ups, near-Nyquist cutoffs, and degenerate
- *    bands.
+ *    duplicate subtrees (the nodes the builder merges), identity
+ *    stages, subsumed threshold chains, unconditional wake-ups,
+ *    near-Nyquist cutoffs, and degenerate bands.
  *
  * The full diagnostic catalogue lives in docs/diagnostics.md; the
  * tools/swlint CLI renders analyses for humans and CI.
@@ -36,13 +42,12 @@
 #define SIDEWINDER_IL_ANALYZE_H
 
 #include <cstddef>
-#include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "il/algorithm_info.h"
 #include "il/ast.h"
+#include "il/lower.h"
 #include "il/validate.h"
 
 namespace sidewinder::il {
@@ -121,41 +126,6 @@ inline constexpr const char *SW312_PROVEN_WAKE_RATE = "SW312";
  */
 inline constexpr int kAnalyzerVersion = 2;
 
-/** Static cost of one algorithm instance. */
-struct NodeCost
-{
-    /** Abstract MCU cycle units per invocation. */
-    double cyclesPerInvoke = 0.0;
-    /** Nominal invocations per second. */
-    double invokeRateHz = 0.0;
-    /** Sustained demand: cyclesPerInvoke x invokeRateHz. */
-    double cyclesPerSecond = 0.0;
-    /** State block + output storage + bookkeeping, bytes. */
-    std::size_t ramBytes = 0;
-};
-
-/** Static cost of a whole program. */
-struct ProgramCost
-{
-    /** Sum of per-node sustained compute demand. */
-    double cyclesPerSecond = 0.0;
-    /** Sum of per-node RAM footprints. */
-    std::size_t ramBytes = 0;
-    /**
-     * Worst-case wake-ups per second at OUT (the nominal firing rate
-     * of the node feeding OUT; conditionals bound it from above).
-     */
-    double wakeRateBoundHz = 0.0;
-    /**
-     * Nodes in the lowered ExecutionPlan — what the hub actually
-     * instantiates after sharing. 0 when the program has errors and
-     * could not be lowered.
-     */
-    std::size_t planNodeCount = 0;
-    /** Per-node breakdown, keyed by node id. */
-    std::map<NodeId, NodeCost> nodes;
-};
-
 /** Everything analyze() learned about a program. */
 struct AnalysisResult
 {
@@ -166,11 +136,13 @@ struct AnalysisResult
     /** Stream properties of every node that could be derived. */
     StreamMap streams;
     /**
-     * structuralHash() of the lowered ExecutionPlan the cost totals
-     * came from; 0 when the program has errors and could not be
-     * lowered. Keys cached verdicts in fleet tooling.
+     * The sealed plan the walk lowered, equal to il::lower() with the
+     * same options, which the cost totals come from; empty and
+     * unsealed when the program has errors. Its sealedHash is the
+     * JSON report's planHash, which keys cached verdicts in fleet
+     * tooling.
      */
-    std::uint64_t planHash = 0;
+    ExecutionPlan plan;
 
     /** True when no Error-severity diagnostic was produced. */
     bool ok() const;
@@ -179,17 +151,20 @@ struct AnalysisResult
 };
 
 /**
- * Statically analyze @p program against @p channels.
+ * Statically analyze @p program against @p channels and lower it
+ * with @p options in the same walk.
  *
  * Never throws and always terminates on any program the parser
  * accepts: every rule violation is reported as an Error diagnostic,
  * and analysis continues past errors so one run reports everything
- * it can. validate() runs the same legality walk and throws its first
- * Error, so a program passes validate() exactly when this reports no
- * Error.
+ * it can. validate() and lower() run the same legality walk and throw
+ * its first Error, so a program passes them exactly when this reports
+ * no Error, and AnalysisResult::plan is then the plan lower() returns.
+ * Admission paths install that plan rather than lowering again.
  */
 AnalysisResult analyze(const Program &program,
-                       const std::vector<ChannelInfo> &channels);
+                       const std::vector<ChannelInfo> &channels,
+                       const LowerOptions &options = {});
 
 /**
  * Per-invocation cost of an algorithm in abstract MCU cycle units

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "il/ast.h"
-#include "il/lower.h"
 
 namespace sidewinder::il {
 
@@ -720,11 +719,9 @@ analyzeRanges(const ExecutionPlan &plan, const RangeOptions &options)
 }
 
 RangeAnalysis
-analyzeProgramRanges(const Program &program,
-                     const std::vector<ChannelInfo> &channels,
+analyzeProgramRanges(const Program &program, const ExecutionPlan &plan,
                      const RangeOptions &options)
 {
-    const ExecutionPlan plan = lower(program, channels);
     RangeAnalysis analysis = analyzeRanges(plan, options);
     // Rewrite plan-level diagnostics to statement spans.
     std::map<NodeId, SourceSpan> spans;

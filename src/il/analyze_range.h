@@ -212,14 +212,12 @@ RangeAnalysis analyzeRanges(const ExecutionPlan &plan,
                             const RangeOptions &options = {});
 
 /**
- * Convenience for tooling: lower @p program against @p channels,
- * analyze ranges, and rewrite the diagnostics' line/column to the
- * originating statement spans. @throws ParseError when the program
- * does not validate (run analyze() first for non-throwing triage).
+ * For tooling: analyze the ranges of @p plan, lowered from
+ * @p program (AnalysisResult::plan, or il::lower()), and rewrite the
+ * diagnostics' line/column to the originating statement spans.
  */
 RangeAnalysis
-analyzeProgramRanges(const Program &program,
-                     const std::vector<ChannelInfo> &channels,
+analyzeProgramRanges(const Program &program, const ExecutionPlan &plan,
                      const RangeOptions &options = {});
 
 /**

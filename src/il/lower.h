@@ -1,11 +1,14 @@
 /**
  * @file
- * Lowering: compile a validated IL program to an ExecutionPlan.
+ * Lowering: compile a legal IL program to an ExecutionPlan.
  *
- * lower() is the single place names become indices and static costs
- * are computed. Everything downstream — the engine, admission
- * control, MCU selection, FPGA placement, tooling — consumes the
- * plan; nothing re-walks the AST.
+ * Lowering is the output of the one legality walk (il/analyze.cc): a
+ * plan builder in the walk's per-node hook turns names into indices,
+ * computes static costs and merges duplicates as the walk registers
+ * each node, so lower() walks the program once. il::analyze() runs
+ * the same walk and hands the same plan back. Everything downstream —
+ * the engine, admission control, MCU selection, FPGA placement,
+ * tooling — consumes the plan; nothing re-walks the AST.
  */
 
 #ifndef SIDEWINDER_IL_LOWER_H
@@ -34,13 +37,12 @@ struct LowerOptions
 };
 
 /**
- * Validate @p program against @p channels and lower it to a flat,
- * topologically scheduled ExecutionPlan with resolved indices,
- * canonical sharing keys, and precomputed per-node costs.
+ * Lower @p program against @p channels, in the legality walk, to a
+ * flat, topologically scheduled, sealed ExecutionPlan with resolved
+ * indices, canonical sharing keys, and precomputed per-node costs.
  *
- * @throws ParseError carrying the legality walk's first Error
- *     diagnostic (validate()'s verdict; lowering adds no rules of
- *     its own).
+ * @throws ParseError carrying the walk's first Error diagnostic
+ *     (validate()'s verdict; lowering adds no rules of its own).
  */
 ExecutionPlan lower(const Program &program,
                     const std::vector<ChannelInfo> &channels,

@@ -90,16 +90,20 @@ ExecutionPlan::inputStream(std::size_t node, std::size_t input) const
     return s;
 }
 
+NodeCost
+ExecutionPlan::nodeCost(std::size_t node) const
+{
+    return NodeCost{cyclesPerInvoke[node], invokeRateHz[node],
+                    cyclesPerInvoke[node] * invokeRateHz[node],
+                    ramBytes[node]};
+}
+
 ProgramCost
 ExecutionPlan::cost() const
 {
     ProgramCost total;
     for (std::size_t i = 0; i < nodeCount(); ++i) {
-        NodeCost node;
-        node.cyclesPerInvoke = cyclesPerInvoke[i];
-        node.invokeRateHz = invokeRateHz[i];
-        node.cyclesPerSecond = cyclesPerInvoke[i] * invokeRateHz[i];
-        node.ramBytes = ramBytes[i];
+        const NodeCost node = nodeCost(i);
         total.cyclesPerSecond += node.cyclesPerSecond;
         total.ramBytes += node.ramBytes;
         total.nodes[sourceIds[i]] = node;

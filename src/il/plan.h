@@ -4,12 +4,14 @@
  *
  * parse/analyze/validate operate on the AST; everything downstream —
  * the hub engine's wave loop, admission control, MCU selection, FPGA
- * placement, and the swlint/dot tooling — consumes this flat
- * structure-of-arrays plan instead of re-walking statements. One
- * lowering pass (il::lower) resolves every name to an index, computes
- * every static cost once, and assigns each node the canonical sharing
- * key that lowering's own merge pass, engine-time hash-consing, and
- * the analyzer's duplicate detection all agree on.
+ * placement, and the swlint tooling — consumes this flat
+ * structure-of-arrays plan instead of re-walking statements. The plan
+ * is built during the legality walk (il::lower(), or il::analyze(),
+ * which hands the same plan back): it resolves every name to an
+ * index, computes every static cost once, and assigns each node the
+ * canonical sharing key on which lowering's merge pass, the
+ * analyzer's SW101 (the node that merge folds a duplicate into) and
+ * engine-time hash-consing all agree.
  *
  * This is the compile-don't-interpret move of Reflex-style
  * heterogeneous runtimes: the paper's interpreter (Section 3.5)
@@ -21,14 +23,49 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "il/analyze.h"
 #include "il/ast.h"
 #include "il/validate.h"
 
 namespace sidewinder::il {
+
+/** Static cost of one algorithm instance. */
+struct NodeCost
+{
+    /** Abstract MCU cycle units per invocation. */
+    double cyclesPerInvoke = 0.0;
+    /** Nominal invocations per second. */
+    double invokeRateHz = 0.0;
+    /** Sustained demand: cyclesPerInvoke x invokeRateHz. */
+    double cyclesPerSecond = 0.0;
+    /** State block + output storage + bookkeeping, bytes. */
+    std::size_t ramBytes = 0;
+};
+
+/** Static cost of a whole program. */
+struct ProgramCost
+{
+    /** Sum of per-node sustained compute demand. */
+    double cyclesPerSecond = 0.0;
+    /** Sum of per-node RAM footprints. */
+    std::size_t ramBytes = 0;
+    /**
+     * Worst-case wake-ups per second at OUT (the nominal firing rate
+     * of the node feeding OUT; conditionals bound it from above).
+     */
+    double wakeRateBoundHz = 0.0;
+    /**
+     * Nodes in the lowered ExecutionPlan — what the hub actually
+     * instantiates after sharing. 0 when the program has errors and
+     * could not be lowered.
+     */
+    std::size_t planNodeCount = 0;
+    /** Per-node breakdown, keyed by node id. */
+    std::map<NodeId, NodeCost> nodes;
+};
 
 /**
  * A lowered wake-up condition: nodes in topological order, stored as
@@ -36,7 +73,8 @@ namespace sidewinder::il {
  * references use the engine's encoding: a value >= 0 is a node index,
  * a value < 0 is a channel as -(channel_index + 1).
  *
- * Immutability invariant: a plan returned by il::lower() is frozen —
+ * Immutability invariant: a plan il::lower() or il::analyze() returns
+ * is frozen —
  * no field may be mutated afterwards. Every consumer (engine install,
  * admission control, MCU selection, FPGA placement, tooling) takes
  * plans by const reference, and the fleet-wide plan cache
@@ -118,6 +156,9 @@ struct ExecutionPlan
      */
     NodeStream inputStream(std::size_t node, std::size_t input) const;
 
+    /** Static cost of node @p node. */
+    NodeCost nodeCost(std::size_t node) const;
+
     /**
      * Aggregate static cost: totals plus the per-node breakdown keyed
      * by each node's source id. Shared nodes are counted once — this
@@ -157,8 +198,8 @@ struct ExecutionPlan
 /**
  * Canonical structural key of a node: algorithm, %.17g-rendered
  * parameters, and the canonical keys of its inputs. The single source
- * of truth for lowering's merge pass, engine hash-consing, analyzer
- * duplicate detection, and FPGA block sharing — two nodes share
+ * of truth for lowering's merge pass (and so the analyzer's SW101),
+ * engine hash-consing, and FPGA block sharing — two nodes share
  * exactly when their keys compare equal.
  */
 std::string canonicalNodeKey(const std::string &algorithm,

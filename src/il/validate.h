@@ -3,12 +3,14 @@
  * The IL's legality verdict and the stream types it derives.
  *
  * The rules live in one place, the analyzer's legality walk
- * (il/analyze.cc); validate() is its verdict. The phone runs it when
- * a wake-up condition is lowered for shipping (push() surfaces a bad
- * pipeline as ParseError), and the hub runs it again before
- * instantiating kernels, so a corrupted or hostile program can never
- * execute — the security advantage Section 2.2 of the paper claims
- * over fully programmable offloading.
+ * (il/analyze.cc); validate() is its verdict, and il::lower() and
+ * il::analyze() build the plan in that same walk. The phone walks a
+ * wake-up condition once when it analyzes and lowers it for shipping
+ * (push() surfaces a bad pipeline as ParseError), and the hub walks
+ * it once more in admission before instantiating kernels, so a
+ * corrupted or hostile program can never execute — the security
+ * advantage Section 2.2 of the paper claims over fully programmable
+ * offloading.
  */
 
 #ifndef SIDEWINDER_IL_VALIDATE_H

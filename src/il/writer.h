@@ -13,10 +13,11 @@
 
 namespace sidewinder::il {
 
-/** Render one statement, e.g. "1,2,3 -> vectorMagnitude(id=4);". */
-std::string writeStatement(const Statement &stmt);
-
-/** Render a whole program, one statement per line. */
+/**
+ * Render a whole program, one statement per line, e.g.
+ * "1,2,3 -> vectorMagnitude(id=4);". @throws ConfigError on a
+ * statement without inputs.
+ */
 std::string write(const Program &program);
 
 /**

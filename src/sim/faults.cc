@@ -383,7 +383,7 @@ simulateSupervised(const trace::Trace &trace,
         double awake_start = start + trans;
         while (awake_start < window_end) {
             const double awake_end = std::min(
-                awake_start + config.awakeDwellSeconds, window_end);
+                awake_start + kAwakeDwellSeconds, window_end);
             timeline.addAwakeInterval(awake_start, awake_end);
             result.faults.fallbackAwakeSeconds +=
                 awake_end - awake_start;

@@ -247,11 +247,10 @@ FleetRuntime::buildShard(std::size_t shard)
 
     for (std::size_t d = begin; d < end; ++d) {
         Device &device = devices[d];
+        // Float64 kernels and the default negotiation on every device.
         device.engine = std::make_unique<hub::Engine>(
-            channels, config.sharePerEngine, config.rawBufferSize,
-            config.kernelMode);
-        device.placer = std::make_unique<hub::Placer>(
-            executors, config.placer);
+            channels, config.sharePerEngine, config.rawBufferSize);
+        device.placer = std::make_unique<hub::Placer>(executors);
 
         device.cursor = static_cast<std::size_t>(
             mixHash(config.seed ^ (d * 2654435761ULL) ^ kCursorSalt) %

@@ -92,8 +92,6 @@ struct FleetConfig
     bool sharePerEngine = true;
     /** Per-channel raw history per device (hub::Engine). */
     std::size_t rawBufferSize = 64;
-    /** Numeric mode of every tenant engine. */
-    hub::KernelMode kernelMode = hub::KernelMode::Float64;
     /** Per-device admission budget (compute + RAM) when `executors`
      *  is empty — the single-MCU fleet every earlier PR ran. */
     hub::McuModel mcu;
@@ -105,8 +103,6 @@ struct FleetConfig
      * hub::platformExecutors() for MCU+FPGA+AP homing.
      */
     std::vector<hub::ExecutorModel> executors;
-    /** Negotiation knobs for the per-device placer. */
-    hub::PlacerConfig placer;
     /**
      * Fraction of devices that suffer one brownout (hub state loss,
      * Engine::resetState) halfway through their run — the fleet-level

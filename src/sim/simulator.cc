@@ -76,7 +76,7 @@ simulate(const trace::Trace &trace, const apps::Application &app,
         strategyName(config.strategy, config.sleepIntervalSeconds);
 
     const double trans = model.transitionSeconds;
-    const double dwell = config.awakeDwellSeconds;
+    const double dwell = kAwakeDwellSeconds;
     const double event_dwell =
         config.eventDwellSeconds > 0.0
             ? config.eventDwellSeconds

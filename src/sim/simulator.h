@@ -57,17 +57,19 @@ enum class Strategy {
 std::string strategyName(Strategy strategy,
                          double sleep_interval_seconds = 0.0);
 
+/**
+ * Data-collection dwell of Duty Cycling / Batching, and of the
+ * fallback sampling while the hub is down, seconds (Section 4.2:
+ * "collect sensor data for 4 seconds").
+ */
+inline constexpr double kAwakeDwellSeconds = 4.0;
+
 /** Parameters of one simulation. */
 struct SimConfig
 {
     Strategy strategy = Strategy::AlwaysAwake;
     /** Sleep interval for Duty Cycling / Batching, seconds. */
     double sleepIntervalSeconds = 10.0;
-    /**
-     * Data-collection dwell of Duty Cycling / Batching, seconds
-     * (Section 4.2: "collect sensor data for 4 seconds").
-     */
-    double awakeDwellSeconds = 4.0;
     /**
      * How long the device stays awake after the *last* hub trigger of
      * an event-driven wake-up (Predefined Activity / Sidewinder) —

@@ -45,7 +45,9 @@ analyzeSource(const std::string &source,
               const std::vector<ChannelInfo> &channels,
               const RangeOptions &options = {})
 {
-    return analyzeProgramRanges(parse(source), channels, options);
+    const Program program = parse(source);
+    return analyzeProgramRanges(program, lower(program, channels),
+                                options);
 }
 
 bool

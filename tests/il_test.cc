@@ -75,6 +75,16 @@ TEST(Writer, ParamFormatting)
     EXPECT_EQ(writeParam(10.0), "10");
     EXPECT_EQ(writeParam(-3.0), "-3");
     EXPECT_EQ(writeParam(0.25), "0.25");
+    // Integers below 1e15 in magnitude print as integers, everything
+    // else as %.17g (the strings a precision(17) stream printed).
+    EXPECT_EQ(writeParam(-0.0), "0");
+    EXPECT_EQ(writeParam(999999999999999.0), "999999999999999");
+    EXPECT_EQ(writeParam(-999999999999999.0), "-999999999999999");
+    EXPECT_EQ(writeParam(1e15), "1000000000000000");
+    EXPECT_EQ(writeParam(0.1), "0.10000000000000001");
+    EXPECT_EQ(writeParam(1.0 / 3.0), "0.33333333333333331");
+    EXPECT_EQ(writeParam(5e-324), "4.9406564584124654e-324");
+    EXPECT_EQ(writeParam(1e300), "1.0000000000000001e+300");
 }
 
 TEST(Writer, StatementWithoutInputsThrows)
@@ -82,7 +92,7 @@ TEST(Writer, StatementWithoutInputsThrows)
     Statement s;
     s.algorithm = "movingAvg";
     s.id = 1;
-    EXPECT_THROW(writeStatement(s), ConfigError);
+    EXPECT_THROW(write(Program{{s}}), ConfigError);
 }
 
 TEST(Parser, RoundTripsFigure2c)

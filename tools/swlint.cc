@@ -235,22 +235,24 @@ fileUnit(const std::string &path,
 
 /**
  * Analyze one unit and fold in the hub admission verdict. The
- * analyzer's cost block already prices the lowered ExecutionPlan —
- * the node set the hub instantiates — so shared subtrees are not
- * double-charged and no second analysis pass is needed.
+ * analyzer lowers the ExecutionPlan — the node set the hub
+ * instantiates — in its one walk and prices it, so shared subtrees
+ * are not double-charged, and the range pass and the re-push note
+ * below read that same plan.
  */
 il::AnalysisResult
 lint(const LintUnit &unit, const Options &options)
 {
     il::AnalysisResult result = il::analyze(unit.program, unit.channels);
+    const il::ExecutionPlan &plan = result.plan;
     if (result.ok() && (options.ranges || options.q15)) {
-        // Value-range pass (SW3xx): interval proofs over the same
-        // lowered plan — Q15 saturation, dead or always-firing
-        // wakes, and provably tighter wake-rate bounds.
+        // Value-range pass (SW3xx): interval proofs over the plan —
+        // Q15 saturation, dead or always-firing wakes, and provably
+        // tighter wake-rate bounds.
         il::RangeOptions range_options;
         range_options.q15 = options.q15;
         const il::RangeAnalysis ranges = il::analyzeProgramRanges(
-            unit.program, unit.channels, range_options);
+            unit.program, plan, range_options);
         for (const auto &d : ranges.diagnostics)
             result.diagnostics.push_back(d);
     }
@@ -263,9 +265,7 @@ lint(const LintUnit &unit, const Options &options)
         // the wire bytes and serialization time of one fault-free
         // re-push so developers can see recovery latency per
         // condition (docs/fault-model.md). The wire form is the
-        // lowered plan's canonical IL — what the manager ships.
-        const il::ExecutionPlan plan =
-            il::lower(unit.program, unit.channels);
+        // plan's canonical IL — what the manager ships.
         const transport::Frame push = transport::encodeConfigPush(
             {0, il::write(plan.toProgram())});
         const std::size_t bytes = transport::reliableWireBytes(push);
