@@ -13,6 +13,7 @@
 #include "bench_common.h"
 #include "hub/fpga.h"
 #include "hub/mcu.h"
+#include "hub/placer.h"
 #include "il/lower.h"
 
 using namespace sidewinder;
@@ -28,7 +29,12 @@ main()
                 "fits");
     bench::rule(78);
 
+    // The fabric's cells, power and fit are the placer's demand row.
     const auto fpga = hub::ice40Hub();
+    const hub::ExecutorModel fabric = hub::fpgaExecutor(fpga);
+    const auto fabric_row = [&fabric](const il::ExecutionPlan &plan) {
+        return hub::demandFor({&plan, 1}, fabric, plan.cost());
+    };
     for (const auto &app : apps::allApps()) {
         const auto program = app->wakeCondition().compile();
         const auto channels = app->channels();
@@ -40,15 +46,15 @@ main()
 
         const bool msp_ok = hub::canRunInRealTime(hub::msp430(), load);
         const bool lm_ok = hub::canRunInRealTime(hub::lm4f120(), load);
-        const auto placement =
-            hub::planFpgaPlacement(il::lower(program, channels), fpga);
+        const hub::PlacementDemand row =
+            fabric_row(il::lower(program, channels));
 
         std::printf("%-12s %12.0f | %8s %8s | %8.2f %8zu %7s\n",
                     app->name().c_str(), load,
                     msp_ok ? "3.60" : "reject",
                     lm_ok ? "49.40" : "reject",
-                    placement.totalPowerMw(fpga), placement.cellsUsed,
-                    placement.fits ? "yes" : "no");
+                    fabric.activePowerMw + row.dynamicPowerMw,
+                    row.logicCells, row.feasible ? "yes" : "no");
     }
     bench::rule(78);
 
@@ -56,11 +62,10 @@ main()
     // LM4F120's 49.4 mW dominates Sidewinder's siren power; an FPGA
     // hub removes almost all of it.
     const auto siren = apps::makeSirenApp();
-    const auto placement = hub::planFpgaPlacement(
-        il::lower(siren->wakeCondition().compile(), siren->channels()),
-        fpga);
+    const hub::PlacementDemand siren_row = fabric_row(
+        il::lower(siren->wakeCondition().compile(), siren->channels()));
     const double lm_hub = hub::lm4f120().activePowerMw;
-    const double fpga_hub = placement.totalPowerMw(fpga);
+    const double fpga_hub = fabric.activePowerMw + siren_row.dynamicPowerMw;
     std::printf("\nsiren detector hub power: LM4F120 %.1f mW -> FPGA "
                 "%.2f mW (saves %.1f mW of the Table 2 Sidewinder "
                 "row)\n",

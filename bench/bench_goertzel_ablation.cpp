@@ -24,7 +24,7 @@
 #include "core/pipeline.h"
 #include "core/sensors.h"
 #include "hub/engine.h"
-#include "hub/mcu.h"
+#include "hub/placer.h"
 #include "il/lower.h"
 #include "metrics/events.h"
 #include "sim/power_model.h"
@@ -79,9 +79,10 @@ evaluate(const std::vector<trace::Trace> &traces,
     Outcome outcome;
     const auto channels = app.channels();
     const il::ExecutionPlan plan = il::lower(program, channels);
-    const auto mcu = hub::selectMcuForPlan(plan);
-    outcome.mcu = mcu.name;
-    outcome.hubMw = mcu.activePowerMw;
+    const hub::PlacementDecision home =
+        hub::homeConditions({&plan, 1}, plan.cost(), hub::mcuExecutors());
+    outcome.mcu = home.executorName;
+    outcome.hubMw = home.marginalPowerMw;
 
     // Each trace replay owns its engine; fan them across the pool and
     // reduce in trace order so the averages match the serial loop.
@@ -111,7 +112,7 @@ evaluate(const std::vector<trace::Trace> &traces,
                                               trig + 2.0);
                 out.powerMw = timeline
                                   .summarize(sim::nexus4WithHub(
-                                      mcu.activePowerMw))
+                                      outcome.hubMw))
                                   .averagePowerMw;
                 return out;
             });

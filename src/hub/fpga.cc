@@ -70,37 +70,4 @@ fpgaCellCost(const std::string &algorithm, std::size_t frame_size)
                       "'");
 }
 
-FpgaPlacement
-planFpgaPlacement(const il::ExecutionPlan &plan, const FpgaModel &fpga)
-{
-    FpgaPlacement placement;
-    double dynamic_mw = 0.0;
-
-    for (std::size_t i = 0; i < plan.nodeCount(); ++i) {
-        // Buffer-bearing blocks size with the larger of their input
-        // and output frames (a window's cells hold its output frame).
-        const std::size_t input_frame =
-            plan.inputCounts[i] > 0 ? plan.inputStream(i, 0).frameSize
-                                    : 0;
-        const std::size_t sizing_frame =
-            std::max(input_frame, plan.streams[i].frameSize);
-
-        FpgaPlacementEntry entry;
-        entry.node = plan.sourceIds[i];
-        entry.algorithm = plan.algorithms[i];
-        entry.cells = fpgaCellCost(plan.algorithms[i], sizing_frame);
-        placement.entries.push_back(entry);
-        placement.cellsUsed += entry.cells;
-
-        // Dynamic power: the plan's cycle-unit demand priced at the
-        // fabric's energy per unit. mW = (units/s) * nJ/unit * 1e-6.
-        dynamic_mw += plan.cyclesPerInvoke[i] * plan.invokeRateHz[i] *
-                      fpga.nanojoulesPerCycleUnit * 1e-6;
-    }
-
-    placement.dynamicPowerMw = dynamic_mw;
-    placement.fits = placement.cellsUsed <= fpga.logicCells;
-    return placement;
-}
-
 } // namespace sidewinder::hub

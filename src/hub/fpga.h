@@ -17,17 +17,14 @@
  * blind. Power is static (always-on fabric) plus per-block dynamic
  * power scaled by each node's firing rate — FPGAs trade a higher
  * static floor for far better energy per operation on streaming DSP.
+ * hub::Placer (placer.h) prices a plan on the fabric this way.
  */
 
 #ifndef SIDEWINDER_HUB_FPGA_H
 #define SIDEWINDER_HUB_FPGA_H
 
-#include <map>
+#include <cstddef>
 #include <string>
-#include <vector>
-
-#include "il/ast.h"
-#include "il/plan.h"
 
 namespace sidewinder::hub {
 
@@ -53,47 +50,9 @@ struct FpgaModel
 /** A small flash-based FPGA in the iCE40 class. */
 FpgaModel ice40Hub();
 
-/** Per-node placement record of a planned configuration. */
-struct FpgaPlacementEntry
-{
-    il::NodeId node = 0;
-    std::string algorithm;
-    std::size_t cells = 0;
-};
-
-/** Result of planning a wake-up condition onto a fabric. */
-struct FpgaPlacement
-{
-    /** Per-node block assignments. */
-    std::vector<FpgaPlacementEntry> entries;
-    /** Total logic cells consumed. */
-    std::size_t cellsUsed = 0;
-    /** True when the condition fits the fabric budget. */
-    bool fits = false;
-    /** Average dynamic power of the running configuration, mW. */
-    double dynamicPowerMw = 0.0;
-
-    /** Static plus dynamic power, mW. */
-    double
-    totalPowerMw(const FpgaModel &fpga) const
-    {
-        return fpga.staticPowerMw + dynamicPowerMw;
-    }
-};
-
 /** Logic-cell footprint of one standardized algorithm instance. */
 std::size_t fpgaCellCost(const std::string &algorithm,
                          std::size_t frame_size);
-
-/**
- * Plan a sealed execution plan onto @p fpga: assign each node a
- * pre-compiled block, sum footprints, and estimate dynamic power from
- * the per-node firing rates. The plan is the sole representation —
- * lowering already hash-consed structurally identical nodes, so each
- * datapath is placed once.
- */
-FpgaPlacement planFpgaPlacement(const il::ExecutionPlan &plan,
-                                const FpgaModel &fpga);
 
 } // namespace sidewinder::hub
 

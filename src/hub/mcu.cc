@@ -35,62 +35,17 @@ canRunInRealTime(const McuModel &mcu, double cycles_per_second)
     return cycles_per_second <= mcu.cyclesPerSecond;
 }
 
-bool
-fitsBudget(const McuModel &mcu, const il::ProgramCost &cost)
-{
-    if (!canRunInRealTime(mcu, cost.cyclesPerSecond))
-        return false;
-    if (mcu.ramBytes != 0 && cost.ramBytes > mcu.ramBytes)
-        return false;
-    return mcu.wakeBudgetHz == 0.0 ||
-           cost.wakeRateBoundHz <= mcu.wakeBudgetHz;
-}
-
-McuModel
-selectMcuForCost(const il::ProgramCost &cost)
-{
-    for (const auto &mcu : availableMcus())
-        if (fitsBudget(mcu, cost))
-            return mcu;
-    std::ostringstream msg;
-    msg << "no available hub microcontroller fits the condition ("
-        << cost.cyclesPerSecond << " cycle units/s, " << cost.ramBytes
-        << " bytes of state)";
-    throw CapabilityError(msg.str());
-}
-
-McuModel
-selectMcuForPlan(const il::ExecutionPlan &plan)
-{
-    // Single-executor placement over the MCU ladder: with one
-    // condition and no congestion, the negotiated placer's
-    // minimum-power choice is exactly the cheapest-first ladder walk
-    // this function used to hand-roll.
-    std::vector<ExecutorModel> ladder;
-    for (const auto &mcu : availableMcus())
-        ladder.push_back(mcuExecutor(mcu));
-    const PlacementDecision home = placeCondition(plan, ladder);
-    if (home.placed())
-        return availableMcus()[static_cast<std::size_t>(
-            home.executorIndex)];
-    // Re-derive selectMcuForCost's exact error for callers that pin
-    // its message.
-    selectMcuForCost(plan.cost());
-    throw InternalError("placer rejected a plan selectMcuForCost fits");
-}
-
 std::vector<il::Diagnostic>
-admissionDiagnostics(const il::ProgramCost &cost)
+admissionDiagnostics(const il::ExecutionPlan &plan)
 {
     std::vector<il::Diagnostic> diagnostics;
     const auto &mcus = availableMcus();
-    if (mcus.empty())
-        return diagnostics;
-
-    for (const auto &mcu : mcus) {
-        if (!fitsBudget(mcu, cost))
-            continue;
-        if (mcu.name != mcus.front().name) {
+    const il::ProgramCost cost = plan.cost();
+    const PlacementDecision home = placeCondition(plan, mcuExecutors());
+    if (home.placed()) {
+        const McuModel &mcu =
+            mcus[static_cast<std::size_t>(home.executorIndex)];
+        if (home.executorIndex != 0) {
             il::Diagnostic note;
             note.code = il::SW201_MCU_ASSIGNMENT;
             note.severity = il::Severity::Note;

@@ -67,41 +67,14 @@ const std::vector<McuModel> &availableMcus();
 bool canRunInRealTime(const McuModel &mcu, double cycles_per_second);
 
 /**
- * True when @p mcu satisfies both budgets of @p cost: sustained
- * compute and (when the model declares one) RAM.
- */
-bool fitsBudget(const McuModel &mcu, const il::ProgramCost &cost);
-
-/**
- * Pick the lowest-power MCU able to run @p plan in real time
- * ("Sizing", Section 3.8).
- *
- * The verdict comes from the plan's static costs — compute *and*
- * RAM — so a deduplicated plan (il::lower's default, what a sharing
- * engine hash-conses at install time) is priced as the hub
- * instantiates it. Implemented as single-executor placement over the
- * MCU ladder: the fleet placer (hub/placer.h) restricted to
- * microcontrollers.
- * @throws CapabilityError when no available MCU suffices.
- */
-McuModel selectMcuForPlan(const il::ExecutionPlan &plan);
-
-/**
- * Lowest-power MCU whose compute, RAM, *and* wake budgets cover
- * @p cost (the cycles-only selectMcuForLoad shortcut is gone — no
- * admission decision bypasses the full budget set).
- * @throws CapabilityError when no available MCU suffices.
- */
-McuModel selectMcuForCost(const il::ProgramCost &cost);
-
-/**
- * Admission-control diagnostics for @p cost against the platform's
- * MCU fleet: SW017 (error) when no available MCU can run the program,
- * SW201 (note) when the program needs more than the cheapest MCU.
- * Empty when the cheapest MCU suffices.
+ * Admission-control diagnostics for @p plan, charged at plan.cost(),
+ * from its home over the MCU ladder (hub::Placer, placer.h): SW017
+ * (error) when no available MCU can run the program, SW201 (note)
+ * when the program needs more than the cheapest MCU. Empty when the
+ * cheapest MCU suffices.
  */
 std::vector<il::Diagnostic> admissionDiagnostics(
-    const il::ProgramCost &cost);
+    const il::ExecutionPlan &plan);
 
 } // namespace sidewinder::hub
 

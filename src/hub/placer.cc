@@ -9,6 +9,16 @@ namespace sidewinder::hub {
 
 namespace {
 
+// Negotiation constants; they converge every workload in the repo.
+/** Rip-up/re-place rounds before the final repair pass. */
+constexpr std::size_t kMaxIterations = 32;
+/** History cost an executor gains per overflowed round, mW. */
+constexpr double kHistoryIncrementMw = 8.0;
+/** Present-overflow penalty scale, mW per unit overflow. */
+constexpr double kPresentPenaltyMw = 64.0;
+/** Salt for deterministic tie-breaks between equal-cost homes. */
+constexpr std::uint64_t kTieSeed = 0x5157u;
+
 /** splitmix64 finalizer — the placer's stateless tie-break hash. */
 std::uint64_t
 mixHash(std::uint64_t x)
@@ -19,34 +29,28 @@ mixHash(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** Logic-cell footprint of a whole plan (one block per shared node,
- *  the same sizing rule planFpgaPlacement applies). */
-std::size_t
-planLogicCells(const il::ExecutionPlan &plan)
+/** Add @p plan's fabric footprint to @p d: one block per plan node
+ *  (lowering already merged shared ones), and the node's cycle-unit
+ *  demand priced at the fabric's energy per unit,
+ *  mW = (units/s) * nJ/unit * 1e-6.
+ *  @throws ConfigError when some algorithm has no block. */
+void
+addFabricDemand(const il::ExecutionPlan &plan,
+                double nanojoules_per_cycle_unit, PlacementDemand &d)
 {
-    std::size_t cells = 0;
     for (std::size_t i = 0; i < plan.nodeCount(); ++i) {
+        // Buffer-bearing blocks size with the larger of their input
+        // and output frames (a window's cells hold its output frame).
         const std::size_t input_frame =
             plan.inputCounts[i] > 0 ? plan.inputStream(i, 0).frameSize
                                     : 0;
-        const std::size_t sizing_frame =
-            std::max(input_frame, plan.streams[i].frameSize);
-        cells += fpgaCellCost(plan.algorithms[i], sizing_frame);
+        d.logicCells += fpgaCellCost(
+            plan.algorithms[i],
+            std::max(input_frame, plan.streams[i].frameSize));
+        d.dynamicPowerMw += plan.cyclesPerInvoke[i] *
+                            plan.invokeRateHz[i] *
+                            nanojoules_per_cycle_unit * 1e-6;
     }
-    return cells;
-}
-
-/** Dynamic power of a plan on a fabric: cycle-unit demand priced at
- *  the fabric's energy per unit. mW = (units/s) * nJ/unit * 1e-6. */
-double
-planFabricDynamicMw(const il::ExecutionPlan &plan,
-                    double nanojoules_per_cycle_unit)
-{
-    double mw = 0.0;
-    for (std::size_t i = 0; i < plan.nodeCount(); ++i)
-        mw += plan.cyclesPerInvoke[i] * plan.invokeRateHz[i] *
-              nanojoules_per_cycle_unit * 1e-6;
-    return mw;
 }
 
 const char *
@@ -69,6 +73,28 @@ wireTargetFor(const ExecutorModel &executor)
     return executor.kind == ExecutorKind::ApFallback
                ? std::string("ap:local")
                : "hub:" + executor.name;
+}
+
+/** "<name> [<kind>] unfit; cycles 1e+06 > 50000 units/s; ...": every
+ *  capacity an infeasible row @p d exceeds on @p x alone, the binding
+ *  budgets a report or a rejection names. */
+void
+writeUnfit(std::ostream &os, const ExecutorModel &x,
+           const PlacementDemand &d)
+{
+    os << x.name << " [" << kindLabel(x.kind) << "] unfit";
+    if (x.cyclesPerSecond > 0.0 && d.cyclesPerSecond > x.cyclesPerSecond)
+        os << "; cycles " << d.cyclesPerSecond << " > "
+           << x.cyclesPerSecond << " units/s";
+    if (x.ramBytes != 0 && d.ramBytes > x.ramBytes)
+        os << "; ram " << d.ramBytes << " > " << x.ramBytes << " B";
+    if (x.wakeBudgetHz > 0.0 && d.wakeRateHz > x.wakeBudgetHz)
+        os << "; wake " << d.wakeRateHz << " > " << x.wakeBudgetHz
+           << " Hz";
+    if (x.logicCells != 0 && d.logicCells > x.logicCells)
+        os << "; cells " << d.logicCells << " > " << x.logicCells;
+    if (x.kind == ExecutorKind::Fpga && d.logicCells == 0)
+        os << "; no fabric block for some algorithm";
 }
 
 /** Fractional overflow a demand would cause on top of a ledger:
@@ -188,6 +214,18 @@ platformExecutors()
     return executors;
 }
 
+const std::vector<ExecutorModel> &
+mcuExecutors()
+{
+    static const std::vector<ExecutorModel> executors = [] {
+        std::vector<ExecutorModel> ladder;
+        for (const auto &mcu : availableMcus())
+            ladder.push_back(mcuExecutor(mcu));
+        return ladder;
+    }();
+    return executors;
+}
+
 std::string
 executorSetSignature(const std::vector<ExecutorModel> &executors)
 {
@@ -201,8 +239,8 @@ executorSetSignature(const std::vector<ExecutorModel> &executors)
 }
 
 PlacementDemand
-demandFor(const il::ExecutionPlan &plan, const ExecutorModel &executor,
-          const il::ProgramCost &charged)
+demandFor(std::span<const il::ExecutionPlan> plans,
+          const ExecutorModel &executor, const il::ProgramCost &charged)
 {
     PlacementDemand d;
     switch (executor.kind) {
@@ -213,16 +251,14 @@ demandFor(const il::ExecutionPlan &plan, const ExecutorModel &executor,
         break;
       case ExecutorKind::Fpga:
         try {
-            d.logicCells = planLogicCells(plan);
+            for (const il::ExecutionPlan &plan : plans)
+                addFabricDemand(plan, executor.nanojoulesPerCycleUnit, d);
         } catch (const ConfigError &) {
             // An algorithm without a pre-compiled block cannot go on
             // the fabric at all.
-            d.feasible = false;
-            return d;
+            return PlacementDemand{};
         }
         d.wakeRateHz = charged.wakeRateBoundHz;
-        d.dynamicPowerMw = planFabricDynamicMw(
-            plan, executor.nanojoulesPerCycleUnit);
         break;
       case ExecutorKind::ApFallback:
         // The AP runs the condition in software at full rate; its
@@ -234,9 +270,8 @@ demandFor(const il::ExecutionPlan &plan, const ExecutorModel &executor,
     return d;
 }
 
-Placer::Placer(std::vector<ExecutorModel> executors_,
-               PlacerConfig config_)
-    : execs(std::move(executors_)), config(config_)
+Placer::Placer(std::vector<ExecutorModel> executors_)
+    : execs(std::move(executors_))
 {
     if (execs.empty())
         throw ConfigError("placer needs at least one executor");
@@ -252,10 +287,17 @@ std::size_t
 Placer::addCondition(const il::ExecutionPlan &plan,
                      const il::ProgramCost &charged)
 {
+    return addConditions({&plan, 1}, charged);
+}
+
+std::size_t
+Placer::addConditions(std::span<const il::ExecutionPlan> plans,
+                      const il::ProgramCost &charged)
+{
     std::vector<PlacementDemand> row;
     row.reserve(execs.size());
     for (const auto &e : execs)
-        row.push_back(demandFor(plan, e, charged));
+        row.push_back(demandFor(plans, e, charged));
     demands.push_back(std::move(row));
     return demands.size() - 1;
 }
@@ -300,8 +342,8 @@ Placer::place() const
     // ledgers: base cost (activation the condition would trigger plus
     // its dynamic power) + accumulated history cost + the present
     // overflow it would cause, scaled by penalty_mw. Ties break on a
-    // seeded hash, then the lower executor index — placement is a
-    // pure function of (demands, executors, config).
+    // fixed-seed hash, then the lower executor index — placement is
+    // a pure function of (demands, executors).
     auto choose = [&](std::size_t c, double penalty_mw,
                       bool forbid_overflow, int banned) -> int {
         int best = -1;
@@ -319,7 +361,7 @@ Placer::place() const
             const double cost = activation + d.dynamicPowerMw +
                                 history[e] + penalty_mw * over;
             const std::uint64_t tie = mixHash(
-                config.seed ^ (c * 0x9e3779b97f4a7c15ULL) ^
+                kTieSeed ^ (c * 0x9e3779b97f4a7c15ULL) ^
                 (e * 0xc2b2ae3d27d4eb4fULL));
             if (best < 0 || cost < best_cost ||
                 (cost == best_cost &&
@@ -338,7 +380,7 @@ Placer::place() const
     // cheapest home in stable order. Overflow is allowed (penalized,
     // not forbidden) — negotiation resolves it.
     for (std::size_t c = 0; c < C; ++c) {
-        const int e = choose(c, config.presentPenaltyMw, false, -1);
+        const int e = choose(c, kPresentPenaltyMw, false, -1);
         if (e >= 0) {
             assign[c] = e;
             addDemand(led[static_cast<std::size_t>(e)], demands[c][e]);
@@ -349,14 +391,13 @@ Placer::place() const
     // tenants are ripped up (stable order) and re-placed under a
     // present penalty that grows each round, so persistent contention
     // escalates until someone moves to a pricier-but-free home.
-    for (std::size_t iter = 1; iter <= config.maxIterations; ++iter) {
+    for (std::size_t iter = 1; iter <= kMaxIterations; ++iter) {
         bool any_overflow = false;
         for (std::size_t e = 0; e < E; ++e) {
             const double over = ledgerOverflow(execs[e], led[e]);
             if (over > 0.0) {
                 any_overflow = true;
-                history[e] +=
-                    config.historyIncrementMw * (1.0 + over);
+                history[e] += kHistoryIncrementMw * (1.0 + over);
             }
         }
         if (!any_overflow) {
@@ -380,7 +421,7 @@ Placer::place() const
             }
         }
         const double penalty =
-            config.presentPenaltyMw * (1.0 + static_cast<double>(iter));
+            kPresentPenaltyMw * (1.0 + static_cast<double>(iter));
         for (std::size_t c : ripped) {
             const int e = choose(c, penalty, false, -1);
             if (e >= 0) {
@@ -501,13 +542,36 @@ Placer::placeGreedy() const
 
 PlacementDecision
 placeCondition(const il::ExecutionPlan &plan,
-               const std::vector<ExecutorModel> &executors,
-               const PlacerConfig &config)
+               const std::vector<ExecutorModel> &executors)
 {
-    Placer placer(executors, config);
+    Placer placer(executors);
     placer.addCondition(plan);
     PlacementResult result = placer.place();
     return std::move(result.decisions.front());
+}
+
+PlacementDecision
+homeConditions(std::span<const il::ExecutionPlan> plans,
+               const il::ProgramCost &charged,
+               const std::vector<ExecutorModel> &executors)
+{
+    Placer placer(executors);
+    placer.addConditions(plans, charged);
+    PlacementResult result = placer.place();
+    if (result.decisions.front().placed())
+        return std::move(result.decisions.front());
+    // One tenant on empty ledgers is unplaced only when every row is
+    // infeasible, so each executor has a budget to name.
+    std::ostringstream msg;
+    msg << "no hub executor can home the "
+        << (plans.size() == 1 ? "condition" : "conditions") << " (";
+    for (std::size_t e = 0; e < executors.size(); ++e) {
+        if (e != 0)
+            msg << ", ";
+        writeUnfit(msg, executors[e], placer.demandRow(0)[e]);
+    }
+    msg << ')';
+    throw CapabilityError(msg.str());
 }
 
 il::Diagnostic
@@ -532,10 +596,9 @@ placementNote(const PlacementDecision &home)
 
 std::string
 renderPlacementReport(const il::ExecutionPlan &plan,
-                      const std::vector<ExecutorModel> &executors,
-                      const PlacerConfig &config)
+                      const std::vector<ExecutorModel> &executors)
 {
-    Placer placer(executors, config);
+    Placer placer(executors);
     placer.addCondition(plan);
     const PlacementResult negotiated = placer.place();
     const PlacementResult greedy = placer.placeGreedy();
@@ -560,28 +623,13 @@ renderPlacementReport(const il::ExecutionPlan &plan,
     for (std::size_t e = 0; e < executors.size(); ++e) {
         const ExecutorModel &x = executors[e];
         const PlacementDemand &d = row[e];
-        os << "  " << x.name << " [" << kindLabel(x.kind) << "] ";
+        os << "  ";
         if (!d.feasible) {
-            os << "unfit";
-            if (x.cyclesPerSecond > 0.0 &&
-                d.cyclesPerSecond > x.cyclesPerSecond)
-                os << "; cycles " << d.cyclesPerSecond << " > "
-                   << x.cyclesPerSecond << " units/s";
-            if (x.ramBytes != 0 && d.ramBytes > x.ramBytes)
-                os << "; ram " << d.ramBytes << " > " << x.ramBytes
-                   << " B";
-            if (x.wakeBudgetHz > 0.0 && d.wakeRateHz > x.wakeBudgetHz)
-                os << "; wake " << d.wakeRateHz << " > "
-                   << x.wakeBudgetHz << " Hz";
-            if (x.logicCells != 0 && d.logicCells > x.logicCells)
-                os << "; cells " << d.logicCells << " > "
-                   << x.logicCells;
-            if (x.kind == ExecutorKind::Fpga && d.logicCells == 0)
-                os << "; no fabric block for some algorithm";
+            writeUnfit(os, x, d);
             os << '\n';
             continue;
         }
-        os << "fit; ";
+        os << x.name << " [" << kindLabel(x.kind) << "] fit; ";
         switch (x.kind) {
           case ExecutorKind::Mcu:
             os << "demand " << d.cyclesPerSecond << " units/s, "

@@ -3,12 +3,15 @@
  * Fleet-level negotiated-congestion placement across heterogeneous
  * hub executors (MCU / FPGA / AP-fallback).
  *
- * The paper's "Sizing" step (Section 3.8) picks one hub per condition
- * greedily: the cheapest MCU that sustains the load, or the FPGA when
- * that backend is forced. A fleet serving thousands of tenants wants
- * the dual question answered globally: given a *set* of admitted
- * conditions and a *set* of executors with cycle / RAM / wake /
- * logic-cell capacities, find the assignment minimizing total power.
+ * The paper's "Sizing" step (Section 3.8) picks the hub a condition
+ * runs on: the MSP430 cannot run the siren's FFT, so Table 2 puts it
+ * on the LM4F120. The placer is the one place that makes this
+ * decision, for one condition, for one hub's set of conditions, and
+ * for a fleet serving thousands of tenants, which asks it globally:
+ * given a *set* of admitted conditions and a *set* of executors with
+ * cycle / RAM / wake / logic-cell capacities, find the assignment
+ * minimizing total power. With one tenant its minimum-power home is
+ * the cheapest executor that fits alone.
  *
  * That is a packing problem, and the placer borrows the
  * negotiated-congestion pattern FPGA routers use (PathFinder-style:
@@ -20,9 +23,9 @@
  * their tenants are ripped up and re-placed under a growing present
  * penalty until no capacity is exceeded (or the iteration cap trips
  * and a final repair pass evicts newest-first). Ordering is stable
- * and tie-breaks are seeded hashes, so placement is a pure
- * deterministic function of (conditions, executors, config) —
- * independent of thread count, repeatable run over run.
+ * and tie-breaks are fixed-seed hashes, so placement is a pure
+ * deterministic function of (conditions, executors) — independent of
+ * thread count, repeatable run over run.
  *
  * The greedy baseline survives as Placer::placeGreedy() (first-fit in
  * executor order, no re-homing) for the bench_placement ablation.
@@ -32,7 +35,7 @@
 #define SIDEWINDER_HUB_PLACER_H
 
 #include <cstddef>
-#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -101,15 +104,18 @@ ExecutorModel apFallbackExecutor();
  */
 const std::vector<ExecutorModel> &platformExecutors();
 
+/** The MCU ladder, availableMcus() as placement targets in order. */
+const std::vector<ExecutorModel> &mcuExecutors();
+
 /** Stable signature of an executor set (cache keys, reports). */
 std::string executorSetSignature(
     const std::vector<ExecutorModel> &executors);
 
 /**
- * What one condition consumes on one executor. Axes the executor
- * does not model are 0. `feasible` is the empty-ledger check: false
- * when the condition cannot fit this executor even alone (or, for an
- * FPGA, when some algorithm has no pre-compiled block).
+ * What one tenant consumes on one executor. Axes the executor does
+ * not model are 0. `feasible` is the empty-ledger check: false when
+ * the tenant cannot fit this executor even alone (or, for an FPGA,
+ * when some algorithm has no pre-compiled block).
  */
 struct PlacementDemand
 {
@@ -123,13 +129,18 @@ struct PlacementDemand
 };
 
 /**
- * Demand of @p plan on @p executor. @p charged overrides the
- * cycle/RAM/wake numbers (a fleet charges the engine's *marginal*
- * cost under cross-condition sharing, and admission substitutes the
- * range-proven wake bound); pass plan.cost() for a standalone
- * condition. FPGA logic cells always come from the plan's nodes.
+ * Demand of the conditions @p plans, one tenant, on @p executor.
+ * @p charged gives the cycle/RAM/wake numbers: plan.cost() for a
+ * standalone condition; the engine's *marginal* cost under
+ * cross-condition sharing and the range-proven wake bound for a fleet
+ * tenant; the sums one engine holding all of @p plans reports (shared
+ * nodes counted once) for a hub's condition set. On an FPGA the
+ * logic cells and dynamic power come from the plans' nodes: one
+ * pre-compiled block per plan node, sized by the larger of its input
+ * and output frames, and the node's cycle-unit demand priced at the
+ * fabric's energy per unit.
  */
-PlacementDemand demandFor(const il::ExecutionPlan &plan,
+PlacementDemand demandFor(std::span<const il::ExecutionPlan> plans,
                           const ExecutorModel &executor,
                           const il::ProgramCost &charged);
 
@@ -191,19 +202,6 @@ struct PlacementResult
     std::size_t unplaced = 0;
 };
 
-/** Negotiation knobs. Defaults converge every workload in the repo. */
-struct PlacerConfig
-{
-    /** Rip-up/re-place rounds before the final repair pass. */
-    std::size_t maxIterations = 32;
-    /** History cost an executor gains per overflowed round, mW. */
-    double historyIncrementMw = 8.0;
-    /** Present-overflow penalty scale, mW per unit overflow. */
-    double presentPenaltyMw = 64.0;
-    /** Salt for deterministic tie-breaks between equal-cost homes. */
-    std::uint64_t seed = 0x5157u;
-};
-
 /**
  * The placement engine. Register conditions (their demand rows are
  * computed once, against every executor), then place(). The object
@@ -213,8 +211,7 @@ struct PlacerConfig
 class Placer
 {
   public:
-    explicit Placer(std::vector<ExecutorModel> executors,
-                    PlacerConfig config = {});
+    explicit Placer(std::vector<ExecutorModel> executors);
 
     /** Register a standalone condition (charged at plan.cost()). */
     std::size_t addCondition(const il::ExecutionPlan &plan);
@@ -223,6 +220,11 @@ class Placer
      *  the engine's marginal cost + the proven wake bound). */
     std::size_t addCondition(const il::ExecutionPlan &plan,
                              const il::ProgramCost &charged);
+
+    /** Register the conditions one engine holds as one tenant,
+     *  charged at the engine's load (see demandFor). */
+    std::size_t addConditions(std::span<const il::ExecutionPlan> plans,
+                              const il::ProgramCost &charged);
 
     /** Unregister the most recently added condition (a rejected
      *  admission backs out without rebuilding the table). */
@@ -234,15 +236,14 @@ class Placer
 
     /**
      * Negotiated-congestion placement of every registered condition.
-     * Pure and deterministic: same conditions + executors + config
-     * give bit-identical results at any thread count, run over run.
+     * Pure and deterministic: same conditions + executors give
+     * bit-identical results at any thread count, run over run.
      */
     PlacementResult place() const;
 
     /**
      * The frozen pre-placer baseline: first-fit in executor order
-     * with running ledgers, no history, no rip-up — exactly the
-     * selectMcu/planFpgaPlacement ladder. Kept for the
+     * with running ledgers, no history, no rip-up. Kept for the
      * bench_placement ablation.
      */
     PlacementResult placeGreedy() const;
@@ -264,20 +265,29 @@ class Placer
 
   private:
     std::vector<ExecutorModel> execs;
-    PlacerConfig config;
     /** demands[condition][executor]. */
     std::vector<std::vector<PlacementDemand>> demands;
 };
 
 /**
- * Place one condition on an otherwise empty executor set — the
- * single-condition sizing question selectMcu/planFpgaPlacement used
- * to answer, now asked of the whole placement space.
+ * Place one condition on an otherwise empty executor set: the
+ * single-condition sizing question. Unplaced when nothing fits.
  */
 PlacementDecision placeCondition(
     const il::ExecutionPlan &plan,
-    const std::vector<ExecutorModel> &executors,
-    const PlacerConfig &config = {});
+    const std::vector<ExecutorModel> &executors);
+
+/**
+ * Home one tenant, the conditions @p plans charged at @p charged
+ * (see demandFor), on an otherwise empty executor set: the sizing
+ * decision of every simulated hub.
+ * @throws CapabilityError when no executor fits the tenant alone,
+ *     naming each executor's binding budgets.
+ */
+PlacementDecision homeConditions(
+    std::span<const il::ExecutionPlan> plans,
+    const il::ProgramCost &charged,
+    const std::vector<ExecutorModel> &executors);
 
 /**
  * SW203 note surfaced at push time: where the placer homed the
@@ -294,8 +304,7 @@ il::Diagnostic placementNote(const PlacementDecision &home);
  */
 std::string renderPlacementReport(
     const il::ExecutionPlan &plan,
-    const std::vector<ExecutorModel> &executors,
-    const PlacerConfig &config = {});
+    const std::vector<ExecutorModel> &executors);
 
 } // namespace sidewinder::hub
 

@@ -26,9 +26,9 @@
  *    that plan — abstract cycles/second from firing rates x
  *    per-algorithm cost, state-block + frame RAM bytes, and the
  *    worst-case wake-rate bound at OUT — the same numbers
- *    hub::admissionDiagnostics(), hub::selectMcuForPlan() and the hub
- *    runtime check against McuModel budgets for a provable
- *    admission-control verdict;
+ *    hub::admissionDiagnostics(), hub::Placer and the hub runtime
+ *    check against McuModel budgets for a provable admission-control
+ *    verdict;
  *  - beyond legality it reports warnings the developer can act on:
  *    duplicate subtrees (the nodes the builder merges), identity
  *    stages, subsumed threshold chains, unconditional wake-ups,
@@ -202,6 +202,13 @@ std::string renderText(const AnalysisResult &result,
 /** Render @p result as a single JSON object (diagnostics + cost). */
 std::string renderJson(const AnalysisResult &result,
                        const std::string &source_name);
+
+/**
+ * @p text as the body of a JSON string: quote, backslash and every
+ * control byte escaped. The one escaper of every JSON the IL tools
+ * print.
+ */
+std::string escapeJson(const std::string &text);
 
 } // namespace sidewinder::il
 

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "hub/mcu.h"
+#include "hub/placer.h"
 #include "il/lower.h"
 #include "sim/replay.h"
 #include "support/error.h"
@@ -46,9 +46,9 @@ simulateDevice(const std::vector<DeviceDomain> &domains,
             throw ConfigError(
                 "device domain traces must share a duration");
 
-    // Each domain's hub runs its apps' wake conditions on the
-    // lowest-power MCU that fits their combined load; any trigger
-    // wakes the one shared main CPU.
+    // Each domain's hub runs its apps' wake conditions on the MCU the
+    // placer homes their combined load on; any trigger wakes the one
+    // shared main CPU.
     DeviceResult result;
     PowerModel model = nexus4();
     std::vector<detail::HubDomain> hubs;
@@ -63,14 +63,20 @@ simulateDevice(const std::vector<DeviceDomain> &domains,
             conditions.push_back(il::lower(
                 app->wakeCondition().compile(), hub_domain.channels,
                 il::LowerOptions{config.shareHubNodes}));
-        result.domains.push_back(detail::replayEngineHub(
-            hub_domain, conditions, config.shareHubNodes,
-            [](const il::ProgramCost &load) {
-                const hub::McuModel mcu = hub::selectMcuForCost(load);
-                return detail::HubChoice{mcu.name, mcu.activePowerMw};
-            }));
-        result.totalHubMw += result.domains.back().hubMw;
-        model.hubMw += result.domains.back().hubMw;
+        const il::ProgramCost load = detail::replayEngineHub(
+            hub_domain, conditions, config.shareHubNodes);
+        // Size the hub against the full budget set: a node mix that
+        // fits the MSP430's cycle budget can still blow its 16 KB of
+        // SRAM.
+        const hub::PlacementDecision home =
+            hub::homeConditions(conditions, load, hub::mcuExecutors());
+        DeviceDomainResult &hub_result = result.domains.emplace_back();
+        hub_result.mcuName = home.executorName;
+        hub_result.hubMw = home.marginalPowerMw;
+        hub_result.hubNodeCount = load.planNodeCount;
+        hub_result.hubCyclesPerSecond = load.cyclesPerSecond;
+        result.totalHubMw += hub_result.hubMw;
+        model.hubMw += hub_result.hubMw;
     }
 
     DeviceTimeline timeline(total);

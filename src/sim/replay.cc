@@ -1,7 +1,6 @@
 #include "sim/replay.h"
 
 #include "hub/fpga.h"
-#include "hub/mcu.h"
 #include "support/error.h"
 
 namespace sidewinder::sim::detail {
@@ -12,8 +11,7 @@ placeOnBackend(const il::ExecutionPlan &plan, HubBackend backend)
     std::vector<hub::ExecutorModel> space;
     switch (backend) {
       case HubBackend::Microcontroller:
-        for (const auto &mcu : hub::availableMcus())
-            space.push_back(hub::mcuExecutor(mcu));
+        space = hub::mcuExecutors();
         break;
       case HubBackend::Fpga:
         space.push_back(hub::fpgaExecutor(hub::ice40Hub()));
@@ -22,15 +20,7 @@ placeOnBackend(const il::ExecutionPlan &plan, HubBackend backend)
         space = hub::platformExecutors();
         break;
     }
-    const hub::PlacementDecision home = hub::placeCondition(plan, space);
-    if (home.placed())
-        return home;
-    if (backend == HubBackend::Fpga)
-        throw CapabilityError("condition does not fit the FPGA fabric");
-    // Re-derive selectMcu's diagnostic (names the binding budget);
-    // unreachable when the space holds the always-feasible AP fallback.
-    hub::selectMcuForCost(plan.cost());
-    throw CapabilityError("no hub executor can home the condition");
+    return hub::homeConditions({&plan, 1}, plan.cost(), space);
 }
 
 HubDomain::HubDomain(const trace::Trace &trace,
@@ -58,14 +48,11 @@ HubDomain::HubDomain(const trace::Trace &trace,
         lookback = config.lookbackSeconds;
 }
 
-DeviceDomainResult
-replayEngineHub(
-    HubDomain &domain, std::span<const il::ExecutionPlan> conditions,
-    bool share_nodes,
-    const std::function<HubChoice(const il::ProgramCost &)> &choose)
+il::ProgramCost
+replayEngineHub(HubDomain &domain,
+                std::span<const il::ExecutionPlan> conditions,
+                bool share_nodes)
 {
-    // Size the hub against the full budget set: a node mix that fits
-    // the MSP430's cycle budget can still blow its 16 KB of SRAM.
     hub::Engine engine(domain.channels, share_nodes);
     il::ProgramCost load;
     for (std::size_t c = 0; c < conditions.size(); ++c) {
@@ -74,17 +61,11 @@ replayEngineHub(
     }
     load.cyclesPerSecond = engine.estimatedCyclesPerSecond();
     load.ramBytes = engine.estimatedRamBytes();
-    const HubChoice hub = choose(load);
-
-    DeviceDomainResult result;
-    result.mcuName = hub.name;
-    result.hubMw = hub.powerMw;
-    result.hubNodeCount = engine.nodeCount();
-    result.hubCyclesPerSecond = load.cyclesPerSecond;
+    load.planNodeCount = engine.nodeCount();
     replayTrace(engine, *domain.trace, [&](const hub::WakeEvent &event) {
         domain.triggers[event.conditionId - 1].push_back(event.timestamp);
     });
-    return result;
+    return load;
 }
 
 std::vector<Interval>

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -168,8 +167,9 @@ meanLatency(const trace::Trace &trace, const std::string &event_type,
 }
 
 /**
- * Home @p plan on @p backend's executor space: the shipped MCUs, the
- * iCE40 fabric, or the whole platform under the placer.
+ * Home @p plan, charged at plan.cost(), on @p backend's executor
+ * space under the placer: the shipped MCUs, the iCE40 fabric, or the
+ * whole platform.
  *
  * @throws CapabilityError when no executor of the space can home it.
  */
@@ -210,28 +210,20 @@ struct HubDomain
               const SimConfig &config);
 };
 
-/** The executor a hub runs on and the power it adds, mW. */
-struct HubChoice
-{
-    std::string name;
-    double powerMw = 0.0;
-};
-
 /**
  * The direct-engine trigger source: install @p conditions (one plan
  * per app of @p domain, lowered against domain.channels) as ids 1..N
  * on a fresh hub::Engine, the path the hub runtime takes at
- * admission; let @p choose pick the hub from their combined load
- * (engine cycles and RAM, summed wake bounds); then replay the
- * domain's trace and record every condition's triggers on @p domain.
+ * admission; then replay the domain's trace and record every
+ * condition's triggers on @p domain.
  *
- * @returns the hub's name, power, node count and cycle demand (apps
- *     left empty for scoreApp).
+ * @returns the load the engine held, the demand its hub is sized for:
+ *     cycles and RAM with shared nodes counted once, the summed wake
+ *     bounds, and its live node count as planNodeCount.
  */
-DeviceDomainResult replayEngineHub(
+il::ProgramCost replayEngineHub(
     HubDomain &domain, std::span<const il::ExecutionPlan> conditions,
-    bool share_nodes,
-    const std::function<HubChoice(const il::ProgramCost &)> &choose);
+    bool share_nodes);
 
 /**
  * Wake the phone one transition after every trigger of @p domains for

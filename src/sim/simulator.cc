@@ -173,8 +173,8 @@ simulate(const trace::Trace &trace, const apps::Application &app,
         const il::ExecutionPlan plan =
             il::lower(program, domain.channels,
                       il::LowerOptions{config.shareHubNodes});
-        detail::HubChoice home{hub::msp430().name,
-                               hub::msp430().activePowerMw};
+        result.mcuName = hub::msp430().name;
+        model.hubMw = hub::msp430().activePowerMw;
         if (sidewinder) {
             // Placement prices the deduplicated plan, the form a
             // sharing hub runs, even when this engine does not share.
@@ -184,14 +184,10 @@ simulate(const trace::Trace &trace, const apps::Application &app,
                     : detail::placeOnBackend(
                           il::lower(program, domain.channels),
                           config.hubBackend);
-            home = {result.placement.executorName,
-                    result.placement.marginalPowerMw};
+            result.mcuName = result.placement.executorName;
+            model.hubMw = result.placement.marginalPowerMw;
         }
-        detail::replayEngineHub(
-            domain, {&plan, 1}, config.shareHubNodes,
-            [&](const il::ProgramCost &) { return home; });
-        result.mcuName = home.name;
-        model.hubMw = home.powerMw;
+        detail::replayEngineHub(domain, {&plan, 1}, config.shareHubNodes);
         const auto merged = detail::wakeWindows(
             timeline, {&domain, 1}, model, result.timeline);
         result.averagePowerMw = result.timeline.averagePowerMw;

@@ -10,7 +10,7 @@
 #include "apps/apps.h"
 #include "engine_plan.h"
 #include "hub/engine.h"
-#include "hub/mcu.h"
+#include "hub/placer.h"
 #include "il/lower.h"
 #include "metrics/events.h"
 #include "sim/simulator.h"
@@ -116,9 +116,9 @@ TEST(FloorsApp, QuietDayNeverWakes)
 TEST(FloorsApp, FitsTheMsp430)
 {
     const auto app = makeFloorsApp();
-    EXPECT_EQ(hub::selectMcuForPlan(il::lower(app->wakeCondition().compile(),
-                                              app->channels()))
-                  .name,
+    const il::ExecutionPlan plan =
+        il::lower(app->wakeCondition().compile(), app->channels());
+    EXPECT_EQ(hub::placeCondition(plan, hub::mcuExecutors()).executorName,
               "MSP430");
 }
 

@@ -2,6 +2,7 @@
  * @file
  * Tests for the negotiated-congestion placer (hub/placer.h):
  * single-condition marginals against the capability models, the
+ * fabric sizing rule, a condition set as one tenant, the
  * fabric-rescue scenario greedy over-provisions, determinism across
  * repeated runs and concurrent callers, ledger soundness on fuzzed
  * workloads, admit-superset-of-greedy on the shipped-app corpus, and
@@ -111,7 +112,7 @@ TEST(Placer, LightConditionOnMcuLadderHomesOnMsp430)
         il::lower(p, core::accelerometerChannels());
 
     // On the MCU ladder the cheapest sufficient part wins, at exactly
-    // its active power (the old selectMcu answer).
+    // its active power.
     const PlacementDecision home = placeCondition(
         plan, {mcuExecutor(msp430()), mcuExecutor(lm4f120())});
     ASSERT_TRUE(home.placed());
@@ -129,21 +130,83 @@ TEST(Placer, LightConditionOnMcuLadderHomesOnMsp430)
     EXPECT_LT(platform.marginalPowerMw, msp430().activePowerMw);
 }
 
-TEST(Placer, FpgaOnlySpaceMatchesPlanFpgaPlacement)
+TEST(Placer, FpgaOnlySpaceChargesTheFabricRow)
 {
     const auto siren = apps::makeSirenApp();
     const il::ExecutionPlan plan = appPlan(*siren);
     const FpgaModel fpga = ice40Hub();
 
-    const PlacementDecision home =
-        placeCondition(plan, {fpgaExecutor(fpga)});
-    const FpgaPlacement reference = planFpgaPlacement(plan, fpga);
-    ASSERT_TRUE(reference.fits);
+    // The fabric sizing rule, restated: one pre-compiled block per
+    // plan node sized by the larger of its input and output frames,
+    // and each node's cycle-unit demand at the fabric's nJ per unit.
+    std::size_t cells = 0;
+    double dynamic_mw = 0.0;
+    for (std::size_t i = 0; i < plan.nodeCount(); ++i) {
+        const std::size_t input_frame =
+            plan.inputCounts[i] > 0 ? plan.inputStream(i, 0).frameSize
+                                    : 0;
+        cells += fpgaCellCost(
+            plan.algorithms[i],
+            std::max(input_frame, plan.streams[i].frameSize));
+        dynamic_mw += plan.cyclesPerInvoke[i] * plan.invokeRateHz[i] *
+                      fpga.nanojoulesPerCycleUnit * 1e-6;
+    }
+
+    Placer placer({fpgaExecutor(fpga)});
+    placer.addCondition(plan);
+    const PlacementDemand &row = placer.demandRow(0).front();
+    EXPECT_TRUE(row.feasible);
+    EXPECT_EQ(row.logicCells, cells);
+    EXPECT_EQ(row.dynamicPowerMw, dynamic_mw);
+    EXPECT_LE(cells, fpga.logicCells);
+
+    const PlacementDecision home = placer.place().decisions.front();
     ASSERT_TRUE(home.placed());
     EXPECT_EQ(home.executorName, fpga.name);
-    // Sole tenant: marginal = static + dynamic = the old total.
-    EXPECT_DOUBLE_EQ(home.marginalPowerMw,
-                     reference.totalPowerMw(fpga));
+    // Sole tenant: marginal = static + dynamic.
+    EXPECT_EQ(home.marginalPowerMw, fpga.staticPowerMw + dynamic_mw);
+}
+
+TEST(Placer, ConditionSetIsOneTenant)
+{
+    // A hub's condition set is one demand row: the MCU axes read the
+    // load the caller charges, and the fabric's cells and power add
+    // up over the plans.
+    const auto siren = apps::makeSirenApp();
+    const auto music = apps::makeMusicJournalApp();
+    const std::vector<il::ExecutionPlan> plans = {appPlan(*siren),
+                                                  appPlan(*music)};
+    il::ProgramCost load;
+    load.cyclesPerSecond = 123.0;
+    load.ramBytes = 456;
+    load.wakeRateBoundHz = 0.5;
+
+    Placer set(platformExecutors());
+    set.addConditions(plans, load);
+    Placer one(platformExecutors());
+    one.addCondition(plans[0]);
+    one.addCondition(plans[1]);
+    ASSERT_EQ(set.conditionCount(), 1u);
+    for (std::size_t e = 0; e < platformExecutors().size(); ++e) {
+        const PlacementDemand &d = set.demandRow(0)[e];
+        switch (platformExecutors()[e].kind) {
+          case ExecutorKind::Mcu:
+            EXPECT_EQ(d.cyclesPerSecond, load.cyclesPerSecond);
+            EXPECT_EQ(d.ramBytes, load.ramBytes);
+            EXPECT_EQ(d.wakeRateHz, load.wakeRateBoundHz);
+            break;
+          case ExecutorKind::Fpga:
+            EXPECT_EQ(d.logicCells, one.demandRow(0)[e].logicCells +
+                                        one.demandRow(1)[e].logicCells);
+            EXPECT_DOUBLE_EQ(d.dynamicPowerMw,
+                             one.demandRow(0)[e].dynamicPowerMw +
+                                 one.demandRow(1)[e].dynamicPowerMw);
+            break;
+          case ExecutorKind::ApFallback:
+            EXPECT_TRUE(d.feasible);
+            break;
+        }
+    }
 }
 
 /**
@@ -238,22 +301,6 @@ TEST(Placer, ConcurrentCallersAgreeWithSerial)
     }
 }
 
-TEST(Placer, SeedChangesOnlyBreakTies)
-{
-    // Different seeds may pick different equal-cost homes but must
-    // agree on total power and the placed/unplaced split.
-    Placer a(platformExecutors(), PlacerConfig{32, 8.0, 64.0, 1});
-    Placer b(platformExecutors(), PlacerConfig{32, 8.0, 64.0, 2});
-    for (const auto &[name, plan] : shippedPlans()) {
-        a.addCondition(plan);
-        b.addCondition(plan);
-    }
-    const PlacementResult ra = a.place();
-    const PlacementResult rb = b.place();
-    EXPECT_DOUBLE_EQ(ra.totalPowerMw, rb.totalPowerMw);
-    EXPECT_EQ(ra.unplaced, rb.unplaced);
-}
-
 // ---------------------------------------------------------------------
 // Ledger soundness under contention (fuzzed).
 
@@ -329,9 +376,7 @@ TEST(Placer, FuzzedWorkloadsEndWithSoundLedgers)
         if (rng.chance(0.5))
             executors.push_back(apFallbackExecutor());
 
-        Placer placer(executors,
-                      PlacerConfig{32, 8.0, 64.0,
-                                   static_cast<std::uint64_t>(round)});
+        Placer placer(executors);
         for (const auto &plan : plans)
             placer.addCondition(plan);
         const PlacementResult result = placer.place();

@@ -22,6 +22,7 @@
 #include "apps/predefined.h"
 #include "core/sensors.h"
 #include "hub/mcu.h"
+#include "hub/placer.h"
 #include "il/algorithm_info.h"
 #include "il/analyze.h"
 #include "il/lower.h"
@@ -264,10 +265,12 @@ TEST(Analyze, SelectMcuRejectsRamHogThatValidatePasses)
         hub::canRunInRealTime(hub::msp430(),
                               result.cost.cyclesPerSecond));
     EXPECT_GT(result.cost.ramBytes, hub::lm4f120().ramBytes);
-    EXPECT_THROW(hub::selectMcuForPlan(lower(program, kChannels)),
+    EXPECT_THROW(hub::homeConditions({&result.plan, 1},
+                                     result.plan.cost(),
+                                     hub::mcuExecutors()),
                  CapabilityError);
 
-    const auto verdict = hub::admissionDiagnostics(result.cost);
+    const auto verdict = hub::admissionDiagnostics(result.plan);
     ASSERT_EQ(verdict.size(), 1u);
     EXPECT_EQ(verdict.front().code, SW017_ADMISSION);
     EXPECT_EQ(verdict.front().severity, Severity::Error);
@@ -285,7 +288,7 @@ TEST(Analyze, AdmissionNotesTheBiggerMcu)
         "4 -> minThreshold(id=5, params={4});\n"
         "5 -> OUT;\n");
     ASSERT_TRUE(result.ok());
-    const auto verdict = hub::admissionDiagnostics(result.cost);
+    const auto verdict = hub::admissionDiagnostics(result.plan);
     ASSERT_EQ(verdict.size(), 1u);
     EXPECT_EQ(verdict.front().code, SW201_MCU_ASSIGNMENT);
     EXPECT_EQ(verdict.front().severity, Severity::Note);
@@ -295,21 +298,29 @@ TEST(Analyze, AdmissionNotesTheBiggerMcu)
 
 TEST(Analyze, FitsBudgetChecksBothAxes)
 {
+    // The placer's demand row on an MCU: feasible only when both the
+    // compute and the RAM budget hold.
+    const auto fits = [](const hub::McuModel &mcu,
+                         const ProgramCost &cost) {
+        return hub::demandFor({}, hub::mcuExecutor(mcu), cost).feasible;
+    };
     ProgramCost cost;
     cost.cyclesPerSecond = 1000.0;
     cost.ramBytes = 1024;
-    EXPECT_TRUE(hub::fitsBudget(hub::msp430(), cost));
+    EXPECT_TRUE(fits(hub::msp430(), cost));
     cost.ramBytes = 64 * 1024;
-    EXPECT_FALSE(hub::fitsBudget(hub::msp430(), cost));
+    EXPECT_FALSE(fits(hub::msp430(), cost));
     cost.ramBytes = 1024;
     cost.cyclesPerSecond = 1e9;
-    EXPECT_FALSE(hub::fitsBudget(hub::msp430(), cost));
+    EXPECT_FALSE(fits(hub::msp430(), cost));
 
     // ramBytes == 0 means "no RAM budget modeled": only cycles gate.
     const hub::McuModel legacy{"legacy", 1.0, 2000.0};
     cost.cyclesPerSecond = 1000.0;
     cost.ramBytes = 1u << 30;
-    EXPECT_TRUE(hub::fitsBudget(legacy, cost));
+    EXPECT_TRUE(fits(legacy, cost));
+    cost.cyclesPerSecond = 3000.0;
+    EXPECT_FALSE(fits(legacy, cost));
 }
 
 // ---------------------------------------------------------------------
@@ -374,7 +385,7 @@ TEST(AnalyzeCorpus, EveryFileTriggersExactlyItsExpectedCodes)
         ASSERT_NO_THROW(result = analyzeText(text.str())) << name;
         // Fold in the admission verdict exactly as swlint does.
         if (result.ok())
-            for (auto &d : hub::admissionDiagnostics(result.cost))
+            for (auto &d : hub::admissionDiagnostics(result.plan))
                 result.diagnostics.push_back(std::move(d));
 
         EXPECT_EQ(codesOf(result), expected)

@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "apps/apps.h"
+#include "core/algorithm.h"
+#include "core/pipeline.h"
+#include "core/sensors.h"
 #include "sim/concurrent.h"
 #include "support/error.h"
 #include "trace/audio_gen.h"
@@ -89,6 +92,68 @@ TEST(Device, TwoHubsAllAppsFullRecall)
     // below Always Awake yet above the hub floor.
     EXPECT_GT(result.averagePowerMw, result.totalHubMw + 9.7);
     EXPECT_LT(result.averagePowerMw, 323.0);
+}
+
+/** An accelerometer app whose condition holds a window of
+ *  @p samples: about 4 bytes of hub RAM per sample. */
+class WindowApp : public apps::Application
+{
+  public:
+    explicit WindowApp(int samples) : samples(samples) {}
+
+    std::string name() const override { return "window"; }
+    std::string eventType() const override { return "step"; }
+    std::vector<il::ChannelInfo>
+    channels() const override
+    {
+        return {{core::channel::accelerometerX, 50.0}};
+    }
+    core::ProcessingPipeline
+    wakeCondition() const override
+    {
+        core::ProcessingBranch branch(core::channel::accelerometerX);
+        branch.add(core::Window(samples));
+        branch.add(core::Rms());
+        core::ProcessingPipeline pipeline;
+        pipeline.add(std::move(branch));
+        pipeline.add(core::MinThreshold(1.0));
+        return pipeline;
+    }
+    std::vector<double>
+    classify(const trace::Trace &, std::size_t, std::size_t) const override
+    {
+        return {};
+    }
+
+  private:
+    int samples;
+};
+
+TEST(Device, DomainNoMcuFitsThrowsCapabilityError)
+{
+    // Each condition fits the LM4F120's 32 KB alone (20120 and 20124
+    // bytes); one hub holding both does not, and the placer names the
+    // budget that binds.
+    const auto accel = accelTrace(60.0);
+    std::vector<std::unique_ptr<apps::Application>> one;
+    one.push_back(std::make_unique<WindowApp>(5000));
+    EXPECT_EQ(simulateDevice({DeviceDomain{&accel, &one}})
+                  .domains.front()
+                  .mcuName,
+              "LM4F120");
+
+    std::vector<std::unique_ptr<apps::Application>> two;
+    two.push_back(std::make_unique<WindowApp>(5000));
+    two.push_back(std::make_unique<WindowApp>(5001));
+    try {
+        simulateDevice({DeviceDomain{&accel, &two}});
+        FAIL() << "a 40 KB domain fits no MCU";
+    } catch (const CapabilityError &error) {
+        EXPECT_STREQ(error.what(),
+                     "no hub executor can home the conditions "
+                     "(MSP430 [mcu] unfit; ram 40244 > 16384 B, "
+                     "LM4F120 [mcu] unfit; ram 40244 > 32768 B)");
+    }
 }
 
 TEST(Device, SingleDomainMatchesConcurrentPower)

@@ -77,33 +77,6 @@ struct LintUnit
     std::string parseFailure;
 };
 
-/** Minimal JSON string escaping for names and error texts. */
-std::string
-escapeJson(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            out += c;
-        }
-    }
-    return out;
-}
-
 void
 usage(std::ostream &out)
 {
@@ -257,7 +230,7 @@ lint(const LintUnit &unit, const Options &options)
             result.diagnostics.push_back(d);
     }
     if (result.ok()) {
-        for (auto &d : hub::admissionDiagnostics(result.cost))
+        for (auto &d : hub::admissionDiagnostics(plan))
             result.diagnostics.push_back(std::move(d));
 
         // Recovery-cost note (SW202): after a hub reset, the phone
@@ -443,11 +416,12 @@ main(int argc, char **argv)
                         hub::placeCondition(plan,
                                             hub::platformExecutors());
                     std::ostringstream os;
-                    os << "{\"program\":\"" << escapeJson(unit.name)
+                    os << "{\"program\":\""
+                       << il::escapeJson(unit.name)
                        << "\",\"executor\":\""
-                       << escapeJson(home.executorName)
+                       << il::escapeJson(home.executorName)
                        << "\",\"wireTarget\":\""
-                       << escapeJson(home.wireTarget)
+                       << il::escapeJson(home.wireTarget)
                        << "\",\"marginalPowerMw\":"
                        << home.marginalPowerMw << "}";
                     placeJson += (i ? ",\n" : "\n") + os.str();
@@ -460,9 +434,9 @@ main(int argc, char **argv)
                 if (options.json)
                     placeJson += (i ? ",\n" : "\n") +
                                  std::string("{\"program\":\"") +
-                                 escapeJson(unit.name) +
+                                 il::escapeJson(unit.name) +
                                  "\",\"error\":\"" +
-                                 escapeJson(error.what()) + "\"}";
+                                 il::escapeJson(error.what()) + "\"}";
                 else
                     std::cout << "error: " << error.what() << "\n";
             }
