@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "hub/placer.h"
-#include "support/error.h"
 
 namespace sidewinder::hub {
 

@@ -12,7 +12,8 @@
  * il::AlgorithmInfo::cyclesPerUnit. Budgets are calibrated so that
  * accelerometer pipelines (50 Hz) fit on the MSP430 while audio-rate
  * FFT pipelines (the siren detector) require the LM4F120 — matching
- * the MCU assignment the paper uses for Table 2.
+ * the MCU assignment the paper uses for Table 2. hub::Placer
+ * (placer.h) makes that assignment against these models.
  */
 
 #ifndef SIDEWINDER_HUB_MCU_H
